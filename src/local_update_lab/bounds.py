@@ -8,6 +8,14 @@ and MAML weight families admit the closed forms phi and psi, the exact
 condition number follows from mapping whole spectra, and the distance between
 surrogate and empirical optima is bounded through a mean-absolute-deviation
 inequality and its matrix-weighted analog.
+
+This module is the eigenvalue route to the surrogate: the client spectra
+stored on a Population (Population.spectra, computed once at construction)
+go through one vectorised map, scheme_q_eigenvalues, into kappa_exact and
+distance_bound, with no eigendecomposition per call. The matrix route of
+quadratics.py (Horner distortion_matrix, surrogate_hessian/gradient/
+minimizer) builds the same objects as matrices; the verification suites
+compare the two.
 """
 
 from __future__ import annotations
@@ -28,24 +36,23 @@ _PHI_SUMMATION_MAX_K = 64
 OPTIMIZER_KINDS = ("plain", "nesterov", "heavy_ball")
 
 
-def _geometric_sum(xi: float, k: int) -> float:
-    """sum_{j=0}^{k-1} xi^j, by direct summation for small k.
+def _geometric_sums(xi: np.ndarray, k: int) -> np.ndarray:
+    """sum_{j=0}^{k-1} xi^j elementwise, for an array of ratios xi.
 
-    The large-k branch computes (1 - xi^k) via expm1/log1p: the plain form
-    cancels catastrophically when xi is just below 1 (tiny gamma).
+    Small k is a Horner polynomial. Beyond _PHI_SUMMATION_MAX_K the closed
+    form is used; for 0 < xi it computes (1 - xi^k) via expm1/log1p, since
+    the plain form cancels catastrophically when xi is just below 1 (tiny
+    gamma).
     """
+    xi = np.asarray(xi, dtype=float)
     if k <= _PHI_SUMMATION_MAX_K:
-        total = 0.0
-        power = 1.0
-        for _ in range(k):
-            total += power
-            power *= xi
-        return total
-    if xi == 1.0:
-        return float(k)
-    if 0.0 < xi:
-        return -np.expm1(k * np.log1p(xi - 1.0)) / (1.0 - xi)
-    return (1.0 - xi**k) / (1.0 - xi)
+        return np.polynomial.polynomial.polyval(xi, np.ones(k))
+    sums = np.full(xi.shape, float(k))
+    positive = (xi > 0.0) & (xi != 1.0)
+    other = ~(xi > 0.0)
+    sums[positive] = -np.expm1(k * np.log1p(xi[positive] - 1.0)) / (1.0 - xi[positive])
+    sums[other] = (1.0 - xi[other] ** k) / (1.0 - xi[other])
+    return sums
 
 
 def phi(lam: float, alpha: float, gamma: float, k: int) -> float:
@@ -53,7 +60,7 @@ def phi(lam: float, alpha: float, gamma: float, k: int) -> float:
     if k < 1:
         raise InvalidInputError(f"k must be >= 1, got {k}")
     xi = 1.0 - gamma * (lam + alpha)
-    return _geometric_sum(xi, k) * lam
+    return float(_geometric_sums(xi, k)) * lam
 
 
 def psi(lam: float, alpha: float, gamma: float, k: int) -> float:
@@ -71,13 +78,7 @@ def kappa_bound_fedavg(mu: float, ell: float, alpha: float, gamma: float, k: int
     K = 1 (alpha only enters through gamma * alpha); saturates to 1 as K
     grows when alpha = 0.
     """
-    _check_mu_ell(mu, ell)
-    if gamma < 0.0 or alpha < 0.0:
-        raise InvalidInputError("alpha and gamma must be nonnegative")
-    if gamma * (ell + alpha) >= 1.0:
-        raise ConditioningError(
-            f"need gamma < 1/(ell + alpha) = {1.0 / (ell + alpha):.6g}, got gamma={gamma}"
-        )
+    qw.require_contractive(SpectrumBounds(mu=mu, ell=ell), alpha, gamma)
     # provably >= 1 here; the max() only strips a possible trailing-ulp dip
     return max(1.0, phi(ell, alpha, gamma, k) / phi(mu, alpha, gamma, k))
 
@@ -110,9 +111,10 @@ def scheme_q_eigenvalues(
 ) -> np.ndarray:
     """Eigenvalues of the distortion matrix at matrix eigenvalues lams.
 
-    Uses the closed geometric form for the two named weight families (O(1)
-    per eigenvalue even for K ~ 1e6) and direct polynomial evaluation for a
-    general theta.
+    lams may have any shape; a Population's (n_clients, dim) spectra map in
+    one call. Uses the closed geometric form for the two named weight
+    families (O(1) per eigenvalue even for K ~ 1e6) and direct polynomial
+    evaluation for a general theta.
     """
     lams = np.atleast_1d(np.asarray(lams, dtype=float))
     xi = 1.0 - gamma * (lams + alpha)
@@ -120,13 +122,7 @@ def scheme_q_eigenvalues(
     if kind == "last_only":
         return coeff * xi ** (k - 1)
     if kind == "uniform_prefix":
-        if k <= _PHI_SUMMATION_MAX_K:
-            sums = np.polynomial.polynomial.polyval(xi, np.ones(k))
-        else:
-            sums = np.empty_like(xi)
-            for i, value in enumerate(xi):
-                sums[i] = _geometric_sum(float(value), k)
-        return coeff * np.atleast_1d(sums)
+        return coeff * _geometric_sums(xi, k)
     return np.polynomial.polynomial.polyval(xi, theta.coefficients[:k])
 
 
@@ -157,27 +153,25 @@ class KappaReport:
 def kappa_exact(
     pop: Population, alpha: float, gamma: float, theta: WeightScheme
 ) -> KappaReport:
-    """Exact condition number from each client's mapped spectrum.
+    """Exact condition number from each client's mapped stored spectrum.
 
     Valid whenever gamma < (ell + alpha)^-1, including the regime where the
     last-gradient map is non-monotone and the psi bound does not apply.
     """
     qw.require_contractive(pop.bounds, alpha, gamma)
-    expected_max = 0.0
-    expected_min = 0.0
-    for weight, client in zip(pop.weights, pop.clients):
-        lams = eigh(client.a_matrix).eigenvalues
-        mapped = scheme_qa_eigenvalues(lams, alpha, gamma, theta)
-        if np.any(mapped <= 0.0):
-            raise ConditioningError(
-                f"nonpositive distorted eigenvalue {mapped.min():.6g} encountered"
-            )
-        expected_max += weight * float(mapped.max())
-        expected_min += weight * float(mapped.min())
+    mapped = scheme_qa_eigenvalues(pop.spectra, alpha, gamma, theta)
+    if np.any(mapped <= 0.0):
+        raise ConditioningError(
+            f"nonpositive distorted eigenvalue {mapped.min():.6g} encountered"
+        )
+    # mapped spectra need not stay sorted (the last-gradient map is not
+    # monotone), so each client's extremes are searched for
+    expected_max = float(pop.weights @ mapped.max(axis=1))
+    expected_min = float(pop.weights @ mapped.min(axis=1))
     bound = None
     kind, k, _ = theta.structure()
     mu, ell = pop.bounds.mu, pop.bounds.ell
-    if kind == "uniform_prefix" and gamma * (ell + alpha) < 1.0:
+    if kind == "uniform_prefix":
         bound = kappa_bound_fedavg(mu, ell, alpha, gamma, k)
     elif kind == "last_only" and gamma * (k * ell + alpha) < 1.0:
         bound = kappa_bound_maml(mu, ell, alpha, gamma, k)
@@ -236,13 +230,8 @@ def distance_bound(
     qw.require_contractive(pop.bounds, alpha, gamma)
     if c_radius is None:
         c_radius = pop.bounds.c_radius
-    b = -np.inf
-    a = np.inf
-    for client in pop.clients:
-        lams = eigh(client.a_matrix).eigenvalues
-        q_eigs = scheme_q_eigenvalues(lams, alpha, gamma, theta)
-        b = max(b, float(q_eigs.max()))
-        a = min(a, float(q_eigs.min()))
+    q_eigs = scheme_q_eigenvalues(pop.spectra, alpha, gamma, theta)
+    b, a = float(q_eigs.max()), float(q_eigs.min())
     constant = 2.0 if pop.dim == 1 else 8.0
     sb, sa = np.sqrt(b), np.sqrt(a)
     return float(constant * c_radius * (sb - sa) / (sb + sa))

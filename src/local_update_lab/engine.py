@@ -357,6 +357,12 @@ def server_round(
             raise InvalidInputError(
                 f"clients_per_round {cfg.clients_per_round} exceeds population size {pop.n_clients}"
             )
+        eligible = int(np.count_nonzero(pop.weights))
+        if cfg.clients_per_round > eligible:
+            raise InvalidInputError(
+                f"clients_per_round {cfg.clients_per_round} exceeds the {eligible} clients "
+                "with nonzero weight"
+            )
         sample_rng = keyed_rng(cfg.seed, _DOMAIN_SAMPLING, t)
         chosen = sample_rng.choice(
             pop.n_clients, size=cfg.clients_per_round, replace=False, p=pop.weights

@@ -266,11 +266,8 @@ def simulated_maml_sweep(
         dim=dim,
         seed=seed,
     )
-    if gamma * (ell + alpha) >= 1.0:
-        raise ConditioningError(
-            f"need gamma < 1/(ell + alpha) = {1.0 / (ell + alpha):.6g}, got gamma={gamma}"
-        )
     spectrum = SpectrumBounds(mu=mu, ell=ell, c_radius=0.0)
+    qw.require_contractive(spectrum, alpha, gamma)
     kappa0 = ell / mu
     points: list[FrontierPoint] = []
     skipped: list[SkippedPoint] = []

@@ -17,11 +17,17 @@ Q_i A_i. This module builds populations, distortion matrices, surrogate
 Hessians/gradients/minimizers, and measures the gap between the surrogate
 and empirical optima. Everything is immutable after construction and all
 operations are pure.
+
+The functions here are the matrix route to the surrogate: the Horner
+distortion_matrix, then surrogate_hessian/gradient/minimizer. The eigenvalue
+route (bounds.scheme_q_eigenvalues, kappa_exact, distance_bound) starts from
+the client spectra a Population stores at construction; the verification
+suites compare the two.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -50,6 +56,7 @@ class WeightScheme:
     """
 
     coefficients: np.ndarray
+    _structure: tuple[str, int, float] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         coeffs = np.atleast_1d(np.asarray(self.coefficients, dtype=float))
@@ -59,9 +66,21 @@ class WeightScheme:
             raise InvalidInputError("coefficients must be finite")
         if np.any(coeffs < 0.0):
             raise InvalidInputError("coefficients must be nonnegative")
-        if not np.any(coeffs > 0.0):
+        positive = coeffs > 0.0
+        if not np.any(positive):
             raise InvalidInputError("at least one coefficient must be positive")
         object.__setattr__(self, "coefficients", coeffs)
+        # Classified once here: sweeps query size/structure() many times per
+        # grid point on coefficient vectors of length up to 1e6.
+        k = coeffs.size - int(np.argmax(positive[::-1]))
+        active = coeffs[:k]
+        if np.count_nonzero(positive) == 1:
+            structure = ("last_only", k, float(active[-1]))
+        elif np.all(active == active[0]):
+            structure = ("uniform_prefix", k, float(active[0]))
+        else:
+            structure = ("general", k, float("nan"))
+        object.__setattr__(self, "_structure", structure)
 
     @classmethod
     def first_k(cls, k: int) -> "WeightScheme":
@@ -92,7 +111,7 @@ class WeightScheme:
     @property
     def size(self) -> int:
         """K(theta): largest index (1-based) with a positive coefficient."""
-        return int(np.flatnonzero(self.coefficients > 0.0)[-1]) + 1
+        return self._structure[1]
 
     @property
     def weight(self) -> float:
@@ -105,14 +124,7 @@ class WeightScheme:
         Returns ("last_only", K, theta_K), ("uniform_prefix", K, theta), or
         ("general", K, nan). Detection is exact, not approximate.
         """
-        k = self.size
-        active = self.coefficients[:k]
-        nonzero = np.flatnonzero(active > 0.0)
-        if nonzero.size == 1:
-            return ("last_only", k, float(active[-1]))
-        if nonzero.size == k and np.all(active == active[0]):
-            return ("uniform_prefix", k, float(active[0]))
-        return ("general", k, float("nan"))
+        return self._structure
 
 
 @dataclass(frozen=True)
@@ -218,11 +230,16 @@ class Population:
     Validation fails fast, naming the violating eigenvalue or center norm:
     each A_i must satisfy mu I <= A_i <= ell I and each ||c_i|| <= c_radius
     (up to 1e-9 slack).
+
+    spectra holds the ascending eigenvalues of every A_i as one read-only
+    (n_clients, dim) array, kept from the validating eigendecomposition; the
+    eigenvalue route of bounds.py maps it instead of decomposing again.
     """
 
     clients: tuple[ClientModel, ...]
     weights: np.ndarray
     bounds: SpectrumBounds
+    spectra: np.ndarray = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         clients = tuple(self.clients)
@@ -240,8 +257,10 @@ class Population:
             raise InvalidInputError("weights must be finite and nonnegative")
         if abs(float(np.sum(weights)) - 1.0) > 1e-12:
             raise InvalidInputError(f"weights sum to {np.sum(weights)!r}, expected 1")
+        spectra = np.empty((len(clients), dim))
         for index, client in enumerate(clients):
             dec = mat.eigh(client.a_matrix)
+            spectra[index] = dec.eigenvalues
             if dec.lambda_min < self.bounds.mu - _BOUNDS_TOL:
                 raise InvalidInputError(
                     f"client {index}: eigenvalue {dec.lambda_min:.12g} below mu={self.bounds.mu}"
@@ -255,8 +274,10 @@ class Population:
                 raise InvalidInputError(
                     f"client {index}: center norm {norm:.12g} above c_radius={self.bounds.c_radius}"
                 )
+        spectra.flags.writeable = False
         object.__setattr__(self, "clients", clients)
         object.__setattr__(self, "weights", weights)
+        object.__setattr__(self, "spectra", spectra)
 
     @classmethod
     def uniform(cls, clients, bounds: SpectrumBounds | None = None) -> "Population":

@@ -470,12 +470,10 @@ def check_lemma6_distortion_condition(seed: int, trials: int = 200) -> CheckResu
             gamma = float(rng.uniform(0.0, 0.95)) / (k * ell + alpha)
             kappa = tb.kappa_bound_maml(mu, ell, alpha, gamma, k)
         allowed = pop.bounds.kappa0 / kappa
-        for client in pop.clients:
-            q_eigs = tb.scheme_q_eigenvalues(
-                eigh(client.a_matrix).eigenvalues, alpha, gamma, theta
-            )
-            worst = max(worst, float(q_eigs.max() / q_eigs.min()) - allowed)
-            count += 1
+        q_eigs = tb.scheme_q_eigenvalues(pop.spectra, alpha, gamma, theta)
+        conditions = q_eigs.max(axis=1) / q_eigs.min(axis=1)
+        worst = max(worst, float(conditions.max()) - allowed)
+        count += pop.n_clients
     return CheckResult("lemma6_distortion_condition", count, worst, 1e-9)
 
 

@@ -13,6 +13,7 @@ from local_update_lab import (
     delta_from_kappa,
     distance_bound,
     distance_bound_from_kappa,
+    distortion_matrix,
     kappa_bound_fedavg,
     kappa_bound_maml,
     kappa_exact,
@@ -26,9 +27,10 @@ from local_update_lab import (
     rho_from_kappa,
     tightness_case_b2,
 )
-from local_update_lab.bounds import tightness_population
+from local_update_lab.bounds import _geometric_sums, scheme_q_eigenvalues, tightness_population
 from local_update_lab.errors import ConditioningError, InvalidInputError
 from local_update_lab.matrices import eigh, keyed_rng, symmetrize
+from local_update_lab.quadratics import require_contractive
 from local_update_lab.verify import (
     random_commuting_family,
     random_orthonormal,
@@ -194,6 +196,132 @@ class TestKappaExact:
         pop = diag_client_population(1.0, 10.0)
         with pytest.raises(ConditioningError):
             kappa_exact(pop, 0.0, 0.2, WeightScheme.first_k(3))
+
+
+def scalar_geometric_sum(xi: float, k: int) -> float:
+    """Scalar sum_{j=0}^{k-1} xi^j, one eigenvalue at a time (reference)."""
+    if k <= 64:
+        total = 0.0
+        power = 1.0
+        for _ in range(k):
+            total += power
+            power *= xi
+        return total
+    if xi == 1.0:
+        return float(k)
+    if 0.0 < xi:
+        return -np.expm1(k * np.log1p(xi - 1.0)) / (1.0 - xi)
+    return (1.0 - xi**k) / (1.0 - xi)
+
+
+def reference_q_eigenvalues(lams, alpha, gamma, theta):
+    """Per-eigenvalue scalar distortion map for the two named families."""
+    kind, k, coeff = theta.structure()
+    out = []
+    for lam in lams:
+        xi = 1.0 - gamma * (float(lam) + alpha)
+        if kind == "last_only":
+            out.append(coeff * xi ** (k - 1))
+        else:
+            assert kind == "uniform_prefix"
+            out.append(coeff * scalar_geometric_sum(xi, k))
+    return np.array(out)
+
+
+def route_cases(k, ell, alpha):
+    """(theta, gamma) pairs at length k: all-gradients, last-gradient, gamma = 0.
+
+    Short last-gradient schemes also get a gamma above (K ell + alpha)^-1,
+    where the map is not monotone in lam.
+    """
+    cases = [
+        (WeightScheme.first_k(k), 0.3 / (ell + alpha)),
+        (WeightScheme.last_only(k), 0.5 / (k * ell + alpha)),
+        (WeightScheme.first_k(k), 0.0),
+    ]
+    if k <= 64:
+        cases.append((WeightScheme.last_only(k), 0.3 / (ell + alpha)))
+    return cases
+
+
+class TestEigenvalueRoute:
+    @pytest.mark.parametrize("k", [65, 1000, 10**6])
+    def test_vectorised_geometric_sums_match_scalar(self, k):
+        # xi == 1 is gamma = 0; xi <= 0 takes the plain closed form
+        xi = np.array(
+            [1.0, 1.0 - 1e-12, 1.0 - 1e-7, 0.999, 0.5, 1e-3, 0.0, -1e-3, -0.5, -0.999]
+        )
+        expected = np.array([scalar_geometric_sum(float(v), k) for v in xi])
+        np.testing.assert_allclose(_geometric_sums(xi, k), expected, rtol=1e-15, atol=0.0)
+        np.testing.assert_allclose(
+            _geometric_sums(xi.reshape(2, 5), k), expected.reshape(2, 5), rtol=1e-15, atol=0.0
+        )
+
+    @pytest.mark.parametrize("k", [1, 64, 65, 1024, 10**6])
+    def test_kappa_exact_and_distance_bound_match_client_loop(self, k):
+        for trial in range(4):
+            pop = random_population(keyed_rng(35, k, trial), max_dim=8, max_clients=6)
+            alpha = 0.5 * (trial % 2)
+            for theta, gamma in route_cases(k, pop.bounds.ell, alpha):
+                e_max = e_min = 0.0
+                b, a = -np.inf, np.inf
+                for weight, client in zip(pop.weights, pop.clients):
+                    lams = eigh(client.a_matrix).eigenvalues
+                    q = reference_q_eigenvalues(lams, alpha, gamma, theta)
+                    qa = q * lams
+                    e_max += weight * qa.max()
+                    e_min += weight * qa.min()
+                    b, a = max(b, q.max()), min(a, q.min())
+                report = kappa_exact(pop, alpha, gamma, theta)
+                assert report.l_tilde == pytest.approx(e_max, rel=1e-12)
+                assert report.mu_tilde == pytest.approx(e_min, rel=1e-12)
+                assert report.kappa_exact == pytest.approx(max(1.0, e_max / e_min), rel=1e-12)
+                constant = 2.0 if pop.dim == 1 else 8.0
+                expected = constant * pop.bounds.c_radius * (np.sqrt(b) - np.sqrt(a)) / (
+                    np.sqrt(b) + np.sqrt(a)
+                )
+                bound = distance_bound(pop, alpha, gamma, theta)
+                assert bound == pytest.approx(expected, rel=1e-12, abs=1e-15)
+
+    def test_no_eigendecomposition_per_call(self, monkeypatch):
+        pop = random_population(keyed_rng(36, 0), max_dim=8, max_clients=6)
+        calls = []
+        original = np.linalg.eigh
+
+        def counting_eigh(a, *args, **kwargs):
+            calls.append(a)
+            return original(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+        gamma = 0.3 / pop.bounds.ell
+        for theta in (WeightScheme.first_k(1000), WeightScheme.last_only(3), random_theta(keyed_rng(37, 0))):
+            kappa_exact(pop, 0.0, gamma, theta)
+            distance_bound(pop, 0.0, gamma, theta)
+        assert calls == []
+
+    def test_distortion_matrix_spectrum_matches_map_at_k1000(self):
+        pop = random_population(keyed_rng(38, 0), max_dim=6, max_clients=4, min_dim=2)
+        alpha = 0.5
+        gamma = 0.4 / (pop.bounds.ell + alpha)
+        general = WeightScheme(keyed_rng(38, 1).uniform(0.0, 1.0, 1000))
+        for theta in (WeightScheme.first_k(1000), WeightScheme.last_only(1000), general):
+            mapped = scheme_q_eigenvalues(pop.spectra, alpha, gamma, theta)
+            assert mapped.shape == (pop.n_clients, pop.dim)
+            for row, client in zip(mapped, pop.clients):
+                q = distortion_matrix(client, alpha, gamma, theta)
+                spectrum = eigh(q).eigenvalues
+                np.testing.assert_allclose(
+                    spectrum, np.sort(row), rtol=1e-9, atol=1e-12 * np.abs(spectrum).max()
+                )
+
+    def test_fedavg_bound_uses_the_contractivity_check(self):
+        with pytest.raises(ConditioningError) as direct:
+            require_contractive(SpectrumBounds(mu=1.0, ell=10.0), 0.5, 0.1)
+        with pytest.raises(ConditioningError) as fedavg:
+            kappa_bound_fedavg(1.0, 10.0, 0.5, 0.1, 5)
+        assert str(fedavg.value) == str(direct.value)
+        with pytest.raises(InvalidInputError, match="nonnegative"):
+            kappa_bound_fedavg(1.0, 10.0, -0.5, 0.01, 5)
 
 
 class TestRho:

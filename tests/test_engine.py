@@ -1,5 +1,7 @@
 """Simulation engine: client updates, MAML meta-gradients, server rounds, tuning."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -262,6 +264,25 @@ class TestServerRound:
         opt = ServerOptSpec(kind="plain", step=0.01)
         with pytest.raises(InvalidInputError, match="exceeds population"):
             server_round(pop, np.zeros(2), cfg, opt)
+
+    def test_sampling_more_clients_than_nonzero_weights(self):
+        # numpy's choice(replace=False, p=...) cannot draw more clients than
+        # carry weight; the round must refuse before sampling, naming both counts
+        clients = tuple(random_client_with_examples(keyed_rng(59, i), dim=2) for i in range(3))
+        pop = Population(
+            clients=clients,
+            weights=np.array([0.5, 0.5, 0.0]),
+            bounds=Population.uniform(clients).bounds,
+        )
+        cfg = RunConfig(
+            alpha=0.0, gamma=0.01, theta=WeightScheme.single(), rounds=1,
+            mode="stochastic", clients_per_round=3, batch_size=1,
+        )
+        opt = ServerOptSpec(kind="plain", step=0.01)
+        with pytest.raises(InvalidInputError, match="clients_per_round 3 exceeds the 2 clients"):
+            server_round(pop, np.zeros(2), cfg, opt)
+        x_next, _, _ = server_round(pop, np.zeros(2), replace(cfg, clients_per_round=2), opt)
+        assert np.all(np.isfinite(x_next))
 
 
 class TestRun:

@@ -205,7 +205,7 @@ class TestSimulatedMamlSweep:
         assert [(p.rho, p.delta) for p in f1.points] == [(p.rho, p.delta) for p in f2.points]
 
     def test_precondition(self):
-        with pytest.raises(ConditioningError):
+        with pytest.raises(ConditioningError, match=r"need gamma < 1/\(ell \+ alpha\) = 0\.1, got gamma=0\.2"):
             simulated_maml_sweep(
                 dim=5, mu=1.0, ell=10.0, alpha=0.0, gamma=0.2,
                 k_grid=np.array([1, 2]), seed=0,

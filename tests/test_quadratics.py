@@ -67,6 +67,35 @@ class TestWeightScheme:
         # a single positive coefficient is last_only even if scaled
         assert WeightScheme(np.array([0.0, 2.5])).structure() == ("last_only", 2, 2.5)
 
+    @pytest.mark.parametrize(
+        "coefficients",
+        [
+            [0.3, 0.0, 0.9, 0.0, 0.0],
+            [1.0],
+            [2.0, 2.0, 2.0, 0.0],
+            [0.0, 0.0, 2.5, 0.0],
+            [1.0, 0.0, 1.0],
+            [1.0, 1.0, 0.5],
+            [0.0, 1.0, 1.0],
+        ],
+    )
+    def test_cached_size_and_structure_match_definitions(self, coefficients):
+        theta = WeightScheme(np.array(coefficients))
+        coeffs = np.array(coefficients)
+        size = int(np.flatnonzero(coeffs > 0.0)[-1]) + 1
+        active = coeffs[:size]
+        nonzero = np.flatnonzero(active > 0.0)
+        if nonzero.size == 1:
+            structure = ("last_only", size, float(active[-1]))
+        elif nonzero.size == size and np.all(active == active[0]):
+            structure = ("uniform_prefix", size, float(active[0]))
+        else:
+            structure = ("general", size, float("nan"))
+        assert theta.size == size
+        kind, k, coeff = theta.structure()
+        assert (kind, k) == structure[:2]
+        assert coeff == structure[2] or (np.isnan(coeff) and np.isnan(structure[2]))
+
     def test_validation(self):
         with pytest.raises(InvalidInputError):
             WeightScheme(np.array([0.0, 0.0]))
@@ -117,6 +146,16 @@ class TestClientAndPopulation:
             Population.uniform([client], bounds=SpectrumBounds(mu=1.0, ell=2.0, c_radius=1.0))
         with pytest.raises(InvalidInputError, match="below mu"):
             Population.uniform([client], bounds=SpectrumBounds(mu=5.0, ell=6.0, c_radius=1.0))
+
+    def test_population_stores_read_only_spectra(self):
+        pop = random_population(keyed_rng(12, 0), max_dim=8, max_clients=6, min_dim=2, min_clients=2)
+        assert pop.spectra.shape == (pop.n_clients, pop.dim)
+        for row, client in zip(pop.spectra, pop.clients):
+            np.testing.assert_array_equal(row, np.linalg.eigh(client.a_matrix).eigenvalues)
+        assert not pop.spectra.flags.writeable
+        with pytest.raises(ValueError):
+            pop.spectra[0, 0] = 0.0
+        assert "spectra" not in repr(pop)
 
     def test_population_validates_center_norm(self):
         client = scalar_client(1.0, 3.0)
