@@ -83,27 +83,28 @@ def kappa_bound_fedavg(mu: float, ell: float, alpha: float, gamma: float, k: int
     return max(1.0, phi(ell, alpha, gamma, k) / phi(mu, alpha, gamma, k))
 
 
+def maml_bound_applies(ell: float, alpha: float, gamma: float, k: int) -> bool:
+    """Whether gamma < (K ell + alpha)^-1, the precondition of the psi bound.
+
+    False for a NaN argument.
+    """
+    return bool(gamma * (k * ell + alpha) < 1.0)
+
+
 def kappa_bound_maml(mu: float, ell: float, alpha: float, gamma: float, k: int) -> float:
     """Condition-number bound psi(ell)/psi(mu) for the last-gradient scheme.
 
     Requires gamma < (K ell + alpha)^-1; outside that regime the exact
     spectral route (kappa_exact) must be used instead.
     """
-    _check_mu_ell(mu, ell)
-    if gamma < 0.0 or alpha < 0.0:
-        raise InvalidInputError("alpha and gamma must be nonnegative")
+    qw.require_contractive(SpectrumBounds(mu=mu, ell=ell), alpha, gamma)
     if k < 1:
         raise InvalidInputError(f"k must be >= 1, got {k}")
-    if gamma * (k * ell + alpha) >= 1.0:
+    if not maml_bound_applies(ell, alpha, gamma, k):
         raise ConditioningError(
-            f"need gamma < 1/(K ell + alpha) = {1.0 / (k * ell + alpha):.6g}, got gamma={gamma}"
+            f"need gamma < 1/(K*ell+alpha) = {1.0 / (k * ell + alpha):.6g}, got gamma={gamma}"
         )
     return max(1.0, psi(ell, alpha, gamma, k) / psi(mu, alpha, gamma, k))
-
-
-def _check_mu_ell(mu: float, ell: float) -> None:
-    if not (0.0 < mu <= ell):
-        raise InvalidInputError(f"need 0 < mu <= ell, got mu={mu}, ell={ell}")
 
 
 def scheme_q_eigenvalues(
@@ -173,7 +174,7 @@ def kappa_exact(
     mu, ell = pop.bounds.mu, pop.bounds.ell
     if kind == "uniform_prefix":
         bound = kappa_bound_fedavg(mu, ell, alpha, gamma, k)
-    elif kind == "last_only" and gamma * (k * ell + alpha) < 1.0:
+    elif kind == "last_only" and maml_bound_applies(ell, alpha, gamma, k):
         bound = kappa_bound_maml(mu, ell, alpha, gamma, k)
     return KappaReport(
         kappa_exact=max(1.0, expected_max / expected_min),

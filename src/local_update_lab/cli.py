@@ -31,7 +31,6 @@ from .engine import (
     RunConfig,
     ServerOptSpec,
     auto_tune,
-    client_update,
     export_trajectory_csv,
     run,
 )
@@ -42,7 +41,6 @@ from .errors import (
     InvalidInputError,
     LocalUpdateError,
     PopulationFormatError,
-    SingularMatrixError,
 )
 from .frontier import (
     Frontier,
@@ -57,7 +55,7 @@ from .frontier import (
 from .matrices import eigh, keyed_rng
 from .quadratics import Population, WeightScheme
 from .svgplot import frontier_svg
-from .verify import SUITES, random_population, run_checks
+from .verify import SUITES, CheckResult, random_population, run_checks, theorem1_client_gap
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -139,6 +137,11 @@ def cmd_frontier(args) -> int:
         if args.gamma_min is None:
             grid = default_gamma_grid(gamma_max, args.points)
         else:
+            if not (args.gamma_min > 0.0 and gamma_max > 0.0 and args.points >= 1):
+                raise InvalidInputError(
+                    "need --gamma-min > 0, --gamma-max > 0 and --points >= 1, got "
+                    f"{args.gamma_min}, {gamma_max} and {args.points}"
+                )
             grid = np.logspace(np.log10(args.gamma_min), np.log10(gamma_max), args.points)
         spec = SweepSpec(
             family=family, vary="gamma", grid=grid, mu=args.mu, ell=args.ell,
@@ -229,6 +232,8 @@ def cmd_simulate(args) -> int:
             x0 = np.array([float(v) for v in args.x0.split(",")])
         except ValueError as exc:
             raise InvalidInputError(f"bad --x0 value: {exc}") from exc
+        if x0.shape != (pop.dim,):
+            raise InvalidInputError(f"--x0 has {x0.size} components, expected {pop.dim}")
     rounds = args.rounds
     if rounds is None:
         x_star = qw.surrogate_minimizer(pop, args.alpha, args.gamma, theta)
@@ -268,35 +273,13 @@ def _population_file_checks(path: str) -> list[dict]:
     pop = qw.load_population(path)
     alpha, gamma = 0.0, 0.5 / pop.bounds.ell
     theta = WeightScheme.first_k(5)
-    checks = []
-    worst = 0.0
-    cfg = RunConfig(alpha=alpha, gamma=gamma, theta=theta, rounds=1)
-    x = np.ones(pop.dim)
-    for client in pop.clients:
-        single = Population.uniform([client], bounds=pop.bounds)
-        predicted = qw.surrogate_gradient(single, x, alpha, gamma, theta)
-        worst = max(worst, float(np.linalg.norm(client_update(client, x, cfg) - predicted)))
-    checks.append(
-        {
-            "name": "population_theorem1",
-            "instances": pop.n_clients,
-            "max_violation": worst,
-            "threshold": 1e-9,
-            "pass": bool(worst <= 1e-9),
-        }
-    )
+    worst = theorem1_client_gap(pop, np.ones(pop.dim), alpha, gamma, theta)
     measured = qw.minimizer_distance(pop, alpha, gamma, theta)
     bound = tb.distance_bound(pop, alpha, gamma, theta)
-    checks.append(
-        {
-            "name": "population_lemma5",
-            "instances": 1,
-            "max_violation": float(measured - bound),
-            "threshold": 1e-9,
-            "pass": bool(measured - bound <= 1e-9),
-        }
-    )
-    return checks
+    return [
+        CheckResult("population_theorem1", pop.n_clients, worst, 1e-9).as_dict(),
+        CheckResult("population_lemma5", 1, measured - bound, 1e-9).as_dict(),
+    ]
 
 
 def cmd_verify(args) -> int:
@@ -359,7 +342,7 @@ def cmd_tightness(args) -> int:
             "kappa_bound": fed.kappa_bound,
             "gap": abs(fed.kappa_exact - fed.kappa_bound) if fed.kappa_bound else None,
         }
-        if gamma * (k * ell + alpha) < 1.0:
+        if tb.maml_bound_applies(ell, alpha, gamma, k):
             mam = tb.kappa_exact(pop, alpha, gamma, WeightScheme.last_only(k))
             rows["last_only"] = {
                 "kappa_exact": mam.kappa_exact,
@@ -508,7 +491,7 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (ConditioningError, InfeasibleSpectrumError, SingularMatrixError, DivergenceError) as exc:
+    except (ConditioningError, InfeasibleSpectrumError, DivergenceError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION
     except LocalUpdateError as exc:

@@ -13,14 +13,6 @@ class DimensionMismatchError(InvalidInputError):
     """Operands do not conform."""
 
 
-class SingularMatrixError(LocalUpdateError):
-    """Matrix inverse requested for a (near-)singular matrix."""
-
-    def __init__(self, message: str, lambda_min: float):
-        super().__init__(f"{message} (lambda_min={lambda_min:.3e})")
-        self.lambda_min = lambda_min
-
-
 class InfeasibleSpectrumError(LocalUpdateError):
     """Requested spectrum cannot be realised (e.g. 1x1 matrix with mu != ell)."""
 

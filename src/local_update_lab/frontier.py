@@ -29,18 +29,25 @@ KAPPA_SOURCES = ("closed_form", "exact_spectral")
 _FAMILY_SCHEME = {"fedavg_theta": "first_k", "maml_theta": "last_only"}
 
 
+def _check_points(points: int) -> None:
+    if points < 1:
+        raise InvalidInputError(f"points must be >= 1, got {points}")
+
+
 def default_k_grid(k_max: int = 10**6, points: int = 60) -> np.ndarray:
     """Logarithmic integer grid 1..k_max without duplicates."""
     if k_max < 1:
         raise InvalidInputError(f"k_max must be >= 1, got {k_max}")
+    _check_points(points)
     raw = np.logspace(0.0, np.log10(k_max), points)
     return np.unique(np.round(raw).astype(int))
 
 
 def default_gamma_grid(gamma_max: float, points: int = 60, decades: float = 6.0) -> np.ndarray:
     """Logarithmic gamma grid ending at gamma_max, spanning the given decades."""
-    if gamma_max <= 0.0:
+    if not gamma_max > 0.0:
         raise InvalidInputError(f"gamma_max must be positive, got {gamma_max}")
+    _check_points(points)
     return np.logspace(np.log10(gamma_max) - decades, np.log10(gamma_max), points)
 
 
@@ -49,9 +56,15 @@ class SweepSpec:
     """One frontier sweep: the family, the varied axis, and fixed parameters.
 
     Exactly one axis varies (over `grid`); the other parameters are fixed.
-    kappa_source selects the phi/psi closed forms (needs mu, ell) or exact
-    spectral measurement (needs a population, or dim+seed for simulated
-    sweeps that draw a fresh random matrix per grid point).
+    kappa is measured from one of three sources:
+
+    - kappa_source="closed_form": the phi/psi bounds at (mu, ell);
+    - kappa_source="exact_spectral" with a population: kappa_exact of that
+      population at every grid point;
+    - kappa_source="exact_spectral" without a population: kappa_exact of a
+      fresh one-client population per grid point, a dim x dim random matrix
+      with spectrum exactly spanning [mu, ell] drawn from
+      child_seed(seed, grid index).
     """
 
     family: str
@@ -80,6 +93,8 @@ class SweepSpec:
         grid = np.atleast_1d(np.asarray(self.grid))
         if grid.size == 0:
             raise InvalidInputError("grid must be nonempty")
+        if not np.all(np.isfinite(grid)):
+            raise InvalidInputError("grid contains non-finite values")
         if np.any(np.diff(grid.astype(float)) <= 0.0):
             raise InvalidInputError("grid must be strictly increasing")
         if self.vary == "K":
@@ -90,6 +105,8 @@ class SweepSpec:
             grid = grid.astype(float)
         if not (0.0 < self.mu <= self.ell):
             raise InvalidInputError(f"need 0 < mu <= ell, got mu={self.mu}, ell={self.ell}")
+        if self.kappa_source == "exact_spectral" and self.population is None and self.dim is None:
+            raise InvalidInputError("exact_spectral sweeps need a population or a dim")
         if not self.optimizers or any(o not in tb.OPTIMIZER_KINDS for o in self.optimizers):
             raise InvalidInputError(f"optimizers must be a nonempty subset of {tb.OPTIMIZER_KINDS}")
         if self.vary != "gamma" and self.gamma is None:
@@ -163,47 +180,53 @@ def _resolve_point(spec: SweepSpec, axis_value) -> tuple[float, float, int]:
     return float(alpha), float(gamma), int(k)
 
 
-def _kappa_for_point(spec: SweepSpec, alpha: float, gamma: float, k: int) -> tuple[float | None, str | None]:
-    """(kappa, None) for a usable point, (None, reason) for a skipped one."""
-    if spec.family == "maml_theta" and spec.kappa_source == "closed_form":
-        if gamma * (k * spec.ell + alpha) >= 1.0:
-            return None, f"closed-form maml bound needs gamma < 1/(K*ell+alpha); K={k}"
-        return tb.kappa_bound_maml(spec.mu, spec.ell, alpha, gamma, k), None
+def _point_population(spec: SweepSpec, index: int) -> Population:
+    if spec.population is not None:
+        return spec.population
+    spectrum = SpectrumBounds(mu=spec.mu, ell=spec.ell, c_radius=0.0)
+    a = random_spd_with_spectrum(spec.dim, spectrum, child_seed(spec.seed, index))
+    return Population(
+        clients=(ClientModel(a_matrix=a, center=np.zeros(spec.dim)),),
+        weights=np.array([1.0]),
+        bounds=spectrum,
+    )
+
+
+def _kappa_for_point(spec: SweepSpec, index: int, alpha: float, gamma: float, k: int) -> float:
+    """kappa at one grid point; ConditioningError marks an inadmissible point."""
     if spec.kappa_source == "closed_form":
-        return tb.kappa_bound_fedavg(spec.mu, spec.ell, alpha, gamma, k), None
-    if spec.population is None:
-        raise InvalidInputError("exact_spectral sweeps need a population")
-    scheme = _FAMILY_SCHEME[spec.family]
-    theta = WeightScheme.first_k(k) if scheme == "first_k" else WeightScheme.last_only(k)
-    report = tb.kappa_exact(spec.population, alpha, gamma, theta)
-    return report.kappa_exact, None
+        bound = tb.kappa_bound_fedavg if spec.family == "fedavg_theta" else tb.kappa_bound_maml
+        return bound(spec.mu, spec.ell, alpha, gamma, k)
+    theta = WeightScheme.first_k(k) if spec.family == "fedavg_theta" else WeightScheme.last_only(k)
+    return tb.kappa_exact(_point_population(spec, index), alpha, gamma, theta).kappa_exact
 
 
 def sweep(spec: SweepSpec) -> Frontier:
     """Trace the frontier of a sweep, one point per admissible grid value.
 
     The all-gradients family requires gamma < (ell + alpha)^-1 at every grid
-    point. Closed-form last-gradient points violating gamma < (K ell +
-    alpha)^-1, and spectral points whose measured kappa exceeds kappa0 (so
-    delta leaves [0, 1]), are skipped with recorded reasons. An empty
-    admissible set is an error.
+    point and raises otherwise. A point whose kappa source raises
+    ConditioningError (the psi bound outside gamma < (K ell + alpha)^-1, a
+    spectral point outside gamma < (ell + alpha)^-1 or with an underflowing
+    mapped eigenvalue), and a point whose kappa exceeds kappa0 (so delta
+    leaves [0, 1]), is skipped with its reason recorded. An empty admissible
+    set is an error.
     """
+    if spec.family == "fedavg_theta":
+        # The grid increases strictly, so its last point has the largest
+        # gamma (ell + alpha) of all.
+        alpha, gamma, _ = _resolve_point(spec, spec.grid[-1])
+        qw.require_contractive(SpectrumBounds(mu=spec.mu, ell=spec.ell), alpha, gamma)
     kappa0 = spec.ell / spec.mu
     scheme = _FAMILY_SCHEME[spec.family]
     points: list[FrontierPoint] = []
     skipped: list[SkippedPoint] = []
-    for axis_value in spec.grid:
+    for index, axis_value in enumerate(spec.grid):
         alpha, gamma, k = _resolve_point(spec, axis_value)
-        if gamma * (spec.ell + alpha) >= 1.0:
-            if spec.family == "fedavg_theta":
-                raise ConditioningError(
-                    f"grid point {axis_value} violates gamma < 1/(ell + alpha)"
-                )
-            skipped.append(SkippedPoint(float(axis_value), "*", "gamma >= 1/(ell + alpha)"))
-            continue
-        kappa, reason = _kappa_for_point(spec, alpha, gamma, k)
-        if kappa is None:
-            skipped.append(SkippedPoint(float(axis_value), "*", reason))
+        try:
+            kappa = _kappa_for_point(spec, index, alpha, gamma, k)
+        except ConditioningError as exc:
+            skipped.append(SkippedPoint(float(axis_value), "*", str(exc)))
             continue
         if kappa > kappa0 * (1.0 + 1e-12):
             skipped.append(
@@ -245,69 +268,30 @@ def simulated_maml_sweep(
 ) -> Frontier:
     """Last-gradient frontier measured on fresh random matrices.
 
-    For each K on the grid a new random symmetric matrix with spectrum
-    exactly spanning [mu, ell] is drawn (child seed from (seed, grid index))
-    and kappa is measured from its mapped spectrum. Valid for any
-    gamma < (ell + alpha)^-1, including the non-monotone regime where the
-    closed-form psi bound does not apply; points whose measured kappa exceeds
-    kappa0 are skipped with a recorded reason.
+    The random-matrix source of sweep: for each K on the grid a new random
+    symmetric matrix with spectrum exactly spanning [mu, ell] is drawn
+    (child seed from (seed, grid index)) and kappa is measured from its
+    mapped spectrum. Valid for any gamma < (ell + alpha)^-1, including the
+    non-monotone regime where the closed-form psi bound does not apply;
+    points whose measured kappa exceeds kappa0, or whose smallest mapped
+    eigenvalue underflows float64, are skipped with a recorded reason.
     """
-    k_grid = np.atleast_1d(np.asarray(k_grid, dtype=int))
-    spec = SweepSpec(
-        family="maml_theta",
-        vary="K",
-        grid=k_grid,
-        mu=mu,
-        ell=ell,
-        alpha=alpha,
-        gamma=gamma,
-        optimizers=(optimizer,),
-        kappa_source="exact_spectral",
-        dim=dim,
-        seed=seed,
+    qw.require_contractive(SpectrumBounds(mu=mu, ell=ell), alpha, gamma)
+    return sweep(
+        SweepSpec(
+            family="maml_theta",
+            vary="K",
+            grid=np.atleast_1d(np.asarray(k_grid, dtype=int)),
+            mu=mu,
+            ell=ell,
+            alpha=alpha,
+            gamma=gamma,
+            optimizers=(optimizer,),
+            kappa_source="exact_spectral",
+            dim=dim,
+            seed=seed,
+        )
     )
-    spectrum = SpectrumBounds(mu=mu, ell=ell, c_radius=0.0)
-    qw.require_contractive(spectrum, alpha, gamma)
-    kappa0 = ell / mu
-    points: list[FrontierPoint] = []
-    skipped: list[SkippedPoint] = []
-    for index, k in enumerate(k_grid):
-        a = random_spd_with_spectrum(dim, spectrum, child_seed(seed, index))
-        pop = Population(
-            clients=(ClientModel(a_matrix=a, center=np.zeros(dim)),),
-            weights=np.array([1.0]),
-            bounds=spectrum,
-        )
-        try:
-            report = tb.kappa_exact(pop, alpha, gamma, WeightScheme.last_only(int(k)))
-        except ConditioningError as exc:
-            # Deep in the non-monotone regime the smallest mapped eigenvalue
-            # underflows float64; kappa is then far above kappa0 anyway.
-            skipped.append(SkippedPoint(float(k), optimizer, str(exc)))
-            continue
-        kappa = report.kappa_exact
-        if kappa > kappa0 * (1.0 + 1e-12):
-            skipped.append(
-                SkippedPoint(float(k), optimizer, f"kappa {kappa:.6g} exceeds kappa0 {kappa0:.6g}")
-            )
-            continue
-        points.append(
-            FrontierPoint(
-                rho=float(tb.rho_from_kappa(kappa, optimizer)),
-                delta=float(tb.delta_from_kappa(min(kappa, kappa0), kappa0)),
-                kappa=float(kappa),
-                kappa_source="exact_spectral",
-                alpha=alpha,
-                gamma=gamma,
-                k=int(k),
-                scheme="last_only",
-                optimizer=optimizer,
-                axis_value=float(k),
-            )
-        )
-    if not points:
-        raise ConditioningError("no admissible grid point; frontier is empty")
-    return Frontier(points=tuple(points), spec=spec, skipped=tuple(skipped))
 
 
 # ---------------------------------------------------------------------------

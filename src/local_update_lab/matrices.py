@@ -13,12 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    DimensionMismatchError,
-    InfeasibleSpectrumError,
-    InvalidInputError,
-    SingularMatrixError,
-)
+from .errors import DimensionMismatchError, InfeasibleSpectrumError, InvalidInputError
 
 # Eigenvalues of an "invertible SPD" matrix must clear this floor.
 SPD_LAMBDA_MIN = 1e-12
@@ -106,15 +101,6 @@ def eigh(a: np.ndarray) -> EigenDecomposition:
     return EigenDecomposition(eigenvalues=w, eigenvectors=v)
 
 
-def multiply(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Matrix product A @ B with shape validation."""
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    if a.shape[-1] != b.shape[0]:
-        raise DimensionMismatchError(f"cannot multiply shapes {a.shape} and {b.shape}")
-    return a @ b
-
-
 def multiply_symmetric(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Product of two commuting symmetric matrices, re-symmetrized.
 
@@ -122,44 +108,11 @@ def multiply_symmetric(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     explicit symmetrization removes rounding skew so downstream eigh calls
     see a clean symmetric matrix.
     """
-    return symmetrize(multiply(a, b))
-
-
-def add(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
-    if a.shape != b.shape:
-        raise DimensionMismatchError(f"cannot add shapes {a.shape} and {b.shape}")
-    return a + b
-
-
-def scale(a: np.ndarray, s: float) -> np.ndarray:
-    return np.asarray(a, dtype=float) * float(s)
-
-
-def matvec(a: np.ndarray, v: np.ndarray) -> np.ndarray:
-    a = np.asarray(a, dtype=float)
-    v = np.asarray(v, dtype=float)
-    if a.shape[1] != v.shape[0]:
-        raise DimensionMismatchError(f"cannot apply shape {a.shape} to vector of length {v.shape[0]}")
-    return a @ v
-
-
-def inverse_spd(a: np.ndarray) -> np.ndarray:
-    """Inverse of a symmetric positive definite matrix.
-
-    Raises SingularMatrixError (reporting lambda_min) if the smallest
-    eigenvalue does not clear SPD_LAMBDA_MIN.
-    """
-    dec = eigh(a)
-    if dec.lambda_min <= SPD_LAMBDA_MIN:
-        raise SingularMatrixError("matrix is not safely positive definite", dec.lambda_min)
-    v = dec.eigenvectors
-    return symmetrize((v / dec.eigenvalues) @ v.T)
-
-
-def identity(dim: int) -> np.ndarray:
-    return np.eye(dim)
+    if a.shape[-1] != b.shape[0]:
+        raise DimensionMismatchError(f"cannot multiply shapes {a.shape} and {b.shape}")
+    return symmetrize(a @ b)
 
 
 @dataclass(frozen=True)
@@ -173,7 +126,7 @@ class SpectrumBounds:
     def __post_init__(self):
         if not (0.0 < self.mu <= self.ell):
             raise InvalidInputError(f"need 0 < mu <= ell, got mu={self.mu}, ell={self.ell}")
-        if self.c_radius < 0.0:
+        if not self.c_radius >= 0.0:
             raise InvalidInputError(f"c_radius must be nonnegative, got {self.c_radius}")
 
     @property

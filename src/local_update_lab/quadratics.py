@@ -315,10 +315,13 @@ def infer_bounds(clients) -> SpectrumBounds:
 
 
 def require_contractive(bounds: SpectrumBounds, alpha: float, gamma: float) -> None:
-    """Raise ConditioningError unless gamma < (ell + alpha)^-1."""
-    if gamma < 0.0 or alpha < 0.0:
-        raise InvalidInputError("alpha and gamma must be nonnegative")
-    if gamma * (bounds.ell + alpha) >= 1.0:
+    """Raise ConditioningError unless gamma < (ell + alpha)^-1.
+
+    Both comparisons are written so that a NaN alpha or gamma fails them.
+    """
+    if not (gamma >= 0.0 and alpha >= 0.0):
+        raise InvalidInputError(f"alpha and gamma must be nonnegative, got alpha={alpha}, gamma={gamma}")
+    if not gamma * (bounds.ell + alpha) < 1.0:
         raise ConditioningError(
             f"need gamma < 1/(ell + alpha) = {1.0 / (bounds.ell + alpha):.6g}, got gamma={gamma}"
         )

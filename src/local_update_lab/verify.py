@@ -77,6 +77,7 @@ def random_population(
     pin_extremes: bool = False,
     uniform_weights: bool = False,
 ) -> Population:
+    bounds = SpectrumBounds(mu, ell, c_radius)
     dim = int(rng.integers(min_dim, max_dim + 1))
     n = int(rng.integers(min_clients, max_clients + 1))
     clients = tuple(
@@ -87,7 +88,7 @@ def random_population(
     else:
         weights = rng.dirichlet(np.ones(n))
         weights = weights / weights.sum()
-    return Population(clients=clients, weights=weights, bounds=SpectrumBounds(mu, ell, c_radius))
+    return Population(clients=clients, weights=weights, bounds=bounds)
 
 
 def rate_check_population(rng: np.random.Generator, mu: float = 1.0, ell: float = 10.0) -> Population:
@@ -220,6 +221,29 @@ class CheckResult:
     def passed(self) -> bool:
         return self.max_violation <= self.threshold
 
+    def as_dict(self) -> dict:
+        """The JSON report entry {name, instances, max_violation, threshold, pass}."""
+        return {
+            "name": self.name,
+            "instances": int(self.instances),
+            "max_violation": float(self.max_violation),
+            "threshold": float(self.threshold),
+            "pass": bool(self.passed),
+        }
+
+
+def theorem1_client_gap(
+    pop: Population, x: np.ndarray, alpha: float, gamma: float, theta: WeightScheme
+) -> float:
+    """Worst ||deterministic client update - surrogate gradient|| over the clients at x."""
+    cfg = RunConfig(alpha=alpha, gamma=gamma, theta=theta, rounds=1)
+    worst = 0.0
+    for client in pop.clients:
+        single = Population.uniform([client], bounds=pop.bounds)
+        predicted = qw.surrogate_gradient(single, x, alpha, gamma, theta)
+        worst = max(worst, float(np.linalg.norm(client_update(client, x, cfg) - predicted)))
+    return worst
+
 
 def check_theorem1_deterministic(seed: int, trials: int = 200) -> CheckResult:
     """Deterministic client updates equal the surrogate gradient exactly."""
@@ -230,13 +254,8 @@ def check_theorem1_deterministic(seed: int, trials: int = 200) -> CheckResult:
         pop = random_population(rng, max_dim=20, max_clients=10)
         alpha, gamma, theta = random_admissible_params(rng, pop.bounds.ell, k_max=50)
         x = rng.uniform(-2.0, 2.0, size=pop.dim)
-        cfg = RunConfig(alpha=alpha, gamma=gamma, theta=theta, rounds=1)
-        for client in pop.clients:
-            single = Population.uniform([client], bounds=pop.bounds)
-            predicted = qw.surrogate_gradient(single, x, alpha, gamma, theta)
-            got = client_update(client, x, cfg)
-            worst = max(worst, float(np.linalg.norm(got - predicted)))
-            count += 1
+        worst = max(worst, theorem1_client_gap(pop, x, alpha, gamma, theta))
+        count += pop.n_clients
     return CheckResult("theorem1_deterministic", count, worst, 1e-9)
 
 
@@ -596,6 +615,8 @@ def run_checks(
     only: str | None = None, seed: int = 0, trials: int | None = None
 ) -> dict:
     """Run the selected suites and assemble the JSON-ready report."""
+    if trials is not None and trials < 1:
+        raise InvalidInputError(f"trials must be >= 1, got {trials}")
     results = []
     for name in select_suites(only):
         fn = SUITES[name]
@@ -604,15 +625,6 @@ def run_checks(
     return {
         "schema_version": SCHEMA_VERSION,
         "seed": seed,
-        "checks": [
-            {
-                "name": r.name,
-                "instances": int(r.instances),
-                "max_violation": float(r.max_violation),
-                "threshold": float(r.threshold),
-                "pass": bool(r.passed),
-            }
-            for r in results
-        ],
+        "checks": [r.as_dict() for r in results],
         "all_pass": bool(all(r.passed for r in results)),
     }

@@ -27,7 +27,12 @@ from local_update_lab import (
     rho_from_kappa,
     tightness_case_b2,
 )
-from local_update_lab.bounds import _geometric_sums, scheme_q_eigenvalues, tightness_population
+from local_update_lab.bounds import (
+    _geometric_sums,
+    maml_bound_applies,
+    scheme_q_eigenvalues,
+    tightness_population,
+)
 from local_update_lab.errors import ConditioningError, InvalidInputError
 from local_update_lab.matrices import eigh, keyed_rng, symmetrize
 from local_update_lab.quadratics import require_contractive
@@ -145,8 +150,27 @@ class TestKappaBoundMaml:
         assert all(a > b for a, b in zip(als, als[1:]))
 
     def test_precondition(self):
-        with pytest.raises(ConditioningError):
+        with pytest.raises(ConditioningError, match=r"need gamma < 1/\(K\*ell\+alpha\) = 0\.01,"):
             kappa_bound_maml(1.0, 10.0, 0.0, 0.011, 10)
+
+    def test_bad_mu_ell(self):
+        with pytest.raises(InvalidInputError, match="need 0 < mu <= ell, got mu=2.0, ell=1.0"):
+            kappa_bound_maml(2.0, 1.0, 0.0, 0.01, 10)
+
+    def test_applies(self):
+        assert maml_bound_applies(10.0, 0.0, 0.0099, 10)
+        assert not maml_bound_applies(10.0, 0.0, 0.01, 10)
+        assert not maml_bound_applies(10.0, 2.0, 0.0099, 10)
+
+
+@pytest.mark.parametrize("alpha, gamma", [(np.nan, 0.01), (0.0, np.nan), (np.nan, np.nan)])
+def test_nan_parameters_rejected(alpha, gamma):
+    assert not maml_bound_applies(10.0, alpha, gamma, 5)
+    with pytest.raises(InvalidInputError, match="nonnegative"):
+        require_contractive(SpectrumBounds(mu=1.0, ell=10.0), alpha, gamma)
+    for bound in (kappa_bound_fedavg, kappa_bound_maml):
+        with pytest.raises(InvalidInputError, match="nonnegative"):
+            bound(1.0, 10.0, alpha, gamma, 5)
 
 
 class TestKappaExact:

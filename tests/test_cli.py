@@ -246,6 +246,41 @@ class TestUsageErrors:
         assert "error" in capsys.readouterr().err
 
 
+class TestBadInput:
+    """Bad flag values end in exit 2 and one `error:` line, never a raw exception."""
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["maml-sim", "--dim", "8", "--mu", "1", "--ell", "10", "--gamma", "nan"],
+            ["maml-sim", "--dim", "8", "--mu", "1", "--ell", "10", "--gamma", "0.01", "--points", "-1"],
+            ["frontier", "--mu", "1", "--ell", "10", "--gamma", "nan"],
+            ["frontier", "--mu", "1", "--ell", "10", "--alpha", "nan"],
+            ["frontier", "--mu", "1", "--ell", "10", "--family", "k-only", "--gamma", "nan"],
+            ["frontier", "--mu", "1", "--ell", "10", "--vary", "gamma", "--gamma-min", "-1"],
+            ["frontier", "--mu", "1", "--ell", "10", "--vary", "gamma", "--gamma-max", "-1"],
+            ["frontier", "--mu", "1", "--ell", "10", "--vary", "alpha", "--alphas", "0,nan"],
+            ["frontier", "--mu", "1", "--ell", "10", "--points", "-1"],
+            ["frontier", "--mu", "1", "--ell", "10", "--vary", "gamma", "--points", "-1"],
+            ["frontier", "--mu", "1", "--ell", "10", "--vary", "gamma", "--gamma-min", "1e-4",
+             "--points", "-1"],
+            ["simulate", "--gamma", "0.01", "--theta", "one", "--x0", "1,2"],
+            ["simulate", "--gamma", "0.01", "--theta", "one", "--mu", "0"],
+            ["simulate", "--gamma", "nan", "--theta", "one"],
+            ["verify", "--trials", "-1"],
+            ["mad-check", "--trials", "0"],
+        ],
+    )
+    def test_exit_2_with_one_error_line(self, argv, tmp_path, capsys):
+        out = tmp_path / "out"
+        code = run_cli(argv + ["--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
+        assert not out.exists()
+
+
 class TestSeedResolution:
     def test_env_fallback(self, tmp_path, monkeypatch):
         monkeypatch.setenv("LUL_SEED", "77")

@@ -8,8 +8,11 @@ from local_update_lab import (
     Population,
     SpectrumBounds,
     WeightScheme,
+    delta_from_kappa,
     kappa_bound_maml,
+    kappa_exact,
     psi,
+    random_spd_with_spectrum,
     rho_from_kappa,
 )
 from local_update_lab.errors import ConditioningError, InvalidInputError
@@ -30,7 +33,7 @@ from local_update_lab.frontier import (
     sweep,
     symmetry_measure,
 )
-from local_update_lab.matrices import keyed_rng
+from local_update_lab.matrices import child_seed, keyed_rng
 from local_update_lab.verify import random_population, rate_check_population
 
 
@@ -63,6 +66,20 @@ class TestSweepSpecValidation:
         with pytest.raises(InvalidInputError):
             SweepSpec(
                 family="fedavg_theta", vary="K", grid=np.array([3, 2]), mu=1.0, ell=2.0, gamma=0.1
+            )
+
+    def test_spectral_source_needs_population_or_dim(self):
+        with pytest.raises(InvalidInputError, match="population or a dim"):
+            SweepSpec(
+                family="maml_theta", vary="K", grid=np.array([1, 2]), mu=1.0, ell=10.0,
+                gamma=0.01, kappa_source="exact_spectral",
+            )
+
+    def test_nonfinite_grid(self):
+        with pytest.raises(InvalidInputError, match="non-finite"):
+            SweepSpec(
+                family="fedavg_theta", vary="alpha", grid=np.array([0.0, np.nan]),
+                mu=1.0, ell=10.0, gamma=0.01, k=5,
             )
 
     def test_fixed_values_required(self):
@@ -127,6 +144,17 @@ class TestSweep:
         assert frontier.skipped
         assert all("gamma < 1/(K*ell+alpha)" in s.reason for s in frontier.skipped)
 
+    def test_population_maml_gamma_grid_skips_noncontractive(self):
+        pop = random_population(keyed_rng(4, 1), min_dim=5, max_dim=5, min_clients=3, max_clients=3)
+        spec = SweepSpec(
+            family="maml_theta", vary="gamma", grid=np.array([0.001, 0.01, 0.1, 0.2]),
+            mu=1.0, ell=10.0, k=3, kappa_source="exact_spectral", population=pop,
+        )
+        frontier = sweep(spec)
+        assert {p.gamma for p in frontier.points} == {0.001, 0.01}
+        assert [s.axis_value for s in frontier.skipped] == [0.1, 0.2]
+        assert all("need gamma < 1/(ell + alpha)" in s.reason for s in frontier.skipped)
+
     def test_alpha_sweep(self):
         spec = SweepSpec(
             family="fedavg_theta", vary="alpha", grid=np.array([0.0, 0.5, 1.0]),
@@ -154,7 +182,79 @@ class TestSweep:
             sweep(spec)
 
 
+def reference_simulated_maml(dim, mu, ell, alpha, gamma, k_grid, seed, optimizer="plain"):
+    """The per-K loop simulated_maml_sweep ran before it went through sweep.
+
+    Returns the admitted FrontierPoints and the skipped axis values.
+    """
+    spectrum = SpectrumBounds(mu=mu, ell=ell, c_radius=0.0)
+    kappa0 = ell / mu
+    points, skipped = [], []
+    for index, k in enumerate(k_grid):
+        a = random_spd_with_spectrum(dim, spectrum, child_seed(seed, index))
+        pop = Population(
+            clients=(ClientModel(a_matrix=a, center=np.zeros(dim)),),
+            weights=np.array([1.0]),
+            bounds=spectrum,
+        )
+        try:
+            kappa = kappa_exact(pop, alpha, gamma, WeightScheme.last_only(int(k))).kappa_exact
+        except ConditioningError:
+            skipped.append(float(k))
+            continue
+        if kappa > kappa0 * (1.0 + 1e-12):
+            skipped.append(float(k))
+            continue
+        points.append(
+            FrontierPoint(
+                rho=float(rho_from_kappa(kappa, optimizer)),
+                delta=float(delta_from_kappa(min(kappa, kappa0), kappa0)),
+                kappa=float(kappa),
+                kappa_source="exact_spectral",
+                alpha=alpha,
+                gamma=gamma,
+                k=int(k),
+                scheme="last_only",
+                optimizer=optimizer,
+                axis_value=float(k),
+            )
+        )
+    return points, skipped
+
+
 class TestSimulatedMamlSweep:
+    @pytest.mark.parametrize(
+        "dim, seed, alpha, gamma, k_grid, optimizer",
+        [
+            (6, 3, 0.0, 0.001, default_k_grid(1000, 10), "plain"),
+            (50, 5, 0.0, 0.001, np.array([300]), "plain"),
+            (8, 2, 0.5, 0.02, default_k_grid(10**4, 20), "heavy_ball"),
+            # gamma = (2 ell)^-1 up to K = 1e6: most points are skipped, some
+            # because the smallest mapped eigenvalue underflows to 0
+            (16, 11, 0.0, 0.05, default_k_grid(10**6, 60), "nesterov"),
+        ],
+    )
+    def test_matches_reference_loop(self, dim, seed, alpha, gamma, k_grid, optimizer):
+        frontier = simulated_maml_sweep(
+            dim=dim, mu=1.0, ell=10.0, alpha=alpha, gamma=gamma, k_grid=k_grid,
+            seed=seed, optimizer=optimizer,
+        )
+        points, skipped = reference_simulated_maml(
+            dim, 1.0, 10.0, alpha, gamma, k_grid, seed, optimizer
+        )
+        assert list(frontier.points) == points
+        assert [s.axis_value for s in frontier.skipped] == skipped
+        assert all(s.optimizer == "*" for s in frontier.skipped)
+
+    def test_underflow_skip_recorded(self):
+        frontier = simulated_maml_sweep(
+            dim=16, mu=1.0, ell=10.0, alpha=0.0, gamma=0.05,
+            k_grid=default_k_grid(10**6, 60), seed=11,
+        )
+        assert any("nonpositive distorted eigenvalue" in s.reason for s in frontier.skipped)
+        assert any("exceeds kappa0" in s.reason for s in frontier.skipped)
+
+
     def test_k1_matches_closed_form(self):
         frontier = simulated_maml_sweep(
             dim=6, mu=1.0, ell=10.0, alpha=0.0, gamma=0.001,

@@ -5,33 +5,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from local_update_lab import EigenDecomposition, SpectrumBounds, eigh, random_spd_with_spectrum
-from local_update_lab.errors import (
-    DimensionMismatchError,
-    InfeasibleSpectrumError,
-    InvalidInputError,
-    SingularMatrixError,
-)
-from local_update_lab.matrices import (
-    add,
-    child_seed,
-    inverse_spd,
-    keyed_rng,
-    matvec,
-    multiply,
-    multiply_symmetric,
-    scale,
-    symmetrize,
-)
+from local_update_lab.errors import DimensionMismatchError, InfeasibleSpectrumError, InvalidInputError
+from local_update_lab.matrices import child_seed, keyed_rng, multiply_symmetric, symmetrize
 
 
 def random_symmetric(rng, dim):
     g = rng.standard_normal((dim, dim))
     return symmetrize(g)
-
-
-def random_spd(rng, dim):
-    g = rng.standard_normal((dim, dim))
-    return symmetrize(g @ g.T + 0.5 * np.eye(dim))
 
 
 class TestEigh:
@@ -71,35 +51,9 @@ class TestEigh:
 
 
 class TestMatOps:
-    def test_inverse_identity(self):
-        np.testing.assert_array_equal(inverse_spd(np.eye(2)), np.eye(2))
-
-    def test_inverse_diagonal(self):
-        np.testing.assert_allclose(inverse_spd(np.diag([4.0, 1.0])), np.diag([0.25, 1.0]), atol=1e-15)
-
-    def test_inverse_residual_random(self):
-        rng = keyed_rng(3, 3)
-        a = random_spd(rng, 6)
-        residual = a @ inverse_spd(a) - np.eye(6)
-        assert np.linalg.norm(residual, 2) <= 1e-10
-
-    def test_inverse_near_singular_reports_lambda_min(self):
-        a = np.diag([1.0, 1e-14])
-        with pytest.raises(SingularMatrixError) as err:
-            inverse_spd(a)
-        assert err.value.lambda_min == pytest.approx(1e-14, rel=1e-3)
-
-    def test_dim_mismatch(self):
+    def test_multiply_symmetric_dim_mismatch(self):
         with pytest.raises(DimensionMismatchError):
-            multiply(np.eye(2), np.eye(3))
-        with pytest.raises(DimensionMismatchError):
-            add(np.eye(2), np.eye(3))
-        with pytest.raises(DimensionMismatchError):
-            matvec(np.eye(2), np.zeros(3))
-
-    def test_scale_and_matvec(self):
-        np.testing.assert_array_equal(scale(np.eye(2), 3.0), 3.0 * np.eye(2))
-        np.testing.assert_array_equal(matvec(np.diag([2.0, 5.0]), np.array([1.0, 1.0])), [2.0, 5.0])
+            multiply_symmetric(np.eye(2), np.eye(3))
 
     def test_multiply_symmetric_commuting(self):
         rng = keyed_rng(3, 4)
