@@ -9,12 +9,15 @@ deterministic full-participation mode realises exactly.
 
 The server learning rate eta is fully decoupled from the client rate gamma;
 the engine never multiplies the two. Client sampling and mini-batch draws use
-per-(seed, round, client) child streams so trajectories are reproducible and
-independent of scheduling.
+per-(seed, round, draw) child streams so trajectories are reproducible and
+independent of scheduling. Deterministic rounds step all clients together in
+one batched kernel; stochastic rounds run the same K-step loop one sampled
+client at a time, with mini-batch gradients.
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -39,10 +42,13 @@ class RunConfig:
 
     mode is "deterministic" (every client participates each round and local
     steps use full gradients; clients_per_round, if given, must equal the
-    population size) or "stochastic" (clients_per_round clients are sampled
-    without replacement each round, with replacement across rounds, and local
-    steps use mini-batches of batch_size drawn without replacement from the
-    client's example set).
+    population size) or "stochastic" (each round draws clients_per_round
+    clients with replacement, in proportion to the population weights, and
+    local steps use mini-batches of batch_size drawn without replacement from
+    the client's example set). clients_per_round may not exceed the number of
+    clients with nonzero weight.
+
+    alpha and gamma must be nonnegative; NaN is rejected.
     """
 
     alpha: float
@@ -55,7 +61,7 @@ class RunConfig:
     batch_size: int | None = None
 
     def __post_init__(self):
-        if self.alpha < 0.0 or self.gamma < 0.0:
+        if not (self.alpha >= 0.0 and self.gamma >= 0.0):
             raise InvalidInputError("alpha and gamma must be nonnegative")
         if self.rounds < 1:
             raise InvalidInputError(f"rounds must be >= 1, got {self.rounds}")
@@ -126,21 +132,50 @@ class Trajectory:
         return self.pseudo_gradients.shape[0]
 
 
-def _deterministic_client_update(
-    client: ClientModel, x: np.ndarray, alpha: float, gamma: float, theta: WeightScheme
+def _local_steps(
+    x: np.ndarray,
+    n: int,
+    alpha: float,
+    gamma: float,
+    theta: WeightScheme,
+    loss_gradient: Callable[[int, np.ndarray], np.ndarray],
 ) -> np.ndarray:
-    """K full-gradient local steps; returns sum_k theta_k g_k."""
+    """The K-step kernel: n stacked clients run K local steps from x together.
+
+    loss_gradient(k, xk) returns the (n, d) local loss gradients at step k
+    (full or mini-batch); the proximal term alpha (xk - x) is added here.
+    Returns the (n, d) stacked messages sum_k theta_k g_k. Every operation is
+    elementwise across clients or a per-client matrix product, so each row
+    is the same floating-point computation as one client stepping alone.
+    """
     coeffs = theta.coefficients[: theta.size]
-    a = client.a_matrix
-    c = client.center
-    xk = x.copy()
-    total = np.zeros_like(x)
-    for coeff in coeffs:
-        g = a @ (xk - c) + alpha * (xk - x)
+    xk = np.tile(x, (n, 1))
+    total = np.zeros_like(xk)
+    for k, coeff in enumerate(coeffs):
+        g = loss_gradient(k, xk) + alpha * (xk - x)
         if coeff != 0.0:
             total += coeff * g
         xk = xk - gamma * g
     return total
+
+
+def _deterministic_updates(
+    a_stack: np.ndarray,
+    c_stack: np.ndarray,
+    x: np.ndarray,
+    alpha: float,
+    gamma: float,
+    theta: WeightScheme,
+) -> np.ndarray:
+    """Full-gradient messages of the clients stacked as (n, d, d) matrices and (n, d) centers.
+
+    matmul runs one matrix-vector product per client, which keeps every row
+    bit-identical to that client's update computed on its own.
+    """
+    return _local_steps(
+        x, a_stack.shape[0], alpha, gamma, theta,
+        lambda k, xk: np.matmul(a_stack, (xk - c_stack)[..., None])[..., 0],
+    )
 
 
 def _stochastic_client_updates(
@@ -159,22 +194,16 @@ def _stochastic_client_updates(
     algorithm by construction.
     """
     b_stack, c_stack = client.example_arrays()
-    coeffs = theta.coefficients[: theta.size]
     n_sims, k_steps, batch = batch_indices.shape
-    if k_steps != len(coeffs):
+    if k_steps != theta.size:
         raise InvalidInputError("batch_indices second axis must equal K(theta)")
-    xk = np.broadcast_to(x, (n_sims, x.shape[0])).copy()
-    total = np.zeros_like(xk)
-    for k, coeff in enumerate(coeffs):
+
+    def loss_gradient(k, xk):
         idx = batch_indices[:, k, :]
-        b_sel = b_stack[idx]  # (n_sims, B, d, d)
-        c_sel = c_stack[idx]  # (n_sims, B, d)
-        diff = xk[:, None, :] - c_sel
-        g = np.einsum("sbij,sbj->si", b_sel, diff) / batch + alpha * (xk - x)
-        if coeff != 0.0:
-            total += coeff * g
-        xk = xk - gamma * g
-    return total
+        diff = xk[:, None, :] - c_stack[idx]  # (n_sims, B, d)
+        return np.einsum("sbij,sbj->si", b_stack[idx], diff) / batch
+
+    return _local_steps(x, n_sims, alpha, gamma, theta, loss_gradient)
 
 
 def _draw_batch_indices(
@@ -199,7 +228,9 @@ def client_update(
     """
     x = np.asarray(x, dtype=float)
     if cfg.mode == "deterministic":
-        return _deterministic_client_update(client, x, cfg.alpha, cfg.gamma, cfg.theta)
+        return _deterministic_updates(
+            client.a_matrix[None], client.center[None], x, cfg.alpha, cfg.gamma, cfg.theta
+        )[0]
     if client.examples is None:
         raise InvalidInputError("stochastic client update needs a client with examples")
     n_examples = len(client.examples)
@@ -255,7 +286,7 @@ def client_update_maml(
     """
     if k < 1:
         raise InvalidInputError(f"k must be >= 1, got {k}")
-    if gamma < 0.0 or alpha < 0.0:
+    if not (gamma >= 0.0 and alpha >= 0.0):
         raise InvalidInputError("alpha and gamma must be nonnegative")
     x = np.asarray(x, dtype=float)
     a = client.a_matrix
@@ -331,13 +362,15 @@ def server_round(
 ) -> tuple[np.ndarray, OptState, np.ndarray]:
     """One communication round; returns (x_next, state, pseudo_gradient).
 
-    In deterministic mode q_t is the population-weighted sum of client
-    updates, i.e. the exact surrogate gradient at x. In stochastic mode a set
-    of clients_per_round clients is sampled without replacement (with
-    replacement across rounds) and q_t is their unweighted average; for
-    non-uniform weights, without-replacement averages carry the usual
-    finite-population deviation from the weighted mean. Aggregation sums in
-    client-index order, so the result does not depend on scheduling.
+    In deterministic mode every client runs its K local steps in one batched
+    kernel and q_t is the population-weighted sum of their updates, i.e. the
+    exact surrogate gradient at x; the sum runs in client-index order, so q_t
+    is bit-identical to updating the clients one at a time. In stochastic mode
+    clients_per_round clients are drawn with replacement, each with
+    probability equal to its weight, and q_t is the plain average of their
+    updates (Li et al. 2020, scheme I), an unbiased estimate of the surrogate
+    gradient. Draw j of round t uses its own stream, so the result depends
+    only on (seed, t), not on scheduling.
     """
     if state is None:
         state = OptState()
@@ -349,9 +382,14 @@ def server_round(
                 "deterministic mode requires full participation "
                 f"(clients_per_round={cfg.clients_per_round}, population={pop.n_clients})"
             )
+        updates = _deterministic_updates(
+            np.stack([client.a_matrix for client in pop.clients]),
+            np.stack([client.center for client in pop.clients]),
+            x, cfg.alpha, cfg.gamma, cfg.theta,
+        )
         q = np.zeros_like(x)
-        for weight, client in zip(pop.weights, pop.clients):
-            q += weight * _deterministic_client_update(client, x, cfg.alpha, cfg.gamma, cfg.theta)
+        for weight, update in zip(pop.weights, updates):
+            q += weight * update
     else:
         if cfg.clients_per_round > pop.n_clients:
             raise InvalidInputError(
@@ -364,12 +402,10 @@ def server_round(
                 "with nonzero weight"
             )
         sample_rng = keyed_rng(cfg.seed, _DOMAIN_SAMPLING, t)
-        chosen = sample_rng.choice(
-            pop.n_clients, size=cfg.clients_per_round, replace=False, p=pop.weights
-        )
+        chosen = sample_rng.choice(pop.n_clients, size=cfg.clients_per_round, p=pop.weights)
         q = np.zeros_like(x)
-        for index in sorted(int(i) for i in chosen):
-            client_rng = keyed_rng(cfg.seed, _DOMAIN_CLIENT, t, index)
+        for draw, index in enumerate(chosen):
+            client_rng = keyed_rng(cfg.seed, _DOMAIN_CLIENT, t, draw)
             q += client_update(pop.clients[index], x, cfg, client_rng)
         q /= cfg.clients_per_round
     x_next, state = _apply_server_opt(opt, x, q, state)

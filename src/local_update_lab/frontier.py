@@ -60,7 +60,8 @@ class SweepSpec:
 
     - kappa_source="closed_form": the phi/psi bounds at (mu, ell);
     - kappa_source="exact_spectral" with a population: kappa_exact of that
-      population at every grid point;
+      population at every grid point; its bounds must equal (mu, ell), which
+      also fix kappa0 = ell / mu;
     - kappa_source="exact_spectral" without a population: kappa_exact of a
       fresh one-client population per grid point, a dim x dim random matrix
       with spectrum exactly spanning [mu, ell] drawn from
@@ -103,8 +104,14 @@ class SweepSpec:
                 raise InvalidInputError("K grid must start at K >= 1")
         else:
             grid = grid.astype(float)
-        if not (0.0 < self.mu <= self.ell):
-            raise InvalidInputError(f"need 0 < mu <= ell, got mu={self.mu}, ell={self.ell}")
+        SpectrumBounds(mu=self.mu, ell=self.ell)  # 0 < mu <= ell < inf, or InvalidInputError
+        if self.population is not None and (
+            self.population.bounds.mu != self.mu or self.population.bounds.ell != self.ell
+        ):
+            raise InvalidInputError(
+                f"population bounds mu={self.population.bounds.mu}, ell={self.population.bounds.ell} "
+                f"differ from the sweep's mu={self.mu}, ell={self.ell}"
+            )
         if self.kappa_source == "exact_spectral" and self.population is None and self.dim is None:
             raise InvalidInputError("exact_spectral sweeps need a population or a dim")
         if not self.optimizers or any(o not in tb.OPTIMIZER_KINDS for o in self.optimizers):

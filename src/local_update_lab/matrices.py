@@ -126,6 +126,8 @@ class SpectrumBounds:
     def __post_init__(self):
         if not (0.0 < self.mu <= self.ell):
             raise InvalidInputError(f"need 0 < mu <= ell, got mu={self.mu}, ell={self.ell}")
+        if not np.isfinite(self.ell):
+            raise InvalidInputError(f"mu and ell must be finite, got mu={self.mu}, ell={self.ell}")
         if not self.c_radius >= 0.0:
             raise InvalidInputError(f"c_radius must be nonnegative, got {self.c_radius}")
 

@@ -336,7 +336,7 @@ def distortion_matrix(
     in A_i, hence commutes with A_i. Accepts any gamma >= 0; positive
     definiteness of the result needs gamma < (ell + alpha)^-1.
     """
-    if gamma < 0.0 or alpha < 0.0:
+    if not (gamma >= 0.0 and alpha >= 0.0):
         raise InvalidInputError("alpha and gamma must be nonnegative")
     coeffs = theta.coefficients[: theta.size]
     d = client.dim
@@ -475,39 +475,44 @@ def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
-def dumps_population(pop: Population) -> str:
-    lines = [_HEADER]
-    lines.append(f"dim {pop.dim}")
+def _population_lines(pop: Population):
+    """The lines of the population file, without their newlines, one at a time."""
+    yield _HEADER
+    yield f"dim {pop.dim}"
     b = pop.bounds
-    lines.append(f"bounds mu {_fmt(b.mu)} ell {_fmt(b.ell)} c_radius {_fmt(b.c_radius)}")
-    lines.append(f"clients {pop.n_clients}")
-    d = pop.dim
+    yield f"bounds mu {_fmt(b.mu)} ell {_fmt(b.ell)} c_radius {_fmt(b.c_radius)}"
+    yield f"clients {pop.n_clients}"
+    lower = np.tril_indices(pop.dim)  # row-major lower triangle
     for weight, client in zip(pop.weights, pop.clients):
-        lines.append(f"client weight {_fmt(weight)}")
-        tril = [client.a_matrix[i, j] for i in range(d) for j in range(i + 1)]
-        lines.append("a " + " ".join(_fmt(v) for v in tril))
-        lines.append("c " + " ".join(_fmt(v) for v in client.center))
-    return "\n".join(lines) + "\n"
+        yield f"client weight {_fmt(weight)}"
+        yield "a " + " ".join(_fmt(v) for v in client.a_matrix[lower])
+        yield "c " + " ".join(_fmt(v) for v in client.center)
+
+
+def dumps_population(pop: Population) -> str:
+    return "".join(line + "\n" for line in _population_lines(pop))
 
 
 def save_population(pop: Population, path) -> None:
+    """Write the population file line by line, never holding the whole text."""
     with open(path, "w", encoding="utf-8") as handle:
-        handle.write(dumps_population(pop))
+        handle.writelines(line + "\n" for line in _population_lines(pop))
 
 
 class _LineReader:
-    def __init__(self, text: str):
-        self.lines = text.splitlines()
+    """Numbered content lines of an iterable of lines, consumed lazily."""
+
+    def __init__(self, lines):
+        self.lines = iter(lines)
         self.cursor = 0
 
     def next_content(self) -> tuple[int, list[str]]:
-        while self.cursor < len(self.lines):
+        for raw in self.lines:
             self.cursor += 1
-            raw = self.lines[self.cursor - 1]
             stripped = raw.split("#", 1)[0].strip()
             if stripped:
                 return self.cursor, stripped.split()
-        raise PopulationFormatError(len(self.lines), "unexpected end of file")
+        raise PopulationFormatError(self.cursor, "unexpected end of file")
 
 
 def _parse_floats(line_number: int, tokens: list[str], expected: int, what: str) -> np.ndarray:
@@ -523,7 +528,11 @@ def _parse_floats(line_number: int, tokens: list[str], expected: int, what: str)
 
 def loads_population(text: str) -> Population:
     """Parse the population text format; errors name the offending line."""
-    reader = _LineReader(text)
+    return _parse_population(text.splitlines())
+
+
+def _parse_population(lines) -> Population:
+    reader = _LineReader(lines)
     line_number, tokens = reader.next_content()
     if " ".join(tokens) != _HEADER:
         raise PopulationFormatError(line_number, f"expected header '{_HEADER}'")
@@ -594,5 +603,8 @@ def loads_population(text: str) -> Population:
 
 
 def load_population(path) -> Population:
+    """Read a population file line by line; line numbers match loads_population."""
     with open(path, "r", encoding="utf-8") as handle:
-        return loads_population(handle.read())
+        # splitlines() on each line keeps str.splitlines()'s line boundaries
+        # (form feeds and other separators a text file does not split on).
+        return _parse_population(part for raw in handle for part in raw.splitlines())

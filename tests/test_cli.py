@@ -262,6 +262,7 @@ class TestBadInput:
             ["frontier", "--mu", "1", "--ell", "10", "--vary", "gamma", "--gamma-max", "-1"],
             ["frontier", "--mu", "1", "--ell", "10", "--vary", "alpha", "--alphas", "0,nan"],
             ["frontier", "--mu", "1", "--ell", "10", "--points", "-1"],
+            ["frontier", "--mu", "1", "--ell", "inf"],
             ["frontier", "--mu", "1", "--ell", "10", "--vary", "gamma", "--points", "-1"],
             ["frontier", "--mu", "1", "--ell", "10", "--vary", "gamma", "--gamma-min", "1e-4",
              "--points", "-1"],
@@ -279,6 +280,11 @@ class TestBadInput:
         assert code == 2
         assert len(err.splitlines()) == 1 and err.startswith("error: ")
         assert not out.exists()
+
+    def test_infinite_ell_is_named(self, capsys):
+        assert run_cli(["frontier", "--mu", "1", "--ell", "inf"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "ell=inf" in err
 
 
 class TestSeedResolution:

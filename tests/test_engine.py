@@ -8,6 +8,7 @@ import pytest
 from local_update_lab import (
     ClientModel,
     Population,
+    QuadraticExample,
     RunConfig,
     ServerOptSpec,
     SpectrumBounds,
@@ -22,13 +23,18 @@ from local_update_lab import (
     kappa_exact,
     rho_from_kappa,
     run,
+    save_population,
     server_round,
     surrogate_gradient,
     surrogate_hessian,
     surrogate_minimizer,
 )
+from local_update_lab import engine
+from local_update_lab.cli import main as cli_main
 from local_update_lab.engine import (
+    OptState,
     Trajectory,
+    _apply_server_opt,
     client_update_mc_mean,
     export_trajectory_csv,
     geometric_rate,
@@ -52,11 +58,73 @@ def det_cfg(alpha, gamma, theta, rounds=1, seed=0):
     return RunConfig(alpha=alpha, gamma=gamma, theta=theta, rounds=rounds, seed=seed)
 
 
+# The per-client K-step loop that the batched kernel replaced, kept as the
+# reference the kernel must reproduce bit for bit.
+
+
+def reference_client_update(client, x, alpha, gamma, theta):
+    coeffs = theta.coefficients[: theta.size]
+    a = client.a_matrix
+    c = client.center
+    xk = x.copy()
+    total = np.zeros_like(x)
+    for coeff in coeffs:
+        g = a @ (xk - c) + alpha * (xk - x)
+        if coeff != 0.0:
+            total += coeff * g
+        xk = xk - gamma * g
+    return total
+
+
+def reference_server_round(pop, x, cfg, opt, state=None):
+    state = OptState() if state is None else state
+    x = np.asarray(x, dtype=float)
+    q = np.zeros_like(x)
+    for weight, client in zip(pop.weights, pop.clients):
+        q += weight * reference_client_update(client, x, cfg.alpha, cfg.gamma, cfg.theta)
+    x_next, state = _apply_server_opt(opt, x, q, state)
+    return x_next, state, q
+
+
+def reference_run(pop, x0, cfg, opt):
+    x, state = np.asarray(x0, dtype=float), OptState()
+    iterates, gradients = [x], []
+    for _ in range(cfg.rounds):
+        x, state, q = reference_server_round(pop, x, cfg, opt, state)
+        iterates.append(x)
+        gradients.append(q)
+    return Trajectory(iterates=np.array(iterates), pseudo_gradients=np.array(gradients))
+
+
+def kernel_case(rng):
+    """A random population (d 1-40, n 1-12, some zero weights) and (alpha, gamma, theta).
+
+    theta has K in 1-50 with zero coefficients, trailing ones included.
+    """
+    pop = random_population(rng, max_dim=40, max_clients=12)
+    weights = pop.weights * (rng.random(pop.n_clients) < 0.7)
+    if not np.any(weights > 0.0):
+        weights[0] = 1.0
+    pop = Population(clients=pop.clients, weights=weights / weights.sum(), bounds=pop.bounds)
+    alpha = float(rng.choice([0.0, 0.5, 2.0]))
+    gamma = float(rng.uniform(0.0, 0.95)) / (pop.bounds.ell + alpha)
+    k = int(rng.integers(1, 51))
+    coeffs = rng.uniform(0.0, 1.0, k) * (rng.random(k) < 0.6)
+    coeffs[rng.integers(0, k)] = 1.0
+    return pop, alpha, gamma, WeightScheme(coeffs)
+
+
+def example_client(rng, dim):
+    """A client backed by exactly two examples, so batch_size=2 is a full batch."""
+    return ClientModel.from_examples(random_client_with_examples(rng, dim=dim).examples[:2])
+
+
 class TestConfigValidation:
     def test_run_config(self):
         theta = WeightScheme.single()
-        with pytest.raises(InvalidInputError):
-            RunConfig(alpha=-1.0, gamma=0.0, theta=theta, rounds=1)
+        for alpha, gamma in ((-1.0, 0.0), (np.nan, 0.0), (0.0, np.nan)):
+            with pytest.raises(InvalidInputError, match="alpha and gamma must be nonnegative"):
+                RunConfig(alpha=alpha, gamma=gamma, theta=theta, rounds=1)
         with pytest.raises(InvalidInputError):
             RunConfig(alpha=0.0, gamma=0.0, theta=theta, rounds=0)
         with pytest.raises(InvalidInputError):
@@ -106,6 +174,17 @@ class TestClientUpdateDeterministic:
                 predicted = surrogate_gradient(single, x, alpha, gamma, theta)
                 got = client_update(client, x, det_cfg(alpha, gamma, theta))
                 assert np.linalg.norm(got - predicted) <= 1e-10
+
+
+    def test_equals_reference_loop_bitwise(self):
+        for trial in range(30):
+            rng = keyed_rng(70, trial)
+            pop, alpha, gamma, theta = kernel_case(rng)
+            x = rng.uniform(-2.0, 2.0, size=pop.dim)
+            cfg = det_cfg(alpha, gamma, theta)
+            for client in pop.clients:
+                expected = reference_client_update(client, x, alpha, gamma, theta)
+                np.testing.assert_array_equal(client_update(client, x, cfg), expected)
 
 
 class TestClientUpdateStochastic:
@@ -182,6 +261,12 @@ class TestClientUpdateMaml:
         client = scalar_client(2.0, 0.0)
         got = client_update_maml(client, np.array([1.0]), 1, 0.1)
         assert got[0] == pytest.approx(1.28, abs=1e-15)
+
+    def test_nan_rates_rejected(self):
+        client = scalar_client(2.0, 0.0)
+        for alpha, gamma in ((np.nan, 0.1), (0.0, np.nan)):
+            with pytest.raises(InvalidInputError, match="alpha and gamma must be nonnegative"):
+                client_update_maml(client, np.ones(1), 1, gamma, alpha)
 
     def test_gamma_zero_is_plain_gradient(self):
         client = ClientModel(a_matrix=np.diag([3.0, 1.0]), center=np.array([0.2, -0.2]))
@@ -266,8 +351,8 @@ class TestServerRound:
             server_round(pop, np.zeros(2), cfg, opt)
 
     def test_sampling_more_clients_than_nonzero_weights(self):
-        # numpy's choice(replace=False, p=...) cannot draw more clients than
-        # carry weight; the round must refuse before sampling, naming both counts
+        # a round may not ask for more clients than carry weight, even though
+        # draws are with replacement; it refuses before sampling, naming both counts
         clients = tuple(random_client_with_examples(keyed_rng(59, i), dim=2) for i in range(3))
         pop = Population(
             clients=clients,
@@ -283,6 +368,88 @@ class TestServerRound:
             server_round(pop, np.zeros(2), cfg, opt)
         x_next, _, _ = server_round(pop, np.zeros(2), replace(cfg, clients_per_round=2), opt)
         assert np.all(np.isfinite(x_next))
+
+
+    @pytest.mark.parametrize("kind", ["plain", "heavy_ball", "nesterov"])
+    def test_batched_round_equals_reference_loop_bitwise(self, kind):
+        for trial in range(20):
+            rng = keyed_rng(71, trial)
+            pop, alpha, gamma, theta = kernel_case(rng)
+            x = rng.uniform(-2.0, 2.0, size=pop.dim)
+            anchor = rng.uniform(-2.0, 2.0, size=pop.dim)
+            opt = ServerOptSpec(kind=kind, step=0.05, momentum=0.5)
+            state = OptState(round_index=3, anchor=anchor)
+            cfg = det_cfg(alpha, gamma, theta)
+            got = server_round(pop, x, cfg, opt, state)
+            expected = reference_server_round(pop, x, cfg, opt, state)
+            np.testing.assert_array_equal(got[2], expected[2])
+            np.testing.assert_array_equal(got[0], expected[0])
+            np.testing.assert_array_equal(got[1].anchor, expected[1].anchor)
+
+    def test_one_dimension_sums_in_client_order(self):
+        # numpy reduces a contiguous axis of more than 8 values pairwise, so at
+        # d = 1 a vectorised weighted sum over 12 clients can differ from the
+        # client-order loop in the last bit
+        opt = ServerOptSpec(kind="plain", step=0.05)
+        for trial in range(30):
+            rng = keyed_rng(76, trial)
+            pop = random_population(rng, max_dim=1, min_clients=12, max_clients=12)
+            cfg = det_cfg(0.0, float(rng.uniform(0.0, 0.95)) / pop.bounds.ell, WeightScheme.first_k(3))
+            x = rng.uniform(-2.0, 2.0, size=1)
+            np.testing.assert_array_equal(
+                server_round(pop, x, cfg, opt)[2], reference_server_round(pop, x, cfg, opt)[2]
+            )
+
+    def test_stochastic_round_is_unbiased_for_nonuniform_weights(self):
+        # Two of three clients per round with weights (0.7, 0.2, 0.1) and full
+        # batches: the mean pseudo-gradient over seeds must match the surrogate
+        # gradient within 4 standard errors. Drawing without replacement with
+        # p=weights and averaging unweighted missed it by 36 and 93.
+        clients = tuple(example_client(keyed_rng(72, i), dim=2) for i in range(3))
+        pop = Population(
+            clients=clients,
+            weights=np.array([0.7, 0.2, 0.1]),
+            bounds=Population.uniform(clients).bounds,
+        )
+        theta = WeightScheme.first_k(2)
+        gamma = 0.3 / pop.bounds.ell
+        x = np.array([1.0, -0.5])
+        opt = ServerOptSpec(kind="plain", step=0.1)
+        draws = np.array([
+            server_round(pop, x, RunConfig(
+                alpha=0.5, gamma=gamma, theta=theta, rounds=1, seed=seed,
+                mode="stochastic", clients_per_round=2, batch_size=2,
+            ), opt)[2]
+            for seed in range(4000)
+        ])
+        stderr = draws.std(axis=0, ddof=1) / np.sqrt(len(draws))
+        predicted = surrogate_gradient(pop, x, 0.5, gamma, theta)
+        assert np.all(stderr > 0.0)
+        assert np.all(np.abs(draws.mean(axis=0) - predicted) <= 4.0 * stderr)
+
+    def test_stochastic_draws_follow_weights(self):
+        # client i sends 10**i at x = 1, so a round's average names the pair it
+        # drew: the zero-weight client never appears, and one client may be
+        # drawn twice in a round
+        clients = tuple(
+            ClientModel.from_examples(
+                [QuadraticExample(b_matrix=np.eye(1), center=np.array([1.0 - 10.0**i]))] * 2
+            )
+            for i in range(3)
+        )
+        pop = Population(
+            clients=clients, weights=np.array([0.5, 0.5, 0.0]),
+            bounds=Population.uniform(clients).bounds,
+        )
+        opt = ServerOptSpec(kind="plain", step=0.1)
+        seen = set()
+        for seed in range(40):
+            cfg = RunConfig(
+                alpha=0.0, gamma=0.0, theta=WeightScheme.single(), rounds=1, seed=seed,
+                mode="stochastic", clients_per_round=2, batch_size=2,
+            )
+            seen.add(float(server_round(pop, np.ones(1), cfg, opt)[2][0]))
+        assert seen == {1.0, 5.5, 10.0}
 
 
 class TestRun:
@@ -312,6 +479,35 @@ class TestRun:
                 ServerOptSpec(kind="plain", step=1000.0),
             )
         assert err.value.round_index >= 0
+
+    @pytest.mark.parametrize("kind", ["plain", "heavy_ball", "nesterov"])
+    def test_equals_reference_run_bitwise(self, kind):
+        for trial in range(6):
+            rng = keyed_rng(74, trial)
+            pop, alpha, gamma, theta = kernel_case(rng)
+            opt = auto_tune_for(pop, alpha, gamma, theta, kind)
+            cfg = det_cfg(alpha, gamma, theta, rounds=5)
+            x0 = rng.uniform(-2.0, 2.0, size=pop.dim)
+            got = run(pop, x0, cfg, opt)
+            expected = reference_run(pop, x0, cfg, opt)
+            np.testing.assert_array_equal(got.iterates, expected.iterates)
+            np.testing.assert_array_equal(got.pseudo_gradients, expected.pseudo_gradients)
+
+    @pytest.mark.parametrize("kind", ["plain", "heavy_ball"])
+    def test_simulate_csv_equals_reference_export(self, kind, tmp_path, monkeypatch):
+        # `run` calls engine.server_round by module name, so swapping in the
+        # reference round gives the reference trajectory through the same CLI
+        pop = random_population(keyed_rng(75, 0), min_dim=8, max_dim=8, min_clients=6, max_clients=6)
+        path = tmp_path / "pop.txt"
+        save_population(pop, path)
+        argv = ["simulate", "--population", str(path), "--gamma", "0.01", "--theta", "first-k",
+                "--k", "20", "--optimizer", kind, "--format", "csv", "--out"]
+        assert cli_main(argv + [str(tmp_path / "batched.csv")]) == 0
+        monkeypatch.setattr(engine, "server_round", reference_server_round)
+        assert cli_main(argv + [str(tmp_path / "reference.csv")]) == 0
+        batched = (tmp_path / "batched.csv").read_bytes()
+        assert batched == (tmp_path / "reference.csv").read_bytes()
+        assert len(batched.splitlines()) > 20
 
     def test_seed_determinism_stochastic(self):
         dim = 3

@@ -155,6 +155,22 @@ class TestSweep:
         assert [s.axis_value for s in frontier.skipped] == [0.1, 0.2]
         assert all("need gamma < 1/(ell + alpha)" in s.reason for s in frontier.skipped)
 
+    def test_population_bounds_must_match_spec(self):
+        # kappa0 comes from the spec's (mu, ell); a population with other
+        # bounds gave a silently wrong frontier (delta 0.72 instead of 0.33)
+        pop = random_population(keyed_rng(1, 1), min_dim=3, max_dim=3)
+        grid = default_k_grid(100, 5)
+        with pytest.raises(InvalidInputError, match=r"mu=1\.0, ell=10\.0 differ from the sweep's mu=1\.0, ell=100\.0"):
+            SweepSpec(family="fedavg_theta", vary="K", grid=grid, mu=1.0, ell=100.0, gamma=1e-3,
+                      kappa_source="exact_spectral", population=pop)
+        with pytest.raises(InvalidInputError, match="mu=2.0"):
+            SweepSpec(family="fedavg_theta", vary="K", grid=grid, mu=2.0, ell=10.0, gamma=1e-3,
+                      kappa_source="exact_spectral", population=pop)
+        frontier = sweep(SweepSpec(family="fedavg_theta", vary="K", grid=grid, mu=1.0, ell=10.0,
+                                   gamma=1e-3, kappa_source="exact_spectral", population=pop))
+        assert frontier.points[0].k == 1
+        assert frontier.points[0].delta == pytest.approx(0.327, abs=1e-3)
+
     def test_alpha_sweep(self):
         spec = SweepSpec(
             family="fedavg_theta", vary="alpha", grid=np.array([0.0, 0.5, 1.0]),

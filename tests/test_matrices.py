@@ -88,6 +88,9 @@ class TestSpectrumBounds:
             SpectrumBounds(mu=2.0, ell=1.0)
         with pytest.raises(InvalidInputError):
             SpectrumBounds(mu=1.0, ell=2.0, c_radius=-1.0)
+        for mu, ell in ((1.0, np.inf), (np.inf, np.inf), (np.nan, 1.0), (1.0, np.nan)):
+            with pytest.raises(InvalidInputError, match=f"ell={ell}"):
+                SpectrumBounds(mu=mu, ell=ell)
         assert SpectrumBounds(mu=1.0, ell=4.0).kappa0 == 4.0
 
 

@@ -28,7 +28,12 @@ from local_update_lab.errors import (
     PopulationFormatError,
 )
 from local_update_lab.matrices import keyed_rng
-from local_update_lab.quadratics import dumps_population, loads_population
+from local_update_lab.quadratics import (
+    dumps_population,
+    load_population,
+    loads_population,
+    save_population,
+)
 from local_update_lab.verify import random_population, random_theta
 
 
@@ -176,6 +181,13 @@ class TestClientAndPopulation:
 
 
 class TestDistortionMatrix:
+    def test_nan_rates_rejected(self):
+        client = scalar_client(2.0, 0.0)
+        theta = WeightScheme.first_k(3)
+        for alpha, gamma in ((np.nan, 0.1), (0.0, np.nan)):
+            with pytest.raises(InvalidInputError, match="alpha and gamma must be nonnegative"):
+                distortion_matrix(client, alpha, gamma, theta)
+
     def test_theta1_is_identity(self):
         client = scalar_client(4.0, 0.0)
         for alpha, gamma in [(0.0, 0.0), (0.5, 0.1), (3.0, 0.05)]:
@@ -445,6 +457,67 @@ class TestSerialization:
         text = "lul-population v1\ndim 2\n"
         with pytest.raises(PopulationFormatError):
             loads_population(text)
+
+    def test_format_is_pinned(self, tmp_path):
+        expected = (
+            "lul-population v1\ndim 1\nbounds mu 1 ell 4 c_radius 1\nclients 2\n"
+            "client weight 0.5\na 4\nc 1\nclient weight 0.5\na 1\nc -1\n"
+        )
+        pop = scalar_pair_population()
+        assert dumps_population(pop) == expected
+        save_population(pop, tmp_path / "pop.txt")
+        assert (tmp_path / "pop.txt").read_bytes() == expected.encode("utf-8")
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda text: text.replace("client weight", "client weigth", 1),
+            lambda text: text.replace("\na ", "\na nope ", 1),
+            lambda text: text.replace("\nc ", "\nc 1 ", 1),
+            lambda text: text.replace("clients 2", "clients 3"),
+            lambda text: text.replace("mu 1 ell 4", "mu 5 ell 4"),
+            lambda text: text.replace("\n", "\r\n").replace("c -1", "c -1 2"),
+            lambda text: text.replace("dim 1\n", "dim 1\x0c\n\x0c\n# x\n").replace("a 4", "a 4 4"),
+            lambda text: text.replace("\n", "\n\n  # comment\n").replace("c -1", "c x"),
+            lambda text: text[: text.index("client weight")],
+        ],
+    )
+    def test_file_errors_match_text_errors(self, edit, tmp_path):
+        # load_population reads the file line by line; every error must name
+        # the same line with the same message as parsing the whole text
+        path = tmp_path / "pop.txt"
+        path.write_bytes(edit(dumps_population(scalar_pair_population())).encode("utf-8"))
+        with open(path, encoding="utf-8") as handle:
+            text = handle.read()
+        with pytest.raises(PopulationFormatError) as from_text:
+            loads_population(text)
+        with pytest.raises(PopulationFormatError) as from_file:
+            load_population(path)
+        assert from_file.value.line_number == from_text.value.line_number
+        assert str(from_file.value) == str(from_text.value)
+
+    def test_files_stream_line_by_line(self, tmp_path):
+        # neither direction holds the whole file text: peak allocation stays
+        # under half the file size (the whole text costs it at least once)
+        import tracemalloc
+
+        pop = random_population(keyed_rng(23, 0), min_dim=48, max_dim=48, min_clients=32, max_clients=32)
+        path = tmp_path / "pop.txt"
+        tracemalloc.start()
+        try:
+            save_population(pop, path)
+            save_peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            back = load_population(path)
+            kept, load_peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        size = path.stat().st_size
+        assert save_peak < size / 2
+        assert load_peak - kept < size / 2
+        assert path.read_bytes() == dumps_population(pop).encode("utf-8")
+        assert dumps_population(back) == dumps_population(pop)
 
 
 @given(
