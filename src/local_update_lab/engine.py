@@ -190,8 +190,8 @@ def _stochastic_client_updates(
 
     batch_indices has shape (n_sims, K, B): example indices per simulation and
     local step. Returns the (n_sims, d) stacked client messages. The single
-    draw path and the Monte-Carlo path share this code, so they are the same
-    algorithm by construction.
+    draw path and the exact expectation of the verification suites share this
+    code, so they are the same algorithm by construction.
     """
     b_stack, c_stack = client.example_arrays()
     n_sims, k_steps, batch = batch_indices.shape
@@ -242,32 +242,6 @@ def client_update(
         raise InvalidInputError("stochastic client update needs an rng")
     idx = _draw_batch_indices(rng, n_examples, 1, cfg.theta.size, cfg.batch_size)
     return _stochastic_client_updates(client, x, cfg.alpha, cfg.gamma, cfg.theta, idx)[0]
-
-
-def client_update_mc_mean(
-    client: ClientModel,
-    x: np.ndarray,
-    cfg: RunConfig,
-    rng: np.random.Generator,
-    n_draws: int,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Monte-Carlo mean and componentwise standard error over n_draws updates.
-
-    Vectorised over draws but algorithmically identical to client_update
-    (shared local-step code path).
-    """
-    x = np.asarray(x, dtype=float)
-    if client.examples is None:
-        raise InvalidInputError("Monte-Carlo estimate needs a client with examples")
-    idx = _draw_batch_indices(
-        rng, len(client.examples), n_draws, cfg.theta.size, cfg.batch_size
-    )
-    updates = _stochastic_client_updates(client, x, cfg.alpha, cfg.gamma, cfg.theta, idx)
-    mean = updates.mean(axis=0)
-    if n_draws < 2:
-        return mean, np.zeros_like(mean)
-    stderr = updates.std(axis=0, ddof=1) / np.sqrt(n_draws)
-    return mean, stderr
 
 
 def client_update_maml(

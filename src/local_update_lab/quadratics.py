@@ -43,6 +43,12 @@ from .matrices import SpectrumBounds
 # Slack applied when validating spectra / center norms against bounds.
 _BOUNDS_TOL = 1e-9
 
+# Population validation decomposes its clients in stacked batches of at most
+# this many matrix entries: one eigh call for the small populations of the
+# verification suites, and no second copy of a large population's matrices
+# (plus their eigenvectors) held at once.
+_EIGH_BATCH_ENTRIES = 4096
+
 
 @dataclass(frozen=True)
 class WeightScheme:
@@ -229,16 +235,19 @@ class Population:
 
     Validation fails fast, naming the violating eigenvalue or center norm:
     each A_i must satisfy mu I <= A_i <= ell I and each ||c_i|| <= c_radius
-    (up to 1e-9 slack).
+    (up to 1e-9 slack). bounds=None takes the tightest bounds the clients
+    satisfy.
 
     spectra holds the ascending eigenvalues of every A_i as one read-only
-    (n_clients, dim) array, kept from the validating eigendecomposition; the
-    eigenvalue route of bounds.py maps it instead of decomposing again.
+    (n_clients, dim) array, kept from the validating eigendecomposition
+    (batched eigh over stacked clients, bit-identical to one call per
+    client); the eigenvalue route of bounds.py maps it instead of
+    decomposing again.
     """
 
     clients: tuple[ClientModel, ...]
     weights: np.ndarray
-    bounds: SpectrumBounds
+    bounds: SpectrumBounds | None
     spectra: np.ndarray = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
@@ -257,35 +266,42 @@ class Population:
             raise InvalidInputError("weights must be finite and nonnegative")
         if abs(float(np.sum(weights)) - 1.0) > 1e-12:
             raise InvalidInputError(f"weights sum to {np.sum(weights)!r}, expected 1")
-        spectra = np.empty((len(clients), dim))
-        for index, client in enumerate(clients):
-            dec = mat.eigh(client.a_matrix)
-            spectra[index] = dec.eigenvalues
-            if dec.lambda_min < self.bounds.mu - _BOUNDS_TOL:
+        step = max(1, _EIGH_BATCH_ENTRIES // dim**2)
+        spectra = np.concatenate([
+            np.linalg.eigh(np.stack([client.a_matrix for client in clients[i : i + step]]))[0]
+            for i in range(0, len(clients), step)
+        ])
+        norms = [float(np.linalg.norm(client.center)) for client in clients]
+        bounds = self.bounds
+        if bounds is None:
+            mu = float(spectra[:, 0].min())
+            if mu <= 0.0:
+                raise InvalidInputError(f"client matrices must be positive definite, got eigenvalue {mu:.12g}")
+            bounds = SpectrumBounds(mu=mu, ell=float(spectra[:, -1].max()), c_radius=max(norms))
+        for index, (lams, norm) in enumerate(zip(spectra, norms)):
+            if lams[0] < bounds.mu - _BOUNDS_TOL:
                 raise InvalidInputError(
-                    f"client {index}: eigenvalue {dec.lambda_min:.12g} below mu={self.bounds.mu}"
+                    f"client {index}: eigenvalue {lams[0]:.12g} below mu={bounds.mu}"
                 )
-            if dec.lambda_max > self.bounds.ell + _BOUNDS_TOL:
+            if lams[-1] > bounds.ell + _BOUNDS_TOL:
                 raise InvalidInputError(
-                    f"client {index}: eigenvalue {dec.lambda_max:.12g} above ell={self.bounds.ell}"
+                    f"client {index}: eigenvalue {lams[-1]:.12g} above ell={bounds.ell}"
                 )
-            norm = float(np.linalg.norm(client.center))
-            if norm > self.bounds.c_radius + _BOUNDS_TOL:
+            if norm > bounds.c_radius + _BOUNDS_TOL:
                 raise InvalidInputError(
-                    f"client {index}: center norm {norm:.12g} above c_radius={self.bounds.c_radius}"
+                    f"client {index}: center norm {norm:.12g} above c_radius={bounds.c_radius}"
                 )
         spectra.flags.writeable = False
         object.__setattr__(self, "clients", clients)
         object.__setattr__(self, "weights", weights)
+        object.__setattr__(self, "bounds", bounds)
         object.__setattr__(self, "spectra", spectra)
 
     @classmethod
     def uniform(cls, clients, bounds: SpectrumBounds | None = None) -> "Population":
         """Equal-weight population; bounds are inferred tightly if omitted."""
         clients = tuple(clients)
-        if bounds is None:
-            bounds = infer_bounds(clients)
-        weights = np.full(len(clients), 1.0 / len(clients))
+        weights = np.full(len(clients), 1.0 / max(len(clients), 1))
         return cls(clients=clients, weights=weights, bounds=bounds)
 
     @property
@@ -295,23 +311,6 @@ class Population:
     @property
     def n_clients(self) -> int:
         return len(self.clients)
-
-
-def infer_bounds(clients) -> SpectrumBounds:
-    """Tightest SpectrumBounds satisfied by the given clients."""
-    clients = tuple(clients)
-    if not clients:
-        raise InvalidInputError("need at least one client")
-    lambda_mins, lambda_maxs, norms = [], [], []
-    for client in clients:
-        dec = mat.eigh(client.a_matrix)
-        lambda_mins.append(dec.lambda_min)
-        lambda_maxs.append(dec.lambda_max)
-        norms.append(float(np.linalg.norm(client.center)))
-    mu = min(lambda_mins)
-    if mu <= 0.0:
-        raise InvalidInputError(f"client matrices must be positive definite, got eigenvalue {mu:.12g}")
-    return SpectrumBounds(mu=mu, ell=max(lambda_maxs), c_radius=max(norms))
 
 
 def require_contractive(bounds: SpectrumBounds, alpha: float, gamma: float) -> None:
@@ -569,6 +568,7 @@ def _parse_population(lines) -> Population:
     clients = []
     weights = []
     n_tril = dim * (dim + 1) // 2
+    lower = np.tril_indices(dim)  # row-major lower triangle, as _population_lines writes it
     for _ in range(n_clients):
         line_number, tokens = reader.next_content()
         if len(tokens) != 3 or tokens[0] != "client" or tokens[1] != "weight":
@@ -580,12 +580,8 @@ def _parse_population(lines) -> Population:
             raise PopulationFormatError(line_number, "expected 'a <lower triangle>'")
         tril = _parse_floats(line_number, tokens[1:], n_tril, "matrix lower triangle")
         a = np.zeros((dim, dim))
-        pos = 0
-        for i in range(dim):
-            for j in range(i + 1):
-                a[i, j] = tril[pos]
-                a[j, i] = tril[pos]
-                pos += 1
+        a[lower] = tril
+        a[lower[::-1]] = tril
 
         line_number, tokens = reader.next_content()
         if tokens[0] != "c":

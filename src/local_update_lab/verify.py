@@ -9,6 +9,7 @@ distributions.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,10 +18,11 @@ from . import bounds as tb
 from . import quadratics as qw
 from .engine import (
     RunConfig,
+    _deterministic_updates,
+    _stochastic_client_updates,
     auto_tune,
     client_update,
     client_update_maml,
-    client_update_mc_mean,
     geometric_rate,
     max_step_contraction,
     run,
@@ -235,13 +237,20 @@ class CheckResult:
 def theorem1_client_gap(
     pop: Population, x: np.ndarray, alpha: float, gamma: float, theta: WeightScheme
 ) -> float:
-    """Worst ||deterministic client update - surrogate gradient|| over the clients at x."""
-    cfg = RunConfig(alpha=alpha, gamma=gamma, theta=theta, rounds=1)
+    """Worst ||deterministic client update - Q_i A_i (x - c_i)|| over the clients at x.
+
+    The engine's batched kernel updates every client in one call; each row is
+    bit-identical to that client updating alone.
+    """
+    updates = _deterministic_updates(
+        np.stack([client.a_matrix for client in pop.clients]),
+        np.stack([client.center for client in pop.clients]),
+        x, alpha, gamma, theta,
+    )
     worst = 0.0
-    for client in pop.clients:
-        single = Population.uniform([client], bounds=pop.bounds)
-        predicted = qw.surrogate_gradient(single, x, alpha, gamma, theta)
-        worst = max(worst, float(np.linalg.norm(client_update(client, x, cfg) - predicted)))
+    for client, update in zip(pop.clients, updates):
+        predicted = qw._client_surrogate_hessian(client, alpha, gamma, theta) @ (x - client.center)
+        worst = max(worst, float(np.linalg.norm(update - predicted)))
     return worst
 
 
@@ -259,12 +268,27 @@ def check_theorem1_deterministic(seed: int, trials: int = 200) -> CheckResult:
     return CheckResult("theorem1_deterministic", count, worst, 1e-9)
 
 
-def check_theorem1_stochastic(seed: int, trials: int = 20, n_draws: int = 10**5) -> CheckResult:
-    """Monte-Carlo mean of stochastic client updates matches the surrogate gradient.
+def exact_stochastic_mean(
+    client: ClientModel, x: np.ndarray, alpha: float, gamma: float, theta: WeightScheme, batch: int
+) -> np.ndarray:
+    """Exact expectation of a stochastic client update: the mean over every batch sequence.
 
-    Violation is the worst componentwise |deviation| / standard error; the
-    threshold of 4 standard errors makes a false alarm negligible at these
-    sample sizes.
+    Each of the K local steps draws one of the C(n_examples, batch) subsets
+    uniformly; a batch gradient does not depend on the order within its batch,
+    so combinations cover every draw. All C(n_examples, batch)^K sequences go
+    through the engine's own mini-batch kernel in one call. Exponential in K:
+    a check for tiny instances, not a library routine.
+    """
+    subsets = itertools.combinations(range(len(client.examples)), batch)
+    sequences = np.array(list(itertools.product(subsets, repeat=theta.size)))  # (S, K, B)
+    return _stochastic_client_updates(client, x, alpha, gamma, theta, sequences).mean(axis=0)
+
+
+def check_theorem1_stochastic(seed: int, trials: int = 20) -> CheckResult:
+    """The exact mean of stochastic client updates equals the surrogate gradient.
+
+    Violation is ||exact mean - surrogate gradient|| / (1 + ||surrogate
+    gradient||); the two sides differ only by rounding, hence the 1e-12 gate.
     """
     worst = 0.0
     for trial in range(trials):
@@ -276,26 +300,11 @@ def check_theorem1_stochastic(seed: int, trials: int = 20, n_draws: int = 10**5)
         theta = random_theta(rng, k_max=3)
         batch = int(rng.integers(1, min(2, len(client.examples)) + 1))
         x = rng.uniform(-2.0, 2.0, size=client.dim)
-        cfg = RunConfig(
-            alpha=alpha,
-            gamma=gamma,
-            theta=theta,
-            rounds=1,
-            mode="stochastic",
-            clients_per_round=1,
-            batch_size=batch,
-        )
         predicted = qw.surrogate_gradient(pop, x, alpha, gamma, theta)
-        mean, stderr = client_update_mc_mean(client, x, cfg, keyed_rng(seed, 0x13, trial), n_draws)
-        deviation = np.abs(mean - predicted)
-        # Zero-variance draws (batch = full example set) leave only float
-        # rounding; deviations below the rounding floor carry no statistics.
-        atol = 1e-10 * (1.0 + float(np.linalg.norm(predicted)))
-        for dev, se in zip(deviation, stderr):
-            if dev <= atol:
-                continue
-            worst = max(worst, float(dev / se) if se > 0.0 else np.inf)
-    return CheckResult("theorem1_stochastic", trials, worst, 4.0)
+        mean = exact_stochastic_mean(client, x, alpha, gamma, theta, batch)
+        error = float(np.linalg.norm(mean - predicted)) / (1.0 + float(np.linalg.norm(predicted)))
+        worst = max(worst, error)
+    return CheckResult("theorem1_stochastic", trials, worst, 1e-12)
 
 
 def check_theorem2_maml(seed: int, trials: int = 100) -> CheckResult:
@@ -348,17 +357,22 @@ def check_theorem3_rates(seed: int, trials: int = 50) -> CheckResult:
 
 
 def check_lemma1_positive_definite(seed: int, trials: int = 200) -> CheckResult:
-    """Distortion matrices are positive definite for contractive gamma."""
+    """Distortion matrices are positive definite for contractive gamma.
+
+    Positivity is read off the eigenvalue map q(lambda_i) of each client's
+    stored spectrum. True minima reach 1e-30, far below eigh's rounding floor
+    eps * ||Q_i|| on the Horner matrix, so only the map can certify them; the
+    Horner route's agreement with the map is a Tier-1 test.
+    """
     worst = -np.inf
     count = 0
     for trial in range(trials):
         rng = keyed_rng(seed, 0x41, trial)
         pop = random_population(rng, max_dim=12, max_clients=6)
         alpha, gamma, theta = random_admissible_params(rng, pop.bounds.ell, k_max=30)
-        for client in pop.clients:
-            q = qw.distortion_matrix(client, alpha, gamma, theta)
-            worst = max(worst, -eigh(q).lambda_min)
-            count += 1
+        q_eigs = tb.scheme_q_eigenvalues(pop.spectra, alpha, gamma, theta)
+        worst = max(worst, -float(q_eigs.min()))
+        count += pop.n_clients
     return CheckResult("lemma1_positive_definite", count, worst, 0.0)
 
 

@@ -1,6 +1,7 @@
 """Simulation engine: client updates, MAML meta-gradients, server rounds, tuning."""
 
 from dataclasses import replace
+from math import comb
 
 import numpy as np
 import pytest
@@ -35,7 +36,6 @@ from local_update_lab.engine import (
     OptState,
     Trajectory,
     _apply_server_opt,
-    client_update_mc_mean,
     export_trajectory_csv,
     geometric_rate,
     max_step_contraction,
@@ -43,6 +43,7 @@ from local_update_lab.engine import (
 from local_update_lab.errors import DivergenceError, InvalidInputError
 from local_update_lab.matrices import keyed_rng
 from local_update_lab.verify import (
+    exact_stochastic_mean,
     random_admissible_params,
     random_client_with_examples,
     random_population,
@@ -207,52 +208,49 @@ class TestClientUpdateStochastic:
             client_update(client, np.zeros(client.dim), cfg, keyed_rng(0, 0))
 
     def test_unbiased_against_surrogate_gradient(self):
+        # the exact mean over all C(n, B)^3 batch sequences is the surrogate gradient
         client = random_client_with_examples(keyed_rng(52, 0), dim_max=3)
         pop = Population.uniform([client])
         gamma = 0.3 / pop.bounds.ell
         theta = WeightScheme.first_k(3)
         x = np.full(client.dim, 1.5)
-        cfg = RunConfig(
-            alpha=0.5, gamma=gamma, theta=theta, rounds=1,
-            mode="stochastic", clients_per_round=1, batch_size=1,
-        )
         predicted = surrogate_gradient(pop, x, 0.5, gamma, theta)
-        mean, stderr = client_update_mc_mean(client, x, cfg, keyed_rng(52, 1), 20000)
-        assert np.all(np.abs(mean - predicted) <= 6.0 * stderr + 1e-10)
-
-    def test_error_scales_like_inverse_sqrt_n(self):
-        # at N = 1e3, 1e4, 1e5 the Monte-Carlo mean stays within a few
-        # standard errors, and the standard error itself shrinks like 1/sqrt(N)
-        client = random_client_with_examples(keyed_rng(52, 7), dim_max=3)
-        pop = Population.uniform([client])
-        gamma = 0.3 / pop.bounds.ell
-        theta = WeightScheme.first_k(2)
-        x = np.full(client.dim, -0.8)
-        cfg = RunConfig(
-            alpha=0.0, gamma=gamma, theta=theta, rounds=1,
-            mode="stochastic", clients_per_round=1, batch_size=1,
-        )
-        predicted = surrogate_gradient(pop, x, 0.0, gamma, theta)
-        stderr_norms = []
-        for exponent, n_draws in ((3, 10**3), (4, 10**4), (5, 10**5)):
-            mean, stderr = client_update_mc_mean(client, x, cfg, keyed_rng(52, exponent), n_draws)
-            assert np.all(np.abs(mean - predicted) <= 6.0 * stderr + 1e-10)
-            stderr_norms.append(np.linalg.norm(stderr))
-        assert stderr_norms[0] == pytest.approx(np.sqrt(10.0) * stderr_norms[1], rel=0.2)
-        assert stderr_norms[1] == pytest.approx(np.sqrt(10.0) * stderr_norms[2], rel=0.2)
+        for batch in (1, 2):
+            mean = exact_stochastic_mean(client, x, 0.5, gamma, theta, batch)
+            assert np.linalg.norm(mean - predicted) <= 1e-12 * (1.0 + np.linalg.norm(predicted))
 
     def test_single_draw_matches_batched_path(self):
-        # the scalar path and the Monte-Carlo path share the local-step code;
-        # a fixed rng must give the same draw
+        # client_update and the batched kernel behind the exact mean share the
+        # local-step code: a fixed rng gives the same draw, and every row of a
+        # batched call equals that draw computed alone
         client = random_client_with_examples(keyed_rng(53, 0), dim_max=3)
+        theta = WeightScheme.first_k(2)
         cfg = RunConfig(
-            alpha=0.0, gamma=0.02, theta=WeightScheme.first_k(2), rounds=1,
+            alpha=0.0, gamma=0.02, theta=theta, rounds=1,
             mode="stochastic", clients_per_round=1, batch_size=1,
         )
         x = np.zeros(client.dim)
         one = client_update(client, x, cfg, keyed_rng(9, 9))
-        mean, _ = client_update_mc_mean(client, x, cfg, keyed_rng(9, 9), 1)
-        np.testing.assert_array_equal(one, mean)
+        idx = engine._draw_batch_indices(keyed_rng(9, 9), len(client.examples), 1, 2, 1)
+        batched = engine._stochastic_client_updates(client, x, 0.0, 0.02, theta, idx)
+        np.testing.assert_array_equal(one, batched[0])
+        idx = engine._draw_batch_indices(keyed_rng(9, 10), len(client.examples), 40, 2, 1)
+        rows = engine._stochastic_client_updates(client, x, 0.0, 0.02, theta, idx)
+        for row, draw in zip(rows, idx):
+            alone = engine._stochastic_client_updates(client, x, 0.0, 0.02, theta, draw[None])[0]
+            np.testing.assert_array_equal(row, alone)
+
+    @pytest.mark.parametrize("n_examples,batch", [(4, 1), (5, 2), (6, 3), (3, 3)])
+    def test_batches_are_uniform_subsets(self, n_examples, batch):
+        # the exact mean weighs every B-subset equally; the sampler must too
+        draws = 20000
+        idx = engine._draw_batch_indices(keyed_rng(58, n_examples, batch), n_examples, draws // 2, 2, batch)
+        rows = np.sort(idx.reshape(-1, batch), axis=1)
+        assert np.all(np.diff(rows, axis=1) > 0)  # no example twice in a batch
+        subsets, counts = np.unique(rows, axis=0, return_counts=True)
+        p = 1.0 / comb(n_examples, batch)
+        assert len(subsets) == comb(n_examples, batch)
+        assert np.all(np.abs(counts - p * draws) <= 5.0 * np.sqrt(draws * p * (1.0 - p)) + 1e-9)
 
 
 class TestClientUpdateMaml:

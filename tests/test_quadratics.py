@@ -162,6 +162,48 @@ class TestClientAndPopulation:
             pop.spectra[0, 0] = 0.0
         assert "spectra" not in repr(pop)
 
+    @pytest.mark.parametrize("dim,n_clients", [(1, 7), (12, 6), (30, 10), (48, 5)])
+    def test_batched_spectra_equal_per_client_eigh(self, dim, n_clients):
+        # clients are decomposed in stacked batches (several batches at d = 30
+        # and d = 48); every row must equal that client's own eigh bit for bit
+        pop = random_population(
+            keyed_rng(12, dim), min_dim=dim, max_dim=dim, min_clients=n_clients, max_clients=n_clients
+        )
+        for row, client in zip(pop.spectra, pop.clients):
+            np.testing.assert_array_equal(row, np.linalg.eigh(client.a_matrix).eigenvalues)
+
+    def test_uniform_infers_tight_bounds_from_one_decomposition(self, monkeypatch):
+        clients = [
+            ClientModel(a_matrix=np.diag([2.0, 3.0]), center=np.array([0.0, 0.5])),
+            ClientModel(a_matrix=np.diag([0.5, 1.0]), center=np.array([1.0, 1.0])),
+            ClientModel(a_matrix=np.array([[4.0, 1.0], [1.0, 4.0]]), center=np.zeros(2)),
+            ClientModel(a_matrix=np.eye(2), center=np.array([-0.25, 0.0])),
+        ]
+        calls = []
+        original = np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh", lambda a: calls.append(a.shape) or original(a))
+        pop = Population.uniform(clients)
+        assert calls == [(4, 2, 2)]
+        assert pop.bounds == SpectrumBounds(mu=0.5, ell=5.0, c_radius=float(np.sqrt(2.0)))
+        np.testing.assert_array_equal(pop.weights, np.full(4, 0.25))
+
+    def test_uniform_rejects_indefinite_and_empty(self):
+        with pytest.raises(InvalidInputError, match="positive definite, got eigenvalue -1"):
+            Population.uniform([scalar_client(2.0, 0.0), scalar_client(-1.0, 0.0)])
+        with pytest.raises(InvalidInputError, match="at least one client"):
+            Population.uniform([])
+
+    def test_population_names_first_violating_client(self):
+        # clients 1 and 2 both violate; client 1 is named, and within one
+        # client mu is checked before ell, ell before the center norm
+        bounds = SpectrumBounds(mu=1.0, ell=2.0, c_radius=1.0)
+        with pytest.raises(InvalidInputError, match=r"^client 1: eigenvalue 0.5 below mu=1.0$"):
+            Population.uniform([scalar_client(1.5, 0.0), scalar_client(0.5, 3.0), scalar_client(3.0, 0.0)], bounds)
+        with pytest.raises(InvalidInputError, match=r"^client 0: eigenvalue 3 above ell=2.0$"):
+            Population.uniform([scalar_client(3.0, 3.0), scalar_client(0.5, 0.0)], bounds)
+        with pytest.raises(InvalidInputError, match=r"^client 1: center norm 3 above c_radius=1.0$"):
+            Population.uniform([scalar_client(1.5, 0.0), scalar_client(1.5, 3.0), scalar_client(0.5, 0.0)], bounds)
+
     def test_population_validates_center_norm(self):
         client = scalar_client(1.0, 3.0)
         with pytest.raises(InvalidInputError, match="center norm"):
