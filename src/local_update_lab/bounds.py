@@ -26,7 +26,10 @@ import numpy as np
 
 from . import quadratics as qw
 from .errors import ConditioningError, InvalidInputError
-from .matrices import SPD_LAMBDA_MIN, SpectrumBounds, check_symmetric, eigh
+# eigh stays bound here although the weighted-family check decomposes its
+# whole Y stack with np.linalg.eigh: perfbench traces matrices.eigh in every
+# module namespace that binds it, and its tests look it up in this one.
+from .matrices import SPD_LAMBDA_MIN, SpectrumBounds, check_symmetric, eigh  # noqa: F401
 from .quadratics import Population, WeightScheme
 
 # Summation is exact and cheap up to this K; beyond it the geometric closed
@@ -306,25 +309,39 @@ def mad_bound(dist: DiscreteDistribution) -> float:
     return 2.0 * (b - mean) * (mean - a) / (b - a)
 
 
-def _spectral_norm(m: np.ndarray) -> float:
-    return float(np.linalg.norm(m, 2))
+def _spectral_norms(stack: np.ndarray) -> np.ndarray:
+    """2-norm of each matrix of an (n, d, d) stack, bit-identical to one call each."""
+    return np.linalg.norm(stack, 2, axis=(-2, -1))
 
 
 def _validate_weighted_family(xs, ys, commute_tol: float = 1e-9):
+    """Validated X and Y stacks, (n, d, d) each.
+
+    Checks run pair by pair in index order (dimension, then Y positive
+    definite, then commutation), so the first violating pair is the one
+    named; the eigenvalues and norms behind them come from stacked calls.
+    """
     xs = [check_symmetric(x, f"X[{i}]") for i, x in enumerate(xs)]
     ys = [check_symmetric(y, f"Y[{i}]") for i, y in enumerate(ys)]
     if len(xs) == 0 or len(xs) != len(ys):
         raise InvalidInputError("need matching nonempty X and Y lists")
     dim = xs[0].shape[0]
-    for i, (x, y) in enumerate(zip(xs, ys)):
-        if x.shape[0] != dim or y.shape[0] != dim:
-            raise InvalidInputError("all matrices must share one dimension")
-        lam_min = eigh(y).lambda_min
-        if lam_min <= SPD_LAMBDA_MIN:
-            raise InvalidInputError(f"weight Y[{i}] is not positive definite (lambda_min={lam_min:.3e})")
-        if _spectral_norm(x @ y - y @ x) > commute_tol * (1.0 + _spectral_norm(x) * _spectral_norm(y)):
+    n_valid = next(
+        (i for i, (x, y) in enumerate(zip(xs, ys)) if x.shape[0] != dim or y.shape[0] != dim), len(xs)
+    )
+    x_stack = np.array(xs[:n_valid]).reshape(n_valid, dim, dim)
+    y_stack = np.array(ys[:n_valid]).reshape(n_valid, dim, dim)
+    lam_mins = np.linalg.eigh(y_stack)[0][:, 0]
+    commutators = _spectral_norms(x_stack @ y_stack - y_stack @ x_stack)
+    scales = 1.0 + _spectral_norms(x_stack) * _spectral_norms(y_stack)
+    for i in range(n_valid):
+        if lam_mins[i] <= SPD_LAMBDA_MIN:
+            raise InvalidInputError(f"weight Y[{i}] is not positive definite (lambda_min={lam_mins[i]:.3e})")
+        if commutators[i] > commute_tol * scales[i]:
             raise InvalidInputError(f"pair {i} does not commute")
-    return xs, ys
+    if n_valid < len(xs):
+        raise InvalidInputError("all matrices must share one dimension")
+    return x_stack, y_stack
 
 
 def matrix_weighted_mean(xs, ys) -> np.ndarray:
@@ -335,9 +352,7 @@ def matrix_weighted_mean(xs, ys) -> np.ndarray:
     eigenvalues in [a, b].
     """
     xs, ys = _validate_weighted_family(xs, ys)
-    y_total = np.sum(ys, axis=0)
-    numerator = np.sum([x @ y for x, y in zip(xs, ys)], axis=0)
-    return numerator @ np.linalg.inv(y_total)
+    return np.sum(xs @ ys, axis=0) @ np.linalg.inv(np.sum(ys, axis=0))
 
 
 def matrix_weighted_discrepancy(xs, ys) -> float:
@@ -346,16 +361,18 @@ def matrix_weighted_discrepancy(xs, ys) -> float:
     sum_i || Y^-1 f^-1 (X_i - f) Y_i || in the spectral norm, where f is the
     matrix-weighted mean. In dimension one this is the mean absolute
     deviation divided by |E[X]|. For a I <= X_i <= b I it is bounded by
-    2 (b - a) / b.
+    2 (b - a) / b. A singular f raises ConditioningError.
     """
     xs, ys = _validate_weighted_family(xs, ys)
-    y_total = np.sum(ys, axis=0)
-    y_inv = np.linalg.inv(y_total)
-    f = np.sum([x @ y for x, y in zip(xs, ys)], axis=0) @ y_inv
-    f_inv = np.linalg.inv(f)
+    y_inv = np.linalg.inv(np.sum(ys, axis=0))
+    f = np.sum(xs @ ys, axis=0) @ y_inv
+    try:
+        f_inv = np.linalg.inv(f)
+    except np.linalg.LinAlgError as exc:
+        raise ConditioningError("matrix-weighted mean f is singular") from exc
     total = 0.0
-    for x, y in zip(xs, ys):
-        total += _spectral_norm(y_inv @ f_inv @ (x - f) @ y)
+    for norm in _spectral_norms(y_inv @ f_inv @ (xs - f) @ ys):
+        total += float(norm)
     return total
 
 

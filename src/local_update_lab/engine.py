@@ -92,8 +92,8 @@ class ServerOptSpec:
             raise InvalidInputError(
                 f"unknown server optimizer {self.kind!r}, expected one of {SERVER_OPT_KINDS}"
             )
-        if self.step <= 0.0:
-            raise InvalidInputError(f"step must be positive, got {self.step}")
+        if not (0.0 < self.step < np.inf):
+            raise InvalidInputError(f"step must be positive and finite, got {self.step}")
         if self.kind == "plain" and self.momentum != 0.0:
             object.__setattr__(self, "momentum", 0.0)
         if not (0.0 <= self.momentum < 1.0):

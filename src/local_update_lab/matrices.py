@@ -101,20 +101,6 @@ def eigh(a: np.ndarray) -> EigenDecomposition:
     return EigenDecomposition(eigenvalues=w, eigenvectors=v)
 
 
-def multiply_symmetric(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Product of two commuting symmetric matrices, re-symmetrized.
-
-    For commuting symmetric inputs the exact product is symmetric; the
-    explicit symmetrization removes rounding skew so downstream eigh calls
-    see a clean symmetric matrix.
-    """
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    if a.shape[-1] != b.shape[0]:
-        raise DimensionMismatchError(f"cannot multiply shapes {a.shape} and {b.shape}")
-    return symmetrize(a @ b)
-
-
 @dataclass(frozen=True)
 class SpectrumBounds:
     """Population-level bounds: mu I <= A_i <= ell I and ||c_i|| <= c_radius."""

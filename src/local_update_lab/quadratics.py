@@ -18,15 +18,19 @@ Hessians/gradients/minimizers, and measures the gap between the surrogate
 and empirical optima. Everything is immutable after construction and all
 operations are pure.
 
-The functions here are the matrix route to the surrogate: the Horner
-distortion_matrix, then surrogate_hessian/gradient/minimizer. The eigenvalue
-route (bounds.scheme_q_eigenvalues, kappa_exact, distance_bound) starts from
-the client spectra a Population stores at construction; the verification
-suites compare the two.
+The functions here are the matrix route to the surrogate: one stacked Horner
+kernel evaluates the clients' Q_i with one batched matmul per step over
+their stacked (n, d, d) matrices (O(K n d^3) flops, in cache-sized batches
+of clients), and surrogate_hessian/gradient/minimizer/loss_value sum its
+Q_i A_i over the clients in index order, bit-identical to evaluating each
+client alone; distortion_matrix is its one-client view. The eigenvalue route (bounds.scheme_q_eigenvalues,
+kappa_exact, distance_bound) starts from the client spectra a Population
+stores at construction; the verification suites compare the two.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -48,6 +52,14 @@ _BOUNDS_TOL = 1e-9
 # verification suites, and no second copy of a large population's matrices
 # (plus their eigenvectors) held at once.
 _EIGH_BATCH_ENTRIES = 4096
+
+# The surrogate functions run the Horner kernel on stacked batches of at
+# most this many matrix entries (512 kB per array), so the arrays one step
+# touches stay in a core's L2 cache. One stack of a d = n = 100 population is
+# 8 MB per array and streams through memory on every step: surrogate_minimizer
+# at K = 200 took 1.6x as long as with these batches, and as one client at a
+# time (one BLAS thread, 2 MB L2).
+_HORNER_BATCH_ENTRIES = 65536
 
 
 @dataclass(frozen=True)
@@ -326,33 +338,49 @@ def require_contractive(bounds: SpectrumBounds, alpha: float, gamma: float) -> N
         )
 
 
+def _distortion_stack(
+    a_stack: np.ndarray, alpha: float, gamma: float, theta: WeightScheme
+) -> np.ndarray:
+    """Symmetrised distortion matrices of clients stacked as (n, d, d) matrices.
+
+    One Horner step is one matmul over the whole stack, which runs the same
+    matrix product per client, so every slice is bit-identical to that
+    client's polynomial evaluated alone.
+    """
+    if not (gamma >= 0.0 and alpha >= 0.0):
+        raise InvalidInputError("alpha and gamma must be nonnegative")
+    coeffs = theta.coefficients[: theta.size]
+    eye = np.eye(a_stack.shape[-1])
+    m = (1.0 - gamma * alpha) * eye - gamma * a_stack
+    q = np.broadcast_to(coeffs[-1] * eye, a_stack.shape)
+    for k in range(len(coeffs) - 2, -1, -1):
+        q = q @ m
+        if coeffs[k] != 0.0:
+            q = q + coeffs[k] * eye
+    return 0.5 * (q + q.swapaxes(-1, -2))
+
+
+def _surrogate_hessians(
+    pop: Population, alpha: float, gamma: float, theta: WeightScheme
+) -> Iterator[np.ndarray]:
+    """Every client's symmetrised Q_i A_i, in client order, one batch at a time."""
+    step = max(1, _HORNER_BATCH_ENTRIES // pop.dim**2)
+    for i in range(0, pop.n_clients, step):
+        a_stack = np.stack([client.a_matrix for client in pop.clients[i : i + step]])
+        qa = _distortion_stack(a_stack, alpha, gamma, theta) @ a_stack
+        yield from 0.5 * (qa + qa.swapaxes(-1, -2))
+
+
 def distortion_matrix(
     client: ClientModel, alpha: float, gamma: float, theta: WeightScheme
 ) -> np.ndarray:
     """Distortion matrix Q_i = sum_k theta_k (I - gamma (A_i + alpha I))^(k-1).
 
-    Evaluated as a Horner-style matrix polynomial, O(K d^3); exact polynomial
-    in A_i, hence commutes with A_i. Accepts any gamma >= 0; positive
-    definiteness of the result needs gamma < (ell + alpha)^-1.
+    The one-client view of the stacked Horner kernel, O(K d^3); exact
+    polynomial in A_i, hence commutes with A_i. Accepts any gamma >= 0;
+    positive definiteness of the result needs gamma < (ell + alpha)^-1.
     """
-    if not (gamma >= 0.0 and alpha >= 0.0):
-        raise InvalidInputError("alpha and gamma must be nonnegative")
-    coeffs = theta.coefficients[: theta.size]
-    d = client.dim
-    m = (1.0 - gamma * alpha) * np.eye(d) - gamma * client.a_matrix
-    q = coeffs[-1] * np.eye(d)
-    for k in range(len(coeffs) - 2, -1, -1):
-        q = q @ m
-        if coeffs[k] != 0.0:
-            q = q + coeffs[k] * np.eye(d)
-    return mat.symmetrize(q)
-
-
-def _client_surrogate_hessian(
-    client: ClientModel, alpha: float, gamma: float, theta: WeightScheme
-) -> np.ndarray:
-    q = distortion_matrix(client, alpha, gamma, theta)
-    return mat.multiply_symmetric(q, client.a_matrix)
+    return _distortion_stack(client.a_matrix[None], alpha, gamma, theta)[0]
 
 
 def surrogate_hessian(
@@ -360,8 +388,8 @@ def surrogate_hessian(
 ) -> np.ndarray:
     """Hessian of the surrogate loss: E_i[Q_i A_i]."""
     h = np.zeros((pop.dim, pop.dim))
-    for weight, client in zip(pop.weights, pop.clients):
-        h += weight * _client_surrogate_hessian(client, alpha, gamma, theta)
+    for weight, qa in zip(pop.weights, _surrogate_hessians(pop, alpha, gamma, theta)):
+        h += weight * qa
     return mat.symmetrize(h)
 
 
@@ -371,8 +399,7 @@ def surrogate_gradient(
     """Gradient of the surrogate loss: E_i[Q_i A_i (x - c_i)]."""
     x = np.asarray(x, dtype=float)
     g = np.zeros(pop.dim)
-    for weight, client in zip(pop.weights, pop.clients):
-        qa = _client_surrogate_hessian(client, alpha, gamma, theta)
+    for weight, client, qa in zip(pop.weights, pop.clients, _surrogate_hessians(pop, alpha, gamma, theta)):
         g += weight * (qa @ (x - client.center))
     return g
 
@@ -388,8 +415,7 @@ def surrogate_minimizer(
     require_contractive(pop.bounds, alpha, gamma)
     h = np.zeros((pop.dim, pop.dim))
     rhs = np.zeros(pop.dim)
-    for weight, client in zip(pop.weights, pop.clients):
-        qa = _client_surrogate_hessian(client, alpha, gamma, theta)
+    for weight, client, qa in zip(pop.weights, pop.clients, _surrogate_hessians(pop, alpha, gamma, theta)):
         h += weight * qa
         rhs += weight * (qa @ client.center)
     return np.linalg.solve(mat.symmetrize(h), rhs)
@@ -440,8 +466,7 @@ def surrogate_loss_value(
     """Surrogate loss E_i[0.5 (x - c_i)^T Q_i A_i (x - c_i)], constant dropped."""
     x = np.asarray(x, dtype=float)
     total = 0.0
-    for weight, client in zip(pop.weights, pop.clients):
-        qa = _client_surrogate_hessian(client, alpha, gamma, theta)
+    for weight, client, qa in zip(pop.weights, pop.clients, _surrogate_hessians(pop, alpha, gamma, theta)):
         diff = x - client.center
         total += weight * 0.5 * float(diff @ (qa @ diff))
     return total

@@ -44,6 +44,25 @@ def random_orthonormal(rng: np.random.Generator, dim: int) -> np.ndarray:
     return q * np.sign(np.diag(r))
 
 
+def _symmetric_from_eigenpairs(basis: np.ndarray, lams: np.ndarray) -> np.ndarray:
+    m = (basis * lams) @ basis.T
+    return 0.5 * (m + m.T)
+
+
+def _center_in_ball(rng: np.random.Generator, dim: int, c_radius: float) -> np.ndarray:
+    center = rng.standard_normal(dim)
+    return center / max(np.linalg.norm(center), 1e-12) * rng.uniform(0.0, c_radius)
+
+
+def _client_spectrum(
+    rng: np.random.Generator, dim: int, mu: float, ell: float, pin_extremes: bool
+) -> np.ndarray:
+    lams = np.exp(rng.uniform(np.log(mu), np.log(ell), size=dim))
+    if pin_extremes:
+        lams[0], lams[-1] = mu, ell
+    return lams
+
+
 def random_client(
     rng: np.random.Generator,
     dim: int,
@@ -58,13 +77,8 @@ def random_client(
         a = lams.reshape(1, 1)
     else:
         basis = random_orthonormal(rng, dim)
-        lams = np.exp(rng.uniform(np.log(mu), np.log(ell), size=dim))
-        if pin_extremes:
-            lams[0], lams[-1] = mu, ell
-        a = 0.5 * ((basis * lams) @ basis.T + ((basis * lams) @ basis.T).T)
-    center = rng.standard_normal(dim)
-    center = center / max(np.linalg.norm(center), 1e-12) * rng.uniform(0.0, c_radius)
-    return ClientModel(a_matrix=a, center=center)
+        a = _symmetric_from_eigenpairs(basis, _client_spectrum(rng, dim, mu, ell, pin_extremes))
+    return ClientModel(a_matrix=a, center=_center_in_ball(rng, dim, c_radius))
 
 
 def random_population(
@@ -79,12 +93,28 @@ def random_population(
     pin_extremes: bool = False,
     uniform_weights: bool = False,
 ) -> Population:
+    """Population of random_client draws, bit-identical to drawing them one by one.
+
+    Each client's numbers are drawn in random_client's stream order; the
+    eigenbases then come from one stacked QR.
+    """
     bounds = SpectrumBounds(mu, ell, c_radius)
     dim = int(rng.integers(min_dim, max_dim + 1))
     n = int(rng.integers(min_clients, max_clients + 1))
-    clients = tuple(
-        random_client(rng, dim, mu, ell, c_radius, pin_extremes=pin_extremes) for _ in range(n)
-    )
+    if dim == 1:
+        clients = tuple(random_client(rng, dim, mu, ell, c_radius, pin_extremes) for _ in range(n))
+    else:
+        gaussians, spectra, centers = [], [], []
+        for _ in range(n):
+            gaussians.append(rng.standard_normal((dim, dim)))
+            spectra.append(_client_spectrum(rng, dim, mu, ell, pin_extremes))
+            centers.append(_center_in_ball(rng, dim, c_radius))
+        q, r = np.linalg.qr(np.stack(gaussians))
+        bases = q * np.sign(np.diagonal(r, axis1=-2, axis2=-1))[:, None, :]
+        clients = tuple(
+            ClientModel(a_matrix=_symmetric_from_eigenpairs(basis, lams), center=center)
+            for basis, lams, center in zip(bases, spectra, centers)
+        )
     if uniform_weights:
         weights = np.full(n, 1.0 / n)
     else:
@@ -198,8 +228,8 @@ def random_commuting_family(
         if rng.random() < 0.3:
             lx[-1] = b_hi
         ly = rng.uniform(0.1, 2.0, size=dim)
-        xs.append(0.5 * ((basis * lx) @ basis.T + ((basis * lx) @ basis.T).T))
-        ys.append(0.5 * ((basis * ly) @ basis.T + ((basis * ly) @ basis.T).T))
+        xs.append(_symmetric_from_eigenpairs(basis, lx))
+        ys.append(_symmetric_from_eigenpairs(basis, ly))
         x_eigs.append(lx)
     x_eigs = np.concatenate(x_eigs)
     return xs, ys, float(x_eigs.min()), float(x_eigs.max())
@@ -239,8 +269,9 @@ def theorem1_client_gap(
 ) -> float:
     """Worst ||deterministic client update - Q_i A_i (x - c_i)|| over the clients at x.
 
-    The engine's batched kernel updates every client in one call; each row is
-    bit-identical to that client updating alone.
+    The engine's batched kernel updates every client in one call, and the
+    stacked Horner kernel gives every Q_i A_i in one call; each row of either
+    is bit-identical to that client computed alone.
     """
     updates = _deterministic_updates(
         np.stack([client.a_matrix for client in pop.clients]),
@@ -248,8 +279,8 @@ def theorem1_client_gap(
         x, alpha, gamma, theta,
     )
     worst = 0.0
-    for client, update in zip(pop.clients, updates):
-        predicted = qw._client_surrogate_hessian(client, alpha, gamma, theta) @ (x - client.center)
+    for client, update, qa in zip(pop.clients, updates, qw._surrogate_hessians(pop, alpha, gamma, theta)):
+        predicted = qa @ (x - client.center)
         worst = max(worst, float(np.linalg.norm(update - predicted)))
     return worst
 

@@ -556,6 +556,13 @@ class TestMatrixWeighted:
         with pytest.raises(InvalidInputError, match="positive definite"):
             matrix_weighted_mean([x], [y])
 
+    def test_singular_weighted_mean_is_a_conditioning_error(self):
+        # f = 0 here; numpy's inv would raise a raw LinAlgError
+        with pytest.raises(ConditioningError, match="mean f is singular"):
+            matrix_weighted_discrepancy([np.zeros((2, 2))], [np.eye(2)])
+        with pytest.raises(ConditioningError, match="mean f is singular"):
+            matrix_weighted_discrepancy([np.diag([1.0, 0.0]), np.diag([2.0, 0.0])], [np.eye(2), np.eye(2)])
+
 
 class TestTightnessB2:
     def test_k1_no_distortion(self):

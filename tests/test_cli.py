@@ -271,6 +271,8 @@ class TestBadInput:
             ["simulate", "--gamma", "nan", "--theta", "one"],
             ["verify", "--trials", "-1"],
             ["mad-check", "--trials", "0"],
+            ["simulate", "--dim", "3", "--gamma", "0.01", "--theta", "first-k", "--k", "3", "--eta", "nan"],
+            ["simulate", "--dim", "3", "--gamma", "0.01", "--theta", "first-k", "--k", "3", "--eta", "inf"],
         ],
     )
     def test_exit_2_with_one_error_line(self, argv, tmp_path, capsys):

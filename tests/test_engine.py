@@ -143,6 +143,11 @@ class TestConfigValidation:
         # plain normalises momentum away
         assert ServerOptSpec(kind="plain", step=0.1, momentum=0.7).momentum == 0.0
 
+    @pytest.mark.parametrize("step", [float("nan"), float("inf"), -float("inf"), -0.1])
+    def test_server_step_must_be_positive_and_finite(self, step):
+        with pytest.raises(InvalidInputError, match="step must be positive and finite"):
+            ServerOptSpec(kind="heavy_ball", step=step, momentum=0.5)
+
     def test_trajectory_shape_validation(self):
         with pytest.raises(InvalidInputError):
             Trajectory(iterates=np.zeros((3, 2)), pseudo_gradients=np.zeros((3, 2)))

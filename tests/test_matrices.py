@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from local_update_lab import EigenDecomposition, SpectrumBounds, eigh, random_spd_with_spectrum
-from local_update_lab.errors import DimensionMismatchError, InfeasibleSpectrumError, InvalidInputError
-from local_update_lab.matrices import child_seed, keyed_rng, multiply_symmetric, symmetrize
+from local_update_lab.errors import InfeasibleSpectrumError, InvalidInputError
+from local_update_lab.matrices import child_seed, keyed_rng, symmetrize
 
 
 def random_symmetric(rng, dim):
@@ -48,21 +48,6 @@ class TestEigh:
     def test_asymmetric_rejected(self):
         with pytest.raises(InvalidInputError):
             eigh(np.array([[1.0, 2.0], [0.0, 1.0]]))
-
-
-class TestMatOps:
-    def test_multiply_symmetric_dim_mismatch(self):
-        with pytest.raises(DimensionMismatchError):
-            multiply_symmetric(np.eye(2), np.eye(3))
-
-    def test_multiply_symmetric_commuting(self):
-        rng = keyed_rng(3, 4)
-        q, _ = np.linalg.qr(rng.standard_normal((4, 4)))
-        a = symmetrize((q * np.array([1.0, 2.0, 3.0, 4.0])) @ q.T)
-        b = symmetrize((q * np.array([5.0, 6.0, 7.0, 8.0])) @ q.T)
-        prod = multiply_symmetric(a, b)
-        np.testing.assert_array_equal(prod, prod.T)
-        np.testing.assert_allclose(prod, a @ b, atol=1e-12)
 
 
 class TestSymmetrize:
