@@ -52,7 +52,7 @@ from .frontier import (
     simulated_maml_sweep,
     sweep,
 )
-from .matrices import eigh, keyed_rng
+from .matrices import SpectrumBounds, eigh, keyed_rng
 from .quadratics import Population, WeightScheme
 from .svgplot import frontier_svg
 from .verify import SUITES, CheckResult, random_population, run_checks, theorem1_client_gap
@@ -125,11 +125,6 @@ def cmd_frontier(args) -> int:
     if args.vary == "K":
         grid = default_k_grid(args.k_max, args.points)
         grid = grid[grid >= args.k_min]
-        spec = SweepSpec(
-            family=family, vary="K", grid=grid, mu=args.mu, ell=args.ell,
-            alpha=args.alpha, gamma=gamma, optimizers=optimizers,
-            kappa_source=args.kappa_source, seed=seed,
-        )
     elif args.vary == "gamma":
         gamma_max = args.gamma_max
         if gamma_max is None:
@@ -143,11 +138,6 @@ def cmd_frontier(args) -> int:
                     f"{args.gamma_min}, {gamma_max} and {args.points}"
                 )
             grid = np.logspace(np.log10(args.gamma_min), np.log10(gamma_max), args.points)
-        spec = SweepSpec(
-            family=family, vary="gamma", grid=grid, mu=args.mu, ell=args.ell,
-            alpha=args.alpha, k=args.k, optimizers=optimizers,
-            kappa_source=args.kappa_source, seed=seed,
-        )
     else:  # alpha
         if not args.alphas:
             raise InvalidInputError("--vary alpha needs --alphas with a comma-separated list")
@@ -155,11 +145,14 @@ def cmd_frontier(args) -> int:
             grid = np.array(sorted(float(v) for v in args.alphas.split(",")))
         except ValueError as exc:
             raise InvalidInputError(f"bad --alphas value: {exc}") from exc
-        spec = SweepSpec(
-            family=family, vary="alpha", grid=grid, mu=args.mu, ell=args.ell,
-            gamma=gamma, k=args.k, optimizers=optimizers,
-            kappa_source=args.kappa_source, seed=seed,
-        )
+    # the varied axis's fixed field keeps SweepSpec's default
+    spec = SweepSpec(
+        family=family, vary=args.vary, grid=grid, mu=args.mu, ell=args.ell,
+        alpha=0.0 if args.vary == "alpha" else args.alpha,
+        gamma=None if args.vary == "gamma" else gamma,
+        k=None if args.vary == "K" else args.k,
+        optimizers=optimizers, kappa_source=args.kappa_source, seed=seed,
+    )
     frontier = sweep(spec)
     title = f"frontier {args.family} mu={args.mu:g} ell={args.ell:g} vary {args.vary}"
     _render_frontier(frontier, args.format, title, args.out)
@@ -332,8 +325,6 @@ def cmd_tightness(args) -> int:
     else:  # b3
         mu, ell, alpha, gamma, k = args.mu, args.ell, args.alpha, args.gamma, args.k
         client = qw.ClientModel(a_matrix=np.diag([ell, mu]), center=np.zeros(2))
-        from .matrices import SpectrumBounds
-
         pop = Population.uniform([client], bounds=SpectrumBounds(mu, ell, 0.0))
         rows = {}
         fed = tb.kappa_exact(pop, alpha, gamma, WeightScheme.first_k(k))

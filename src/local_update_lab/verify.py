@@ -1,15 +1,17 @@
 """Self-checking suites: every analytic claim, verified on random instances.
 
-Each suite draws its own random instances from a seed, measures the worst
-violation of one claim, and reports {name, instances, max_violation,
-threshold, pass}. The suites back the `verify` CLI command and the test
-suite; the generators are shared so tests exercise the same instance
-distributions.
+Each suite is one instance function, registered with `suite`: it draws one
+random instance and measures the violation of one claim on it. One loop runs
+every suite over its trials, keeps the worst violation and reports {name,
+instances, max_violation, threshold, pass}. The suites back the `verify` CLI
+command and the test suite; the generators are shared so tests exercise the
+same instance distributions.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -236,7 +238,7 @@ def random_commuting_family(
 
 
 # ---------------------------------------------------------------------------
-# Check results and suites
+# Check results and the suite loop
 # ---------------------------------------------------------------------------
 
 
@@ -264,6 +266,58 @@ class CheckResult:
         }
 
 
+SUITES: dict[str, Callable[..., CheckResult]] = {}
+
+
+def suite(name: str, tag: int, threshold: float, trials: int):
+    """Register an instance function as the verification suite `name`.
+
+    The instance function maps (rng, trial) to (violation, instances), or to
+    None for a trial it skips. The registered check(seed, trials) draws trial
+    t from keyed_rng(seed, tag, t), so `lul verify --only name --seed seed
+    --trials t+1` reruns it. It keeps the worst violation and sums the
+    instances. A NaN violation beats every number and is never replaced, so
+    it fails the suite; max() would drop it.
+    """
+
+    def register(instance: Callable[[np.random.Generator, int], tuple[float, int] | None]):
+        def check(seed: int, trials: int = trials) -> CheckResult:
+            worst, count = -np.inf, 0
+            for trial in range(trials):
+                outcome = instance(keyed_rng(seed, tag, trial), trial)
+                if outcome is None:
+                    continue
+                violation, instances = outcome
+                if violation > worst or violation != violation:
+                    worst = violation
+                count += instances
+            return CheckResult(name, count, worst, threshold)
+
+        check.__name__ = check.__qualname__ = instance.__name__
+        check.__doc__ = instance.__doc__
+        SUITES[name] = check
+        return check
+
+    return register
+
+
+def _family_instance(
+    rng: np.random.Generator, mu: float, ell: float, alphas: tuple[float, ...]
+) -> tuple[float, float, WeightScheme, float]:
+    """(alpha, gamma, theta, phi/psi bound) for a first-K or last-only scheme, K in 1..30.
+
+    gamma is drawn strictly inside the family's precondition range, so the
+    closed-form bound always applies.
+    """
+    alpha = float(rng.choice(alphas))
+    k = int(rng.integers(1, 31))
+    if rng.random() < 0.5:
+        gamma = float(rng.uniform(0.0, 0.95)) / (ell + alpha)
+        return alpha, gamma, WeightScheme.first_k(k), tb.kappa_bound_fedavg(mu, ell, alpha, gamma, k)
+    gamma = float(rng.uniform(0.0, 0.95)) / (k * ell + alpha)
+    return alpha, gamma, WeightScheme.last_only(k), tb.kappa_bound_maml(mu, ell, alpha, gamma, k)
+
+
 def theorem1_client_gap(
     pop: Population, x: np.ndarray, alpha: float, gamma: float, theta: WeightScheme
 ) -> float:
@@ -271,32 +325,28 @@ def theorem1_client_gap(
 
     The engine's batched kernel updates every client in one call, and the
     stacked Horner kernel gives every Q_i A_i in one call; each row of either
-    is bit-identical to that client computed alone.
+    is bit-identical to that client computed alone. If any gap is NaN, so is
+    the result.
     """
     updates = _deterministic_updates(
         np.stack([client.a_matrix for client in pop.clients]),
         np.stack([client.center for client in pop.clients]),
         x, alpha, gamma, theta,
     )
-    worst = 0.0
-    for client, update, qa in zip(pop.clients, updates, qw._surrogate_hessians(pop, alpha, gamma, theta)):
-        predicted = qa @ (x - client.center)
-        worst = max(worst, float(np.linalg.norm(update - predicted)))
-    return worst
+    gaps = [
+        np.linalg.norm(update - qa @ (x - client.center))
+        for client, update, qa in zip(pop.clients, updates, qw._surrogate_hessians(pop, alpha, gamma, theta))
+    ]
+    return float(np.max(gaps))  # np.max, unlike max(), keeps a NaN
 
 
-def check_theorem1_deterministic(seed: int, trials: int = 200) -> CheckResult:
+@suite("theorem1_deterministic", tag=0x11, threshold=1e-9, trials=200)
+def check_theorem1_deterministic(rng, trial):
     """Deterministic client updates equal the surrogate gradient exactly."""
-    worst = 0.0
-    count = 0
-    for trial in range(trials):
-        rng = keyed_rng(seed, 0x11, trial)
-        pop = random_population(rng, max_dim=20, max_clients=10)
-        alpha, gamma, theta = random_admissible_params(rng, pop.bounds.ell, k_max=50)
-        x = rng.uniform(-2.0, 2.0, size=pop.dim)
-        worst = max(worst, theorem1_client_gap(pop, x, alpha, gamma, theta))
-        count += pop.n_clients
-    return CheckResult("theorem1_deterministic", count, worst, 1e-9)
+    pop = random_population(rng, max_dim=20, max_clients=10)
+    alpha, gamma, theta = random_admissible_params(rng, pop.bounds.ell, k_max=50)
+    x = rng.uniform(-2.0, 2.0, size=pop.dim)
+    return theorem1_client_gap(pop, x, alpha, gamma, theta), pop.n_clients
 
 
 def exact_stochastic_mean(
@@ -315,79 +365,72 @@ def exact_stochastic_mean(
     return _stochastic_client_updates(client, x, alpha, gamma, theta, sequences).mean(axis=0)
 
 
-def check_theorem1_stochastic(seed: int, trials: int = 20) -> CheckResult:
+@suite("theorem1_stochastic", tag=0x12, threshold=1e-12, trials=20)
+def check_theorem1_stochastic(rng, trial):
     """The exact mean of stochastic client updates equals the surrogate gradient.
 
     Violation is ||exact mean - surrogate gradient|| / (1 + ||surrogate
     gradient||); the two sides differ only by rounding, hence the 1e-12 gate.
     """
-    worst = 0.0
-    for trial in range(trials):
-        rng = keyed_rng(seed, 0x12, trial)
-        client = random_client_with_examples(rng)
-        pop = Population.uniform([client])
-        alpha = float(rng.choice([0.0, 0.5]))
-        gamma = float(rng.uniform(0.0, 0.9)) / (pop.bounds.ell + alpha)
-        theta = random_theta(rng, k_max=3)
-        batch = int(rng.integers(1, min(2, len(client.examples)) + 1))
-        x = rng.uniform(-2.0, 2.0, size=client.dim)
-        predicted = qw.surrogate_gradient(pop, x, alpha, gamma, theta)
-        mean = exact_stochastic_mean(client, x, alpha, gamma, theta, batch)
-        error = float(np.linalg.norm(mean - predicted)) / (1.0 + float(np.linalg.norm(predicted)))
-        worst = max(worst, error)
-    return CheckResult("theorem1_stochastic", trials, worst, 1e-12)
+    client = random_client_with_examples(rng)
+    pop = Population.uniform([client])
+    alpha = float(rng.choice([0.0, 0.5]))
+    gamma = float(rng.uniform(0.0, 0.9)) / (pop.bounds.ell + alpha)
+    theta = random_theta(rng, k_max=3)
+    batch = int(rng.integers(1, min(2, len(client.examples)) + 1))
+    x = rng.uniform(-2.0, 2.0, size=client.dim)
+    predicted = qw.surrogate_gradient(pop, x, alpha, gamma, theta)
+    mean = exact_stochastic_mean(client, x, alpha, gamma, theta, batch)
+    return float(np.linalg.norm(mean - predicted)) / (1.0 + float(np.linalg.norm(predicted))), 1
 
 
-def check_theorem2_maml(seed: int, trials: int = 100) -> CheckResult:
+@suite("theorem2_maml", tag=0x21, threshold=1e-10, trials=100)
+def check_theorem2_maml(rng, trial):
     """The MAML client equals the theta_{2K+1} client update."""
-    worst = 0.0
-    for trial in range(trials):
-        rng = keyed_rng(seed, 0x21, trial)
-        dim = int(rng.integers(1, 8))
-        client = random_client(rng, dim, 1.0, 10.0, c_radius=1.0)
-        alpha = float(rng.choice([0.0, 0.5]))
-        k = int(rng.integers(1, 21))
-        gamma = float(rng.uniform(0.0, 0.95)) / (10.0 + alpha)
-        x = rng.uniform(-2.0, 2.0, size=dim)
-        cfg = RunConfig(alpha=alpha, gamma=gamma, theta=WeightScheme.maml_equivalent(k), rounds=1)
-        via_theta = client_update(client, x, cfg)
-        via_maml = client_update_maml(client, x, k, gamma, alpha)
-        worst = max(worst, float(np.linalg.norm(via_maml - via_theta)))
-    return CheckResult("theorem2_maml", trials, worst, 1e-10)
+    dim = int(rng.integers(1, 8))
+    client = random_client(rng, dim, 1.0, 10.0, c_radius=1.0)
+    alpha = float(rng.choice([0.0, 0.5]))
+    k = int(rng.integers(1, 21))
+    gamma = float(rng.uniform(0.0, 0.95)) / (10.0 + alpha)
+    x = rng.uniform(-2.0, 2.0, size=dim)
+    cfg = RunConfig(alpha=alpha, gamma=gamma, theta=WeightScheme.maml_equivalent(k), rounds=1)
+    via_theta = client_update(client, x, cfg)
+    via_maml = client_update_maml(client, x, k, gamma, alpha)
+    return float(np.linalg.norm(via_maml - via_theta)), 1
 
 
-def check_theorem3_rates(seed: int, trials: int = 50) -> CheckResult:
+@suite("theorem3_rates", tag=0x31, threshold=0.0, trials=50)
+def check_theorem3_rates(rng, trial):
     """Measured contraction never beats the tuned rate at the exact kappa.
 
     plain and heavy-ball are checked per step over rounds 5..T (tolerance
     1e-6), Nesterov on the geometric-mean rate (tolerance 1e-3, its guarantee
     is not per-step monotone).
     """
-    worst = -np.inf
-    for trial in range(trials):
-        rng = keyed_rng(seed, 0x31, trial)
-        pop = rate_check_population(rng)
-        alpha = float(rng.choice([0.0, 0.5]))
-        gamma = float(rng.uniform(0.2, 0.8)) / (pop.bounds.ell + alpha)
-        theta = WeightScheme.first_k(int(rng.integers(2, 21)))
-        report = tb.kappa_exact(pop, alpha, gamma, theta)
-        dec = eigh(qw.surrogate_hessian(pop, alpha, gamma, theta))
-        x_star = qw.surrogate_minimizer(pop, alpha, gamma, theta)
-        x0 = x_star + 100.0 * (dec.eigenvectors @ (np.ones(pop.dim) / np.sqrt(pop.dim)))
-        for kind, rounds, tol in (("plain", 30, 1e-6), ("heavy_ball", 30, 1e-6), ("nesterov", 120, 1e-3)):
-            opt = auto_tune(kind, dec.lambda_max, dec.lambda_min)
-            cfg = RunConfig(alpha=alpha, gamma=gamma, theta=theta, rounds=rounds)
-            traj = run(pop, x0, cfg, opt)
-            rho = tb.rho_from_kappa(report.kappa_exact, kind)
-            if kind == "nesterov":
-                measured = geometric_rate(traj, x_star, start_round=5)
-            else:
-                measured = max_step_contraction(traj, x_star, start_round=5)
-            worst = max(worst, measured - (rho + tol))
-    return CheckResult("theorem3_rates", trials, worst, 0.0)
+    pop = rate_check_population(rng)
+    alpha = float(rng.choice([0.0, 0.5]))
+    gamma = float(rng.uniform(0.2, 0.8)) / (pop.bounds.ell + alpha)
+    theta = WeightScheme.first_k(int(rng.integers(2, 21)))
+    report = tb.kappa_exact(pop, alpha, gamma, theta)
+    dec = eigh(qw.surrogate_hessian(pop, alpha, gamma, theta))
+    x_star = qw.surrogate_minimizer(pop, alpha, gamma, theta)
+    x0 = x_star + 100.0 * (dec.eigenvectors @ (np.ones(pop.dim) / np.sqrt(pop.dim)))
+    violations = []
+    for kind, rounds, tol in (("plain", 30, 1e-6), ("heavy_ball", 30, 1e-6), ("nesterov", 120, 1e-3)):
+        opt = auto_tune(kind, dec.lambda_max, dec.lambda_min)
+        cfg = RunConfig(alpha=alpha, gamma=gamma, theta=theta, rounds=rounds)
+        traj = run(pop, x0, cfg, opt)
+        rho = tb.rho_from_kappa(report.kappa_exact, kind)
+        if kind == "nesterov":
+            measured = geometric_rate(traj, x_star, start_round=5)
+        else:
+            measured = max_step_contraction(traj, x_star, start_round=5)
+        violations.append(measured - (rho + tol))
+    return float(np.max(violations)), 1  # np.max, unlike max(), keeps a NaN
 
 
-def check_lemma1_positive_definite(seed: int, trials: int = 200) -> CheckResult:
+@suite("lemma1_positive_definite", tag=0x41, threshold=0.0, trials=200)
+def check_lemma1_positive_definite(rng, trial):
     """Distortion matrices are positive definite for contractive gamma.
 
     Positivity is read off the eigenvalue map q(lambda_i) of each client's
@@ -395,251 +438,151 @@ def check_lemma1_positive_definite(seed: int, trials: int = 200) -> CheckResult:
     eps * ||Q_i|| on the Horner matrix, so only the map can certify them; the
     Horner route's agreement with the map is a Tier-1 test.
     """
-    worst = -np.inf
-    count = 0
-    for trial in range(trials):
-        rng = keyed_rng(seed, 0x41, trial)
-        pop = random_population(rng, max_dim=12, max_clients=6)
-        alpha, gamma, theta = random_admissible_params(rng, pop.bounds.ell, k_max=30)
-        q_eigs = tb.scheme_q_eigenvalues(pop.spectra, alpha, gamma, theta)
-        worst = max(worst, -float(q_eigs.min()))
-        count += pop.n_clients
-    return CheckResult("lemma1_positive_definite", count, worst, 0.0)
+    pop = random_population(rng, max_dim=12, max_clients=6)
+    alpha, gamma, theta = random_admissible_params(rng, pop.bounds.ell, k_max=30)
+    q_eigs = tb.scheme_q_eigenvalues(pop.spectra, alpha, gamma, theta)
+    return -float(q_eigs.min()), pop.n_clients
 
 
-def check_lemma2_condition_bound(seed: int, trials: int = 200) -> CheckResult:
+@suite("lemma2_condition_bound", tag=0x42, threshold=1e-9, trials=200)
+def check_lemma2_condition_bound(rng, trial):
     """cond(surrogate Hessian) <= kappa_exact (expectation of extremes).
 
     Relative violation: the two sides come from different numerical routes
     (matrix polynomial + eigh vs scalar eigenvalue maps), so equality cases
     agree only to relative rounding.
     """
-    worst = -np.inf
-    count = 0
-    for trial in range(trials):
-        rng = keyed_rng(seed, 0x42, trial)
-        pop = random_population(rng, max_dim=12, max_clients=6)
-        alpha, gamma, theta = random_admissible_params(rng, pop.bounds.ell, k_max=30)
-        report = tb.kappa_exact(pop, alpha, gamma, theta)
-        if report.kappa_exact > 1e6:
-            # eigh's absolute floor (eps * ||H||) swamps lambda_min beyond
-            # this; the comparison of the two routes stops being meaningful.
-            continue
-        dec = eigh(qw.surrogate_hessian(pop, alpha, gamma, theta))
-        cond_h = dec.lambda_max / dec.lambda_min
-        worst = max(worst, (cond_h - report.kappa_exact) / max(report.kappa_exact, 1.0))
-        count += 1
-    return CheckResult("lemma2_condition_bound", count, worst, 1e-9)
+    pop = random_population(rng, max_dim=12, max_clients=6)
+    alpha, gamma, theta = random_admissible_params(rng, pop.bounds.ell, k_max=30)
+    report = tb.kappa_exact(pop, alpha, gamma, theta)
+    if report.kappa_exact > 1e6:
+        # eigh's absolute floor (eps * ||H||) swamps lambda_min beyond
+        # this; the comparison of the two routes stops being meaningful.
+        return None
+    dec = eigh(qw.surrogate_hessian(pop, alpha, gamma, theta))
+    cond_h = dec.lambda_max / dec.lambda_min
+    return (cond_h - report.kappa_exact) / max(report.kappa_exact, 1.0), 1
 
 
-def check_lemma34_kappa_bounds(seed: int, trials: int = 200) -> CheckResult:
+@suite("lemma34_kappa_bounds", tag=0x43, threshold=1e-9, trials=200)
+def check_lemma34_kappa_bounds(rng, trial):
     """kappa_exact <= phi/psi closed-form bound for the two weight families."""
-    worst = -np.inf
-    for trial in range(trials):
-        rng = keyed_rng(seed, 0x43, trial)
-        pop = random_population(rng, max_dim=12, max_clients=6)
-        alpha = float(rng.choice([0.0, 0.5, 2.0]))
-        k = int(rng.integers(1, 31))
-        if rng.random() < 0.5:
-            theta = WeightScheme.first_k(k)
-            gamma = float(rng.uniform(0.0, 0.95)) / (pop.bounds.ell + alpha)
-        else:
-            theta = WeightScheme.last_only(k)
-            gamma = float(rng.uniform(0.0, 0.95)) / (k * pop.bounds.ell + alpha)
-        report = tb.kappa_exact(pop, alpha, gamma, theta)
-        worst = max(
-            worst, (report.kappa_exact - report.kappa_bound) / max(report.kappa_bound, 1.0)
-        )
-    return CheckResult("lemma34_kappa_bounds", trials, worst, 1e-9)
+    pop = random_population(rng, max_dim=12, max_clients=6)
+    alpha, gamma, theta, _ = _family_instance(rng, pop.bounds.mu, pop.bounds.ell, (0.0, 0.5, 2.0))
+    report = tb.kappa_exact(pop, alpha, gamma, theta)
+    return (report.kappa_exact - report.kappa_bound) / max(report.kappa_bound, 1.0), 1
 
 
-def check_lemma34_tightness(seed: int, trials: int = 200) -> CheckResult:
+@suite("lemma34_tightness", tag=0x44, threshold=1e-10, trials=200)
+def check_lemma34_tightness(rng, trial):
     """On a diag(ell, mu) single client the bounds are attained exactly."""
-    worst = -np.inf
-    for trial in range(trials):
-        rng = keyed_rng(seed, 0x44, trial)
-        mu = float(rng.uniform(0.5, 2.0))
-        ell = mu * float(rng.uniform(1.0, 20.0))
-        client = ClientModel(a_matrix=np.diag([ell, mu]), center=np.zeros(2))
-        pop = Population.uniform([client], bounds=SpectrumBounds(mu, ell, 0.0))
-        alpha = float(rng.choice([0.0, 0.5, 2.0]))
-        k = int(rng.integers(1, 31))
-        if rng.random() < 0.5:
-            theta = WeightScheme.first_k(k)
-            gamma = float(rng.uniform(0.0, 0.95)) / (ell + alpha)
-            bound = tb.kappa_bound_fedavg(mu, ell, alpha, gamma, k)
-        else:
-            theta = WeightScheme.last_only(k)
-            gamma = float(rng.uniform(0.0, 0.95)) / (k * ell + alpha)
-            bound = tb.kappa_bound_maml(mu, ell, alpha, gamma, k)
-        report = tb.kappa_exact(pop, alpha, gamma, theta)
-        worst = max(worst, abs(report.kappa_exact - bound))
-    return CheckResult("lemma34_tightness", trials, worst, 1e-10)
+    mu = float(rng.uniform(0.5, 2.0))
+    ell = mu * float(rng.uniform(1.0, 20.0))
+    client = ClientModel(a_matrix=np.diag([ell, mu]), center=np.zeros(2))
+    pop = Population.uniform([client], bounds=SpectrumBounds(mu, ell, 0.0))
+    alpha, gamma, theta, bound = _family_instance(rng, mu, ell, (0.0, 0.5, 2.0))
+    report = tb.kappa_exact(pop, alpha, gamma, theta)
+    return abs(report.kappa_exact - bound), 1
 
 
-def check_lemma5_distance(seed: int, trials: int = 500) -> CheckResult:
+@suite("lemma5_distance", tag=0x51, threshold=1e-9, trials=500)
+def check_lemma5_distance(rng, trial):
     """Measured minimizer distance obeys the spectral bound (2C in d=1, 8C else)."""
-    worst = -np.inf
-    for trial in range(trials):
-        rng = keyed_rng(seed, 0x51, trial)
-        if trial % 2 == 0:
-            pop = random_population(rng, max_dim=1, max_clients=10, min_dim=1)
-        else:
-            pop = random_population(rng, max_dim=20, max_clients=10, min_dim=2)
-        alpha, gamma, theta = random_admissible_params(rng, pop.bounds.ell, k_max=30)
-        measured = qw.minimizer_distance(pop, alpha, gamma, theta)
-        bound = tb.distance_bound(pop, alpha, gamma, theta)
-        worst = max(worst, measured - bound)
-    return CheckResult("lemma5_distance", trials, worst, 1e-9)
+    if trial % 2 == 0:
+        pop = random_population(rng, max_dim=1, max_clients=10, min_dim=1)
+    else:
+        pop = random_population(rng, max_dim=20, max_clients=10, min_dim=2)
+    alpha, gamma, theta = random_admissible_params(rng, pop.bounds.ell, k_max=30)
+    measured = qw.minimizer_distance(pop, alpha, gamma, theta)
+    return measured - tb.distance_bound(pop, alpha, gamma, theta), 1
 
 
-def check_theorem4_distance(seed: int, trials: int = 200) -> CheckResult:
+@suite("theorem4_distance", tag=0x52, threshold=1e-9, trials=200)
+def check_theorem4_distance(rng, trial):
     """Minimizer distance obeys 8C (sqrt(k0)-sqrt(k))/(sqrt(k0)+sqrt(k))."""
-    worst = -np.inf
-    for trial in range(trials):
-        rng = keyed_rng(seed, 0x52, trial)
-        pop = random_population(rng, max_dim=10, max_clients=8, min_dim=2)
-        alpha = float(rng.choice([0.0, 0.5]))
-        k = int(rng.integers(1, 31))
-        if rng.random() < 0.5:
-            theta = WeightScheme.first_k(k)
-            gamma = float(rng.uniform(0.0, 0.95)) / (pop.bounds.ell + alpha)
-            kappa = tb.kappa_bound_fedavg(pop.bounds.mu, pop.bounds.ell, alpha, gamma, k)
-        else:
-            theta = WeightScheme.last_only(k)
-            gamma = float(rng.uniform(0.0, 0.95)) / (k * pop.bounds.ell + alpha)
-            kappa = tb.kappa_bound_maml(pop.bounds.mu, pop.bounds.ell, alpha, gamma, k)
-        bound = tb.distance_bound_from_kappa(kappa, pop.bounds.kappa0, pop.bounds.c_radius)
-        measured = qw.minimizer_distance(pop, alpha, gamma, theta)
-        worst = max(worst, measured - bound)
-    return CheckResult("theorem4_distance", trials, worst, 1e-9)
+    pop = random_population(rng, max_dim=10, max_clients=8, min_dim=2)
+    alpha, gamma, theta, kappa = _family_instance(rng, pop.bounds.mu, pop.bounds.ell, (0.0, 0.5))
+    bound = tb.distance_bound_from_kappa(kappa, pop.bounds.kappa0, pop.bounds.c_radius)
+    return qw.minimizer_distance(pop, alpha, gamma, theta) - bound, 1
 
 
-def check_lemma6_distortion_condition(seed: int, trials: int = 200) -> CheckResult:
+@suite("lemma6_distortion_condition", tag=0x53, threshold=1e-9, trials=200)
+def check_lemma6_distortion_condition(rng, trial):
     """cond(Q_i) <= kappa0 / kappa for both families under their preconditions."""
-    worst = -np.inf
-    count = 0
-    for trial in range(trials):
-        rng = keyed_rng(seed, 0x53, trial)
-        pop = random_population(rng, max_dim=10, max_clients=6, min_dim=2)
-        mu, ell = pop.bounds.mu, pop.bounds.ell
-        alpha = float(rng.choice([0.0, 0.5]))
-        k = int(rng.integers(1, 31))
-        if rng.random() < 0.5:
-            theta = WeightScheme.first_k(k)
-            gamma = float(rng.uniform(0.0, 0.95)) / (ell + alpha)
-            kappa = tb.kappa_bound_fedavg(mu, ell, alpha, gamma, k)
-        else:
-            theta = WeightScheme.last_only(k)
-            gamma = float(rng.uniform(0.0, 0.95)) / (k * ell + alpha)
-            kappa = tb.kappa_bound_maml(mu, ell, alpha, gamma, k)
-        allowed = pop.bounds.kappa0 / kappa
-        q_eigs = tb.scheme_q_eigenvalues(pop.spectra, alpha, gamma, theta)
-        conditions = q_eigs.max(axis=1) / q_eigs.min(axis=1)
-        worst = max(worst, float(conditions.max()) - allowed)
-        count += pop.n_clients
-    return CheckResult("lemma6_distortion_condition", count, worst, 1e-9)
+    pop = random_population(rng, max_dim=10, max_clients=6, min_dim=2)
+    alpha, gamma, theta, kappa = _family_instance(rng, pop.bounds.mu, pop.bounds.ell, (0.0, 0.5))
+    q_eigs = tb.scheme_q_eigenvalues(pop.spectra, alpha, gamma, theta)
+    conditions = q_eigs.max(axis=1) / q_eigs.min(axis=1)
+    return float(conditions.max()) - pop.bounds.kappa0 / kappa, pop.n_clients
 
 
-def check_mad_scalar(seed: int, trials: int = 10**4) -> CheckResult:
+@suite("mad_scalar", tag=0x61, threshold=1e-12, trials=10**4)
+def check_mad_scalar(rng, trial):
     """Mean absolute deviation bound, with equality on two-point supports."""
-    worst = -np.inf
-    for trial in range(trials):
-        rng = keyed_rng(seed, 0x61, trial)
-        two_point = trial % 5 == 0
-        dist = random_discrete_distribution(rng, two_point=two_point)
-        gap = tb.mad(dist) - tb.mad_bound(dist)
-        worst = max(worst, abs(gap) if two_point else gap)
-    return CheckResult("mad_scalar", trials, worst, 1e-12)
+    two_point = trial % 5 == 0
+    dist = random_discrete_distribution(rng, two_point=two_point)
+    gap = tb.mad(dist) - tb.mad_bound(dist)
+    return (abs(gap) if two_point else gap), 1
 
 
-def check_mad_matrix(seed: int, trials: int = 10**3) -> CheckResult:
+@suite("mad_matrix", tag=0x62, threshold=1e-9, trials=10**3)
+def check_mad_matrix(rng, trial):
     """Matrix-weighted discrepancy bound M(X|Y) <= 2 (b - a) / b."""
-    worst = -np.inf
-    for trial in range(trials):
-        rng = keyed_rng(seed, 0x62, trial)
-        xs, ys, a, b = random_commuting_family(rng)
-        m = tb.matrix_weighted_discrepancy(xs, ys)
-        worst = max(worst, m - 2.0 * (b - a) / b)
-    return CheckResult("mad_matrix", trials, worst, 1e-9)
+    xs, ys, a, b = random_commuting_family(rng)
+    return tb.matrix_weighted_discrepancy(xs, ys) - 2.0 * (b - a) / b, 1
 
 
-def check_corollary1(seed: int, trials: int = 50) -> CheckResult:
+@suite("corollary1", tag=0x71, threshold=1e-9, trials=50)
+def check_corollary1(rng, trial):
     """Iterates approach the empirical optimum within rho^T d0 + distance bound."""
-    worst = -np.inf
-    for trial in range(trials):
-        rng = keyed_rng(seed, 0x71, trial)
-        pop = random_population(rng, max_dim=10, max_clients=6, min_dim=2, min_clients=2)
-        alpha = float(rng.choice([0.0, 0.5]))
-        k = int(rng.integers(1, 21))
-        theta = WeightScheme.first_k(k)
-        gamma = float(rng.uniform(0.1, 0.9)) / (pop.bounds.ell + alpha)
-        kappa = tb.kappa_bound_fedavg(pop.bounds.mu, pop.bounds.ell, alpha, gamma, k)
-        rho = tb.rho_from_kappa(kappa, "plain")
-        dec = eigh(qw.surrogate_hessian(pop, alpha, gamma, theta))
-        opt = auto_tune("plain", dec.lambda_max, dec.lambda_min)
-        x_star_surr = qw.surrogate_minimizer(pop, alpha, gamma, theta)
-        x_star = qw.empirical_minimizer(pop)
-        x0 = rng.uniform(-3.0, 3.0, size=pop.dim)
-        rounds = 20
-        cfg = RunConfig(alpha=alpha, gamma=gamma, theta=theta, rounds=rounds)
-        traj = run(pop, x0, cfg, opt)
-        lhs = float(np.linalg.norm(traj.iterates[-1] - x_star))
-        rhs = rho**rounds * float(np.linalg.norm(x0 - x_star_surr)) + tb.distance_bound_from_kappa(
-            kappa, pop.bounds.kappa0, pop.bounds.c_radius
-        )
-        worst = max(worst, lhs - rhs)
-    return CheckResult("corollary1", trials, worst, 1e-9)
+    pop = random_population(rng, max_dim=10, max_clients=6, min_dim=2, min_clients=2)
+    alpha = float(rng.choice([0.0, 0.5]))
+    k = int(rng.integers(1, 21))
+    theta = WeightScheme.first_k(k)
+    gamma = float(rng.uniform(0.1, 0.9)) / (pop.bounds.ell + alpha)
+    kappa = tb.kappa_bound_fedavg(pop.bounds.mu, pop.bounds.ell, alpha, gamma, k)
+    rho = tb.rho_from_kappa(kappa, "plain")
+    dec = eigh(qw.surrogate_hessian(pop, alpha, gamma, theta))
+    opt = auto_tune("plain", dec.lambda_max, dec.lambda_min)
+    x_star_surr = qw.surrogate_minimizer(pop, alpha, gamma, theta)
+    x_star = qw.empirical_minimizer(pop)
+    x0 = rng.uniform(-3.0, 3.0, size=pop.dim)
+    rounds = 20
+    cfg = RunConfig(alpha=alpha, gamma=gamma, theta=theta, rounds=rounds)
+    traj = run(pop, x0, cfg, opt)
+    lhs = float(np.linalg.norm(traj.iterates[-1] - x_star))
+    rhs = rho**rounds * float(np.linalg.norm(x0 - x_star_surr)) + tb.distance_bound_from_kappa(
+        kappa, pop.bounds.kappa0, pop.bounds.c_radius
+    )
+    return lhs - rhs, 1
 
 
-def check_seed_determinism(seed: int, trials: int = 10) -> CheckResult:
+@suite("seed_determinism", tag=0x81, threshold=0.0, trials=10)
+def check_seed_determinism(rng, trial):
     """Identical configs give bit-identical stochastic trajectories."""
-    worst = -np.inf
-    for trial in range(trials):
-        rng = keyed_rng(seed, 0x81, trial)
-        dim = int(rng.integers(1, 4))
-        clients = tuple(random_client_with_examples(rng, dim=dim) for _ in range(3))
-        pop = Population.uniform(clients)
-        theta = random_theta(rng, k_max=3)
-        gamma = float(rng.uniform(0.0, 0.5)) / pop.bounds.ell
-        cfg = RunConfig(
-            alpha=0.0,
-            gamma=gamma,
-            theta=theta,
-            rounds=8,
-            seed=int(rng.integers(0, 2**32)),
-            mode="stochastic",
-            clients_per_round=2,
-            batch_size=1,
-        )
-        opt = auto_tune("plain", pop.bounds.ell, pop.bounds.mu)
-        x0 = rng.uniform(-1.0, 1.0, size=pop.dim)
-        t1 = run(pop, x0, cfg, opt)
-        t2 = run(pop, x0, cfg, opt)
-        equal = np.array_equal(t1.iterates, t2.iterates) and np.array_equal(
-            t1.pseudo_gradients, t2.pseudo_gradients
-        )
-        worst = max(worst, 0.0 if equal else 1.0)
-    return CheckResult("seed_determinism", trials, worst, 0.0)
-
-
-SUITES = {
-    "theorem1_deterministic": check_theorem1_deterministic,
-    "theorem1_stochastic": check_theorem1_stochastic,
-    "theorem2_maml": check_theorem2_maml,
-    "theorem3_rates": check_theorem3_rates,
-    "lemma1_positive_definite": check_lemma1_positive_definite,
-    "lemma2_condition_bound": check_lemma2_condition_bound,
-    "lemma34_kappa_bounds": check_lemma34_kappa_bounds,
-    "lemma34_tightness": check_lemma34_tightness,
-    "lemma5_distance": check_lemma5_distance,
-    "theorem4_distance": check_theorem4_distance,
-    "lemma6_distortion_condition": check_lemma6_distortion_condition,
-    "mad_scalar": check_mad_scalar,
-    "mad_matrix": check_mad_matrix,
-    "corollary1": check_corollary1,
-    "seed_determinism": check_seed_determinism,
-}
+    dim = int(rng.integers(1, 4))
+    clients = tuple(random_client_with_examples(rng, dim=dim) for _ in range(3))
+    pop = Population.uniform(clients)
+    theta = random_theta(rng, k_max=3)
+    gamma = float(rng.uniform(0.0, 0.5)) / pop.bounds.ell
+    cfg = RunConfig(
+        alpha=0.0,
+        gamma=gamma,
+        theta=theta,
+        rounds=8,
+        seed=int(rng.integers(0, 2**32)),
+        mode="stochastic",
+        clients_per_round=2,
+        batch_size=1,
+    )
+    opt = auto_tune("plain", pop.bounds.ell, pop.bounds.mu)
+    x0 = rng.uniform(-1.0, 1.0, size=pop.dim)
+    t1 = run(pop, x0, cfg, opt)
+    t2 = run(pop, x0, cfg, opt)
+    equal = np.array_equal(t1.iterates, t2.iterates) and np.array_equal(
+        t1.pseudo_gradients, t2.pseudo_gradients
+    )
+    return (0.0 if equal else 1.0), 1
 
 
 def select_suites(only: str | None) -> list[str]:

@@ -1,5 +1,7 @@
 """Verification-suite plumbing: selection, report schema, suite health."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -10,11 +12,17 @@ from local_update_lab import (
     distortion_matrix,
     surrogate_gradient,
 )
+from local_update_lab import quadratics, verify
 from local_update_lab.bounds import scheme_q_eigenvalues
+from local_update_lab.cli import main
 from local_update_lab.errors import InvalidInputError
 from local_update_lab.matrices import keyed_rng
 from local_update_lab.verify import (
     SUITES,
+    check_corollary1,
+    check_lemma5_distance,
+    check_theorem3_rates,
+    check_theorem4_distance,
     random_admissible_params,
     random_population,
     run_checks,
@@ -54,6 +62,46 @@ class TestReport:
     def test_trials_override(self):
         report = run_checks(only="theorem2", seed=0, trials=7)
         assert report["checks"][0]["instances"] == 7
+
+
+def test_every_suite_reports_under_its_own_key():
+    # a suite's name is written once, where it is registered
+    assert len(SUITES) == 15
+    for name, check in SUITES.items():
+        assert check(0, trials=1).name == name
+
+
+class TestNanViolation:
+    """A NaN violation fails its suite; max() would silently drop it."""
+
+    @pytest.fixture
+    def nan_minimizer(self, monkeypatch):
+        monkeypatch.setattr(
+            quadratics, "surrogate_minimizer", lambda pop, *args: np.full(pop.dim, np.nan)
+        )
+
+    @pytest.mark.usefixtures("nan_minimizer")
+    @pytest.mark.parametrize("check", [check_lemma5_distance, check_theorem4_distance, check_corollary1])
+    def test_suite_reports_nan_and_fails(self, check):
+        result = check(0, trials=4)
+        assert math.isnan(result.max_violation)
+        assert not result.passed
+
+    @pytest.mark.usefixtures("nan_minimizer")
+    def test_cli_exits_4(self, tmp_path):
+        assert main(["verify", "--only", "lemma5", "--out", str(tmp_path / "r.json")]) == 4
+
+    def test_client_gap_keeps_nan(self):
+        rng = keyed_rng(0, 0x11, 0)
+        pop = random_population(rng, max_dim=6, min_clients=3, max_clients=3)
+        alpha, gamma, theta = random_admissible_params(rng, pop.bounds.ell, k_max=5)
+        x = np.ones(pop.dim)
+        x[0] = np.nan
+        assert math.isnan(theorem1_client_gap(pop, x, alpha, gamma, theta))
+
+    def test_theorem3_keeps_nan_of_one_optimizer(self, monkeypatch):
+        monkeypatch.setattr(verify, "geometric_rate", lambda *args, **kwargs: np.nan)  # nesterov only
+        assert math.isnan(check_theorem3_rates(0, trials=1).max_violation)
 
 
 def test_all_suites_pass_at_reduced_size():
