@@ -266,16 +266,17 @@ class DiscreteDistribution:
     probs: np.ndarray
 
     def __post_init__(self):
-        values = np.atleast_1d(np.asarray(self.values, dtype=float))
-        probs = np.atleast_1d(np.asarray(self.probs, dtype=float))
+        values = np.array(self.values, dtype=float, ndmin=1, copy=None)
+        probs = np.array(self.probs, dtype=float, ndmin=1, copy=None)
         if values.ndim != 1 or values.size == 0 or values.shape != probs.shape:
             raise InvalidInputError("values and probs must be matching nonempty 1-d arrays")
-        if not (np.all(np.isfinite(values)) and np.all(np.isfinite(probs))):
+        if not (np.isfinite(values).all() and np.isfinite(probs).all()):
             raise InvalidInputError("values and probs must be finite")
-        if np.any(probs < 0.0):
+        if (probs < 0.0).any():
             raise InvalidInputError("probabilities must be nonnegative")
-        if abs(float(np.sum(probs)) - 1.0) > 1e-12:
-            raise InvalidInputError(f"probabilities sum to {np.sum(probs)!r}, expected 1")
+        total = probs.sum()
+        if abs(float(total) - 1.0) > 1e-12:
+            raise InvalidInputError(f"probabilities sum to {total!r}, expected 1")
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "probs", probs)
 
@@ -300,9 +301,8 @@ def mad_bound(dist: DiscreteDistribution) -> float:
     the constant-variable convention. Equality holds exactly when X is
     supported on {a, b}.
     """
-    support = dist.support()
-    a = float(support.min())
-    b = float(support.max())
+    support = dist.support().tolist()
+    a, b = min(support), max(support)
     if a == b:
         return 0.0
     mean = dist.mean
@@ -310,36 +310,70 @@ def mad_bound(dist: DiscreteDistribution) -> float:
 
 
 def _spectral_norms(stack: np.ndarray) -> np.ndarray:
-    """2-norm of each matrix of an (n, d, d) stack, bit-identical to one call each."""
-    return np.linalg.norm(stack, 2, axis=(-2, -1))
+    """2-norm of each matrix of an (n, d, d) stack, bit-identical to one call each.
+
+    This is np.linalg.norm(stack, 2, axis=(-2, -1)) without its dispatch: the
+    largest singular value, which svd returns first.
+    """
+    return np.linalg.svd(stack, compute_uv=False)[..., 0]
+
+
+def _clean_stacks(xs, ys) -> tuple[np.ndarray, np.ndarray] | None:
+    """X and Y as (n, d, d) stacks if both are finite, exactly symmetric and one shape, else None."""
+    try:
+        x_stack = np.asarray(xs, dtype=float)
+        y_stack = np.asarray(ys, dtype=float)
+    except (TypeError, ValueError):  # ragged or non-numeric: checked matrix by matrix
+        return None
+    clean = (
+        x_stack.ndim == 3
+        and x_stack.shape == y_stack.shape
+        and x_stack.shape[1] == x_stack.shape[2]
+        and x_stack.size > 0
+        and np.isfinite(x_stack).all()
+        and np.isfinite(y_stack).all()
+        and (x_stack == x_stack.swapaxes(1, 2)).all()
+        and (y_stack == y_stack.swapaxes(1, 2)).all()
+    )
+    return (x_stack, y_stack) if clean else None
 
 
 def _validate_weighted_family(xs, ys, commute_tol: float = 1e-9):
     """Validated X and Y stacks, (n, d, d) each.
 
-    Checks run pair by pair in index order (dimension, then Y positive
-    definite, then commutation), so the first violating pair is the one
-    named; the eigenvalues and norms behind them come from stacked calls.
+    A family of finite, exactly symmetric matrices of one shape is checked on
+    its two stacks at once. Any other family goes through check_symmetric one
+    matrix at a time (every X, then every Y), which names the first bad
+    matrix or symmetrises a rounding-level asymmetry. Pair checks then run in
+    index order (dimension, then Y positive definite, then commutation), so
+    the first violating pair is the one named; the eigenvalues and norms
+    behind them come from stacked calls.
     """
-    xs = [check_symmetric(x, f"X[{i}]") for i, x in enumerate(xs)]
-    ys = [check_symmetric(y, f"Y[{i}]") for i, y in enumerate(ys)]
-    if len(xs) == 0 or len(xs) != len(ys):
-        raise InvalidInputError("need matching nonempty X and Y lists")
-    dim = xs[0].shape[0]
-    n_valid = next(
-        (i for i, (x, y) in enumerate(zip(xs, ys)) if x.shape[0] != dim or y.shape[0] != dim), len(xs)
-    )
-    x_stack = np.array(xs[:n_valid]).reshape(n_valid, dim, dim)
-    y_stack = np.array(ys[:n_valid]).reshape(n_valid, dim, dim)
+    stacks = _clean_stacks(xs, ys)
+    if stacks is not None:
+        x_stack, y_stack = stacks
+        n_valid = n_pairs = len(x_stack)
+    else:
+        xs = [check_symmetric(x, f"X[{i}]") for i, x in enumerate(xs)]
+        ys = [check_symmetric(y, f"Y[{i}]") for i, y in enumerate(ys)]
+        if len(xs) == 0 or len(xs) != len(ys):
+            raise InvalidInputError("need matching nonempty X and Y lists")
+        dim, n_pairs = xs[0].shape[0], len(xs)
+        n_valid = next(
+            (i for i, (x, y) in enumerate(zip(xs, ys)) if x.shape[0] != dim or y.shape[0] != dim), n_pairs
+        )
+        x_stack = np.array(xs[:n_valid]).reshape(n_valid, dim, dim)
+        y_stack = np.array(ys[:n_valid]).reshape(n_valid, dim, dim)
     lam_mins = np.linalg.eigh(y_stack)[0][:, 0]
-    commutators = _spectral_norms(x_stack @ y_stack - y_stack @ x_stack)
-    scales = 1.0 + _spectral_norms(x_stack) * _spectral_norms(y_stack)
-    for i in range(n_valid):
+    norms = _spectral_norms(np.concatenate([x_stack @ y_stack - y_stack @ x_stack, x_stack, y_stack]))
+    commutators, x_norms, y_norms = norms.reshape(3, n_valid)
+    bad = (lam_mins <= SPD_LAMBDA_MIN) | (commutators > commute_tol * (1.0 + x_norms * y_norms))
+    if bad.any():
+        i = int(bad.argmax())
         if lam_mins[i] <= SPD_LAMBDA_MIN:
             raise InvalidInputError(f"weight Y[{i}] is not positive definite (lambda_min={lam_mins[i]:.3e})")
-        if commutators[i] > commute_tol * scales[i]:
-            raise InvalidInputError(f"pair {i} does not commute")
-    if n_valid < len(xs):
+        raise InvalidInputError(f"pair {i} does not commute")
+    if n_valid < n_pairs:
         raise InvalidInputError("all matrices must share one dimension")
     return x_stack, y_stack
 

@@ -110,6 +110,12 @@ def _render_frontier(frontier: Frontier, fmt: str, title: str, out: str | None) 
         _emit(frontier_svg(frontier, title=title), out)
     else:
         raise InvalidInputError(f"unsupported format {fmt!r}")
+    if fmt != "json" and frontier.skipped:
+        # JSON lists these in skipped[]; CSV and SVG have no place for them
+        spec = frontier.spec
+        print(f"note: {len(frontier.skipped)} of {len(spec.grid)} grid points skipped:", file=sys.stderr)
+        for point in frontier.skipped:
+            print(f"  {spec.vary}={point.axis_value:.12g}: {point.reason}", file=sys.stderr)
 
 
 # ---------------------------------------------------------------------------
@@ -293,8 +299,9 @@ def cmd_mad_check(args) -> int:
     elif args.format == "csv":
         lines = ["name,instances,max_violation,threshold,pass"]
         for c in report["checks"]:
+            violation = "" if c["max_violation"] is None else format(c["max_violation"], ".17g")
             lines.append(
-                f"{c['name']},{c['instances']},{format(c['max_violation'], '.17g')},"
+                f"{c['name']},{c['instances']},{violation},"
                 f"{format(c['threshold'], '.17g')},{str(c['pass']).lower()}"
             )
         _emit("\n".join(lines) + "\n", args.out)

@@ -9,6 +9,7 @@ pure functions, and all randomness flows through counter-based keyed streams
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,18 +38,37 @@ def child_seed(seed: int, *tags: int) -> int:
     return mixed
 
 
+class _PhiloxKey(np.random.bit_generator.ISeedSequence):
+    """A seed sequence that hands Philox one precomputed key.
+
+    Philox(key=...) first builds a SeedSequence from fresh OS entropy and
+    then overwrites the state it seeded; Philox(_PhiloxKey(key)) asks this
+    object for its key instead, so it gathers no entropy and starts in the
+    same state (counter 0, that key).
+    """
+
+    def __init__(self, key: np.ndarray):
+        self.key = key
+
+    def generate_state(self, n_words: int, dtype=np.uint32) -> np.ndarray:
+        if n_words != 2 or np.dtype(dtype) != np.uint64:
+            raise ValueError(f"a Philox key is 2 uint64 words, not {n_words} of {np.dtype(dtype)}")
+        return self.key
+
+
 def keyed_rng(seed: int, *tags: int) -> np.random.Generator:
     """Deterministic substream for (seed, tags) on a counter-based generator.
 
     Child streams for e.g. (seed, round) or (seed, grid_index) are derived by
     mixing the tags into the second Philox key word, so results do not depend
-    on evaluation order or scheduling.
+    on evaluation order or scheduling. The stream is the one of
+    Generator(Philox(key=key)), bit for bit.
     """
     mixed = _splitmix64(len(tags))
     for tag in tags:
         mixed = _splitmix64(mixed ^ (int(tag) & _MASK64))
     key = np.array([int(seed) & _MASK64, mixed], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
+    return np.random.Generator(np.random.Philox(_PhiloxKey(key)))
 
 
 def symmetrize(a: np.ndarray) -> np.ndarray:
@@ -64,9 +84,9 @@ def check_symmetric(a: np.ndarray, name: str = "matrix") -> np.ndarray:
     a = np.asarray(a, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] < 1:
         raise DimensionMismatchError(f"{name} must be square, got shape {a.shape}")
-    if not np.all(np.isfinite(a)):
+    if not np.isfinite(a).all():
         raise InvalidInputError(f"{name} contains non-finite entries")
-    if not np.array_equal(a, a.T):
+    if not (a == a.T).all():
         # Accept tiny asymmetry from upstream arithmetic, reject anything real.
         if np.max(np.abs(a - a.T)) > 1e-12 * (1.0 + np.max(np.abs(a))):
             raise InvalidInputError(f"{name} is not symmetric")
@@ -112,7 +132,7 @@ class SpectrumBounds:
     def __post_init__(self):
         if not (0.0 < self.mu <= self.ell):
             raise InvalidInputError(f"need 0 < mu <= ell, got mu={self.mu}, ell={self.ell}")
-        if not np.isfinite(self.ell):
+        if not math.isfinite(self.ell):
             raise InvalidInputError(f"mu and ell must be finite, got mu={self.mu}, ell={self.ell}")
         if not self.c_radius >= 0.0:
             raise InvalidInputError(f"c_radius must be nonnegative, got {self.c_radius}")

@@ -30,6 +30,7 @@ stores at construction; the verification suites compare the two.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Iterator
 from dataclasses import dataclass, field
 
@@ -77,24 +78,24 @@ class WeightScheme:
     _structure: tuple[str, int, float] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        coeffs = np.atleast_1d(np.asarray(self.coefficients, dtype=float))
+        coeffs = np.array(self.coefficients, dtype=float, ndmin=1, copy=None)
         if coeffs.ndim != 1 or coeffs.size == 0:
             raise InvalidInputError("coefficients must be a nonempty 1-d sequence")
-        if not np.all(np.isfinite(coeffs)):
+        if not np.isfinite(coeffs).all():
             raise InvalidInputError("coefficients must be finite")
-        if np.any(coeffs < 0.0):
+        if (coeffs < 0.0).any():
             raise InvalidInputError("coefficients must be nonnegative")
         positive = coeffs > 0.0
-        if not np.any(positive):
+        if not positive.any():
             raise InvalidInputError("at least one coefficient must be positive")
         object.__setattr__(self, "coefficients", coeffs)
         # Classified once here: sweeps query size/structure() many times per
         # grid point on coefficient vectors of length up to 1e6.
-        k = coeffs.size - int(np.argmax(positive[::-1]))
+        k = coeffs.size - int(positive[::-1].argmax())
         active = coeffs[:k]
         if np.count_nonzero(positive) == 1:
             structure = ("last_only", k, float(active[-1]))
-        elif np.all(active == active[0]):
+        elif (active == active[0]).all():
             structure = ("uniform_prefix", k, float(active[0]))
         else:
             structure = ("general", k, float("nan"))
@@ -159,11 +160,11 @@ class QuadraticExample:
     def __post_init__(self):
         b = mat.check_symmetric(self.b_matrix, "b_matrix")
         c = np.asarray(self.center, dtype=float)
-        if c.ndim != 1 or c.shape[0] != b.shape[0]:
+        if c.shape != (b.shape[0],):
             raise DimensionMismatchError(
                 f"center has shape {c.shape}, expected ({b.shape[0]},)"
             )
-        if not np.all(np.isfinite(c)):
+        if not np.isfinite(c).all():
             raise InvalidInputError("center contains non-finite entries")
         object.__setattr__(self, "b_matrix", b)
         object.__setattr__(self, "center", c)
@@ -188,11 +189,11 @@ class ClientModel:
     def __post_init__(self):
         a = mat.check_symmetric(self.a_matrix, "a_matrix")
         c = np.asarray(self.center, dtype=float)
-        if c.ndim != 1 or c.shape[0] != a.shape[0]:
+        if c.shape != (a.shape[0],):
             raise DimensionMismatchError(
                 f"center has shape {c.shape}, expected ({a.shape[0]},)"
             )
-        if not np.all(np.isfinite(c)):
+        if not np.isfinite(c).all():
             raise InvalidInputError("center contains non-finite entries")
         object.__setattr__(self, "a_matrix", a)
         object.__setattr__(self, "center", c)
@@ -274,35 +275,42 @@ class Population:
             raise DimensionMismatchError(
                 f"weights shape {weights.shape} does not match {len(clients)} clients"
             )
-        if np.any(weights < 0.0) or not np.all(np.isfinite(weights)):
+        if (weights < 0.0).any() or not np.isfinite(weights).all():
             raise InvalidInputError("weights must be finite and nonnegative")
-        if abs(float(np.sum(weights)) - 1.0) > 1e-12:
-            raise InvalidInputError(f"weights sum to {np.sum(weights)!r}, expected 1")
+        total = weights.sum()
+        if abs(float(total) - 1.0) > 1e-12:
+            raise InvalidInputError(f"weights sum to {total!r}, expected 1")
         step = max(1, _EIGH_BATCH_ENTRIES // dim**2)
         spectra = np.concatenate([
-            np.linalg.eigh(np.stack([client.a_matrix for client in clients[i : i + step]]))[0]
+            np.linalg.eigh(np.array([client.a_matrix for client in clients[i : i + step]]))[0]
             for i in range(0, len(clients), step)
         ])
-        norms = [float(np.linalg.norm(client.center)) for client in clients]
+        # sqrt(c . c) is np.linalg.norm(c) bit for bit, without its dispatch
+        norms = np.array([math.sqrt(client.center.dot(client.center)) for client in clients])
+        lowest, highest = spectra[:, 0], spectra[:, -1]
         bounds = self.bounds
         if bounds is None:
-            mu = float(spectra[:, 0].min())
+            mu = float(lowest.min())
             if mu <= 0.0:
                 raise InvalidInputError(f"client matrices must be positive definite, got eigenvalue {mu:.12g}")
-            bounds = SpectrumBounds(mu=mu, ell=float(spectra[:, -1].max()), c_radius=max(norms))
-        for index, (lams, norm) in enumerate(zip(spectra, norms)):
-            if lams[0] < bounds.mu - _BOUNDS_TOL:
+            bounds = SpectrumBounds(mu=mu, ell=float(highest.max()), c_radius=float(norms.max()))
+        below = lowest < bounds.mu - _BOUNDS_TOL
+        above = highest > bounds.ell + _BOUNDS_TOL
+        outside = norms > bounds.c_radius + _BOUNDS_TOL
+        violating = below | above | outside
+        if violating.any():
+            index = int(violating.argmax())  # the first violating client, checked in this order
+            if below[index]:
                 raise InvalidInputError(
-                    f"client {index}: eigenvalue {lams[0]:.12g} below mu={bounds.mu}"
+                    f"client {index}: eigenvalue {lowest[index]:.12g} below mu={bounds.mu}"
                 )
-            if lams[-1] > bounds.ell + _BOUNDS_TOL:
+            if above[index]:
                 raise InvalidInputError(
-                    f"client {index}: eigenvalue {lams[-1]:.12g} above ell={bounds.ell}"
+                    f"client {index}: eigenvalue {highest[index]:.12g} above ell={bounds.ell}"
                 )
-            if norm > bounds.c_radius + _BOUNDS_TOL:
-                raise InvalidInputError(
-                    f"client {index}: center norm {norm:.12g} above c_radius={bounds.c_radius}"
-                )
+            raise InvalidInputError(
+                f"client {index}: center norm {norms[index]:.12g} above c_radius={bounds.c_radius}"
+            )
         spectra.flags.writeable = False
         object.__setattr__(self, "clients", clients)
         object.__setattr__(self, "weights", weights)

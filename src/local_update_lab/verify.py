@@ -11,6 +11,7 @@ same instance distributions.
 from __future__ import annotations
 
 import itertools
+import math
 from collections.abc import Callable
 from dataclasses import dataclass
 
@@ -47,13 +48,18 @@ def random_orthonormal(rng: np.random.Generator, dim: int) -> np.ndarray:
 
 
 def _symmetric_from_eigenpairs(basis: np.ndarray, lams: np.ndarray) -> np.ndarray:
-    m = (basis * lams) @ basis.T
-    return 0.5 * (m + m.T)
+    """basis diag(lams) basis^T, symmetrised; stacked bases or spectra give a stack.
+
+    Every matrix of a stack is bit-identical to building it alone.
+    """
+    m = (basis * lams[..., None, :]) @ basis.swapaxes(-1, -2)
+    return 0.5 * (m + m.swapaxes(-1, -2))
 
 
 def _center_in_ball(rng: np.random.Generator, dim: int, c_radius: float) -> np.ndarray:
     center = rng.standard_normal(dim)
-    return center / max(np.linalg.norm(center), 1e-12) * rng.uniform(0.0, c_radius)
+    norm = math.sqrt(center.dot(center))  # np.linalg.norm(center), bit for bit
+    return center / max(norm, 1e-12) * rng.uniform(0.0, c_radius)
 
 
 def _client_spectrum(
@@ -113,10 +119,8 @@ def random_population(
             centers.append(_center_in_ball(rng, dim, c_radius))
         q, r = np.linalg.qr(np.stack(gaussians))
         bases = q * np.sign(np.diagonal(r, axis1=-2, axis2=-1))[:, None, :]
-        clients = tuple(
-            ClientModel(a_matrix=_symmetric_from_eigenpairs(basis, lams), center=center)
-            for basis, lams, center in zip(bases, spectra, centers)
-        )
+        matrices = _symmetric_from_eigenpairs(bases, np.array(spectra))
+        clients = tuple(ClientModel(a_matrix=a, center=center) for a, center in zip(matrices, centers))
     if uniform_weights:
         weights = np.full(n, 1.0 / n)
     else:
@@ -214,26 +218,27 @@ def random_discrete_distribution(
 
 def random_commuting_family(
     rng: np.random.Generator, dim_max: int = 6, n_max: int = 6
-) -> tuple[list[np.ndarray], list[np.ndarray], float, float]:
-    """(X_i, Y_i, a, b) sharing one eigenbasis, with a, b the X extremes."""
+) -> tuple[np.ndarray, np.ndarray, float, float]:
+    """(X, Y, a, b): (n, d, d) stacks sharing one eigenbasis, with a, b the X extremes.
+
+    The eigenvalues are drawn pair by pair in the stream order of drawing
+    each pair whole; X and Y are then built as two stacks.
+    """
     dim = int(rng.integers(1, dim_max + 1))
     n = int(rng.integers(1, n_max + 1))
     basis = random_orthonormal(rng, dim)
     a_lo = rng.uniform(0.2, 2.0)
     b_hi = a_lo + rng.uniform(0.1, 5.0)
-    xs, ys = [], []
-    x_eigs = []
-    for _ in range(n):
-        lx = rng.uniform(a_lo, b_hi, size=dim)
+    x_eigs, y_eigs = np.empty((n, dim)), np.empty((n, dim))
+    for lx, ly in zip(x_eigs, y_eigs):
+        lx[:] = rng.uniform(a_lo, b_hi, size=dim)
         if rng.random() < 0.3:
             lx[0] = a_lo
         if rng.random() < 0.3:
             lx[-1] = b_hi
-        ly = rng.uniform(0.1, 2.0, size=dim)
-        xs.append(_symmetric_from_eigenpairs(basis, lx))
-        ys.append(_symmetric_from_eigenpairs(basis, ly))
-        x_eigs.append(lx)
-    x_eigs = np.concatenate(x_eigs)
+        ly[:] = rng.uniform(0.1, 2.0, size=dim)
+    xs = _symmetric_from_eigenpairs(basis, x_eigs)
+    ys = _symmetric_from_eigenpairs(basis, y_eigs)
     return xs, ys, float(x_eigs.min()), float(x_eigs.max())
 
 
@@ -244,7 +249,10 @@ def random_commuting_family(
 
 @dataclass(frozen=True)
 class CheckResult:
-    """Outcome of one suite: worst violation over the generated instances."""
+    """Outcome of one suite: worst violation over the generated instances.
+
+    A suite that checked no instance fails: it has shown nothing.
+    """
 
     name: str
     instances: int
@@ -253,14 +261,19 @@ class CheckResult:
 
     @property
     def passed(self) -> bool:
-        return self.max_violation <= self.threshold
+        return self.instances > 0 and self.max_violation <= self.threshold
 
     def as_dict(self) -> dict:
-        """The JSON report entry {name, instances, max_violation, threshold, pass}."""
+        """The JSON report entry {name, instances, max_violation, threshold, pass}.
+
+        A non-finite max_violation (NaN, or -inf when no instance was
+        checked) is written as null, so the report is strict JSON.
+        """
+        violation = float(self.max_violation)
         return {
             "name": self.name,
             "instances": int(self.instances),
-            "max_violation": float(self.max_violation),
+            "max_violation": violation if math.isfinite(violation) else None,
             "threshold": float(self.threshold),
             "pass": bool(self.passed),
         }

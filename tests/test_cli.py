@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from local_update_lab import SpectrumBounds, save_population
+from local_update_lab import bounds
 from local_update_lab.bounds import tightness_population
 from local_update_lab.cli import main
 from local_update_lab.matrices import keyed_rng
@@ -75,6 +76,39 @@ class TestFrontierCommand:
         ])
         assert code == 3
         assert "gamma" in capsys.readouterr().err
+
+
+class TestSkippedPointsNote:
+    """CSV and SVG frontiers name their skipped grid points on stderr; JSON lists them itself."""
+
+    K_ONLY = ["frontier", "--mu", "1", "--ell", "10", "--family", "k-only", "--gamma", "0.01", "--points", "12"]
+
+    @pytest.mark.parametrize("fmt", ["csv", "svg"])
+    def test_frontier_names_skipped_points(self, tmp_path, capsys, fmt):
+        out = tmp_path / f"f.{fmt}"
+        assert run_cli(self.K_ONLY + ["--format", fmt, "--out", str(out)]) == 0
+        lines = capsys.readouterr().err.splitlines()
+        assert lines[0] == "note: 10 of 12 grid points skipped:"
+        assert lines[1] == "  K=12: need gamma < 1/(K*ell+alpha) = 0.00833333, got gamma=0.01"
+        assert lines[-1] == "  K=1000000: need gamma < 1/(K*ell+alpha) = 1e-07, got gamma=0.01"
+        assert len(lines) == 11
+
+    def test_json_and_complete_grids_add_nothing(self, tmp_path, capsys):
+        assert run_cli(self.K_ONLY + ["--format", "json", "--out", str(tmp_path / "f.json")]) == 0
+        assert len(json.loads((tmp_path / "f.json").read_text())["skipped"]) == 10
+        assert run_cli(["frontier", "--mu", "1", "--ell", "10", "--points", "12",
+                        "--out", str(tmp_path / "g.csv")]) == 0
+        assert capsys.readouterr().err == ""
+
+    def test_maml_sim_names_skipped_points(self, tmp_path, capsys):
+        out = tmp_path / "sim.csv"
+        assert run_cli(["maml-sim", "--dim", "6", "--mu", "1", "--ell", "10", "--gamma", "0.05",
+                        "--points", "10", "--out", str(out)]) == 0
+        lines = capsys.readouterr().err.splitlines()
+        assert lines[0] == "note: 8 of 10 grid points skipped:"
+        assert lines[1] == "  K=22: kappa 71420.9 exceeds kappa0 10"
+        assert "nonpositive distorted eigenvalue" in lines[-1]
+        assert out.read_text().count("\n") == 3  # header and the two admitted points
 
 
 class TestMamlSimCommand:
@@ -203,6 +237,12 @@ class TestMadCheckCommand:
         lines = out_csv.read_text().strip().split("\n")
         assert lines[0] == "name,instances,max_violation,threshold,pass"
         assert len(lines) == 3
+
+    def test_nan_violation_is_an_empty_csv_field(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(bounds, "mad_bound", lambda dist: float("nan"))
+        out_csv = tmp_path / "mad.csv"
+        assert run_cli(["mad-check", "--trials", "5", "--format", "csv", "--out", str(out_csv)]) == 4
+        assert out_csv.read_text().split("\n")[1] == "mad_scalar,5,,9.9999999999999998e-13,false"
 
 
 class TestTightnessCommand:

@@ -1,5 +1,6 @@
 """Simulation engine: client updates, MAML meta-gradients, server rounds, tuning."""
 
+import itertools
 from dataclasses import replace
 from math import comb
 
@@ -403,32 +404,71 @@ class TestServerRound:
                 server_round(pop, x, cfg, opt)[2], reference_server_round(pop, x, cfg, opt)[2]
             )
 
-    def test_stochastic_round_is_unbiased_for_nonuniform_weights(self):
+    def test_stochastic_round_is_unbiased_for_nonuniform_weights(self, monkeypatch):
         # Two of three clients per round with weights (0.7, 0.2, 0.1) and full
-        # batches: the mean pseudo-gradient over seeds must match the surrogate
-        # gradient within 4 standard errors. Drawing without replacement with
-        # p=weights and averaging unweighted missed it by 36 and 93.
+        # batches, so a round's pseudo-gradient depends only on the clients it
+        # draws. Its exact mean is the sum over all 3^2 draw tuples of
+        # server_round's pseudo-gradient for that tuple times the tuple's
+        # probability; it must equal the surrogate gradient up to rounding.
+        # Drawing without replacement with p=weights and averaging unweighted
+        # missed it by 36 and 93 standard errors.
         clients = tuple(example_client(keyed_rng(72, i), dim=2) for i in range(3))
-        pop = Population(
-            clients=clients,
-            weights=np.array([0.7, 0.2, 0.1]),
-            bounds=Population.uniform(clients).bounds,
-        )
+        weights = np.array([0.7, 0.2, 0.1])
+        pop = Population(clients=clients, weights=weights, bounds=Population.uniform(clients).bounds)
         theta = WeightScheme.first_k(2)
         gamma = 0.3 / pop.bounds.ell
         x = np.array([1.0, -0.5])
-        opt = ServerOptSpec(kind="plain", step=0.1)
-        draws = np.array([
-            server_round(pop, x, RunConfig(
-                alpha=0.5, gamma=gamma, theta=theta, rounds=1, seed=seed,
-                mode="stochastic", clients_per_round=2, batch_size=2,
-            ), opt)[2]
-            for seed in range(4000)
-        ])
-        stderr = draws.std(axis=0, ddof=1) / np.sqrt(len(draws))
+        cfg = RunConfig(alpha=0.5, gamma=gamma, theta=theta, rounds=1, seed=0,
+                        mode="stochastic", clients_per_round=2, batch_size=2)
+        client_means = [exact_stochastic_mean(client, x, 0.5, gamma, theta, batch=2) for client in clients]
         predicted = surrogate_gradient(pop, x, 0.5, gamma, theta)
-        assert np.all(stderr > 0.0)
-        assert np.all(np.abs(draws.mean(axis=0) - predicted) <= 4.0 * stderr)
+        scale = 1.0 + np.linalg.norm(predicted)
+
+        class FixedDraws:
+            def choice(self, n, size, p):
+                return np.array(tuple_drawn)
+
+        def sampler_draws_the_tuple(seed, *tags):
+            return FixedDraws() if tags[0] == engine._DOMAIN_SAMPLING else keyed_rng(seed, *tags)
+
+        monkeypatch.setattr(engine, "keyed_rng", sampler_draws_the_tuple)
+        mean = np.zeros(2)
+        for tuple_drawn in itertools.product(range(3), repeat=2):
+            q = server_round(pop, x, cfg, ServerOptSpec(kind="plain", step=0.1))[2]
+            # the round averages its clients' updates, each the client's exact expectation
+            expected = np.mean([client_means[i] for i in tuple_drawn], axis=0)
+            assert np.linalg.norm(q - expected) <= 1e-12 * scale
+            mean += np.prod(weights[list(tuple_drawn)]) * q
+        assert np.linalg.norm(mean - predicted) <= 1e-12 * scale
+
+    def test_stochastic_draw_frequencies_follow_weights(self):
+        # client i sends 10**i at x = 1, so a round's average names the pair it
+        # drew; over 1500 seeds every pair's frequency must be within 5
+        # standard errors of its probability under draws with replacement
+        clients = tuple(
+            ClientModel.from_examples(
+                [QuadraticExample(b_matrix=np.eye(1), center=np.array([1.0 - 10.0**i]))] * 2
+            )
+            for i in range(3)
+        )
+        weights = np.array([0.7, 0.2, 0.1])
+        pop = Population(clients=clients, weights=weights, bounds=Population.uniform(clients).bounds)
+        opt = ServerOptSpec(kind="plain", step=0.1)
+        rounds = 1500
+        counts = {}
+        for seed in range(rounds):
+            cfg = RunConfig(
+                alpha=0.0, gamma=0.0, theta=WeightScheme.single(), rounds=1, seed=seed,
+                mode="stochastic", clients_per_round=2, batch_size=2,
+            )
+            q = float(server_round(pop, np.ones(1), cfg, opt)[2][0])
+            counts[q] = counts.get(q, 0) + 1
+        pairs = {(10.0**i + 10.0**j) / 2.0: (2.0 - (i == j)) * weights[i] * weights[j]
+                 for i in range(3) for j in range(i, 3)}
+        assert set(counts) <= set(pairs)
+        for value, p in pairs.items():
+            observed = counts.get(value, 0)
+            assert abs(observed - p * rounds) <= 5.0 * np.sqrt(rounds * p * (1.0 - p)), (value, observed)
 
     def test_stochastic_draws_follow_weights(self):
         # client i sends 10**i at x = 1, so a round's average names the pair it

@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from local_update_lab import EigenDecomposition, SpectrumBounds, eigh, random_spd_with_spectrum
 from local_update_lab.errors import InfeasibleSpectrumError, InvalidInputError
+from local_update_lab import engine, verify
 from local_update_lab.matrices import child_seed, keyed_rng, symmetrize
 
 
@@ -130,3 +131,61 @@ class TestSeeding:
         c = keyed_rng(5, 1, 3).standard_normal(4)
         np.testing.assert_array_equal(a, b)
         assert not np.array_equal(a, c)
+
+
+def _reference_philox(seed, *tags):
+    """Generator(Philox(key=...)) on the key keyed_rng derives, written out here."""
+    mask = 2**64 - 1
+
+    def splitmix(value):
+        value = (value + 0x9E3779B97F4A7C15) & mask
+        value = ((value ^ (value >> 30)) * 0xBF58476D1CE4E5B9) & mask
+        value = ((value ^ (value >> 27)) * 0x94D049BB133111EB) & mask
+        return value ^ (value >> 31)
+
+    mixed = splitmix(len(tags))
+    for tag in tags:
+        mixed = splitmix(mixed ^ (tag & mask))
+    return np.random.Generator(np.random.Philox(key=np.array([seed & mask, mixed], dtype=np.uint64)))
+
+
+_SUITE_TAGS = (0x11, 0x12, 0x21, 0x31, 0x41, 0x42, 0x43, 0x44, 0x51, 0x52, 0x53, 0x61, 0x62, 0x71, 0x81)
+_STREAM_TAGS = (
+    [(tag, trial) for tag in _SUITE_TAGS for trial in (0, 1, 9999)]
+    + [(engine._DOMAIN_SAMPLING, t) for t in (0, 1, 299)]
+    + [(engine._DOMAIN_CLIENT, t, draw) for t in (0, 299) for draw in (0, 7)]
+    + [(0x5D,), (0xA0, 0), ()]
+)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 14, 2374950348, 2**64 - 1, -1])
+def test_keyed_streams_are_philox_on_the_derived_key(seed):
+    """keyed_rng builds its Philox without drawing OS entropy; its streams stay the same."""
+    for tags in _STREAM_TAGS:
+        got, expected = keyed_rng(seed, *tags), _reference_philox(seed, *tags)
+        assert repr(got.bit_generator.state) == repr(expected.bit_generator.state), tags
+        for draw in (
+            lambda rng: rng.random(3),
+            lambda rng: rng.integers(1, 21, size=2),
+            lambda rng: rng.uniform(-2.0, 2.0, size=3),
+            lambda rng: rng.standard_normal((2, 2)),
+            lambda rng: rng.dirichlet(np.ones(4)),
+            lambda rng: rng.choice(5, size=3, p=[0.5, 0.2, 0.1, 0.1, 0.1]),
+            lambda rng: rng.choice([0.0, 0.0, 0.5, 2.0]),
+        ):
+            np.testing.assert_array_equal(draw(got), draw(expected))
+        assert repr(got.bit_generator.state) == repr(expected.bit_generator.state), tags
+
+
+def test_suite_streams_use_the_pinned_tags(monkeypatch):
+    # every registered suite draws its trials from one of the tags pinned above
+    seen = set()
+
+    def recording(seed, *tags):
+        seen.add(tags[0])
+        return keyed_rng(seed, *tags)
+
+    monkeypatch.setattr(verify, "keyed_rng", recording)
+    for check in verify.SUITES.values():
+        check(0, trials=1)
+    assert seen == set(_SUITE_TAGS)

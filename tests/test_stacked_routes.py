@@ -123,6 +123,27 @@ def ref_matrix_weighted_discrepancy(xs, ys, commute_tol=1e-9):
     return total
 
 
+def ref_random_commuting_family(rng, dim_max=6, n_max=6):
+    dim = int(rng.integers(1, dim_max + 1))
+    n = int(rng.integers(1, n_max + 1))
+    basis = random_orthonormal(rng, dim)
+    a_lo = rng.uniform(0.2, 2.0)
+    b_hi = a_lo + rng.uniform(0.1, 5.0)
+    xs, ys, x_eigs = [], [], []
+    for _ in range(n):
+        lx = rng.uniform(a_lo, b_hi, size=dim)
+        if rng.random() < 0.3:
+            lx[0] = a_lo
+        if rng.random() < 0.3:
+            lx[-1] = b_hi
+        ly = rng.uniform(0.1, 2.0, size=dim)
+        xs.append(symmetrize((basis * lx) @ basis.T))
+        ys.append(symmetrize((basis * ly) @ basis.T))
+        x_eigs.append(lx)
+    x_eigs = np.concatenate(x_eigs)
+    return xs, ys, float(x_eigs.min()), float(x_eigs.max())
+
+
 def ref_random_client(rng, dim, mu, ell, c_radius, pin_extremes=False):
     if dim == 1:
         lams = np.array([ell if pin_extremes else rng.uniform(mu, ell)])
@@ -254,6 +275,17 @@ def test_matrix_weighted_discrepancy_bit_identical():
         assert matrix_weighted_discrepancy(xs, ys) == ref_matrix_weighted_discrepancy(xs, ys)
 
 
+def test_random_commuting_family_bit_identical():
+    for trial in range(300):
+        dim_max = 48 if trial % 10 == 0 else 6
+        rng, ref_rng = keyed_rng(13, trial), keyed_rng(13, trial)
+        xs, ys, a, b = random_commuting_family(rng, dim_max=dim_max, n_max=12)
+        ref_xs, ref_ys, ref_a, ref_b = ref_random_commuting_family(ref_rng, dim_max=dim_max, n_max=12)
+        assert np.array_equal(xs, ref_xs) and np.array_equal(ys, ref_ys)
+        assert (a, b) == (ref_a, ref_b)
+        assert rng.random() == ref_rng.random()  # the stream ends where it did
+
+
 @pytest.mark.parametrize(
     "xs, ys",
     [
@@ -262,6 +294,12 @@ def test_matrix_weighted_discrepancy_bit_identical():
         ([np.eye(2), np.eye(2)], [-np.eye(2), np.eye(3)]),
         ([np.diag([1.0, 2.0]), np.eye(2)], [np.array([[1.0, 1.0], [1.0, 3.0]]), -np.eye(2)]),
         ([np.eye(2), np.diag([1.0, 2.0])], [np.eye(2), np.array([[1.0, 1.0], [1.0, 3.0]])]),
+        ([], []),
+        ([np.eye(2)], [np.eye(2), np.eye(2)]),
+        ([np.ones((2, 3))], [np.eye(2)]),
+        ([np.eye(2), np.diag([1.0, np.nan])], [np.eye(2), np.eye(2)]),
+        ([np.eye(2), np.eye(2)], [np.eye(2), np.array([[1.0, 2.0], [0.0, 1.0]])]),
+        ([np.eye(2), np.eye(2)], [np.diag([1.0, 1e-13]), -np.eye(2)]),
     ],
 )
 def test_matrix_weighted_validation_names_the_first_bad_pair(xs, ys):

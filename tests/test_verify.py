@@ -1,5 +1,6 @@
 """Verification-suite plumbing: selection, report schema, suite health."""
 
+import json
 import math
 
 import numpy as np
@@ -19,6 +20,7 @@ from local_update_lab.errors import InvalidInputError
 from local_update_lab.matrices import keyed_rng
 from local_update_lab.verify import (
     SUITES,
+    CheckResult,
     check_corollary1,
     check_lemma5_distance,
     check_theorem3_rates,
@@ -64,6 +66,46 @@ class TestReport:
         assert report["checks"][0]["instances"] == 7
 
 
+def strict_json(text: str) -> dict:
+    """json.loads that rejects NaN and Infinity, as a strict JSON parser does."""
+
+    def reject(token):
+        raise ValueError(f"non-standard JSON token {token}")
+
+    return json.loads(text, parse_constant=reject)
+
+
+class TestEmptySuite:
+    """A suite that checked no instance has shown nothing, so it fails."""
+
+    def test_cli_exits_4_with_a_strict_json_report(self, tmp_path):
+        # lemma2's only trial at seed 14 has kappa_exact > 1e6 and is skipped
+        out = tmp_path / "r.json"
+        assert main(["verify", "--only", "lemma2", "--seed", "14", "--trials", "1", "--out", str(out)]) == 4
+        report = strict_json(out.read_text(encoding="utf-8"))
+        assert report["checks"] == [{
+            "name": "lemma2_condition_bound", "instances": 0, "max_violation": None,
+            "threshold": 1e-9, "pass": False,
+        }]
+        assert report["all_pass"] is False
+
+    def test_result_with_no_instance_fails(self):
+        assert not CheckResult("s", 0, -math.inf, 1.0).passed
+        assert not CheckResult("s", 0, 0.0, 1.0).passed
+        assert CheckResult("s", 1, 0.0, 1.0).passed
+
+    @pytest.mark.parametrize("violation", [math.nan, math.inf, -math.inf])
+    def test_non_finite_violation_is_null(self, violation):
+        entry = CheckResult("s", 3, violation, 1e-9).as_dict()
+        assert entry["max_violation"] is None
+        assert strict_json(json.dumps(entry))["max_violation"] is None
+
+    def test_finite_violation_is_written_as_before(self):
+        assert CheckResult("s", 3, -2.5e-17, 1e-9).as_dict() == {
+            "name": "s", "instances": 3, "max_violation": -2.5e-17, "threshold": 1e-9, "pass": True,
+        }
+
+
 def test_every_suite_reports_under_its_own_key():
     # a suite's name is written once, where it is registered
     assert len(SUITES) == 15
@@ -90,6 +132,9 @@ class TestNanViolation:
     @pytest.mark.usefixtures("nan_minimizer")
     def test_cli_exits_4(self, tmp_path):
         assert main(["verify", "--only", "lemma5", "--out", str(tmp_path / "r.json")]) == 4
+        (check,) = strict_json((tmp_path / "r.json").read_text(encoding="utf-8"))["checks"]
+        assert check["max_violation"] is None
+        assert check["pass"] is False
 
     def test_client_gap_keeps_nan(self):
         rng = keyed_rng(0, 0x11, 0)
