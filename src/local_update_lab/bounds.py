@@ -29,7 +29,7 @@ from .errors import ConditioningError, InvalidInputError
 # eigh stays bound here although the weighted-family check decomposes its
 # whole Y stack with np.linalg.eigh: perfbench traces matrices.eigh in every
 # module namespace that binds it, and its tests look it up in this one.
-from .matrices import SPD_LAMBDA_MIN, SpectrumBounds, check_symmetric, eigh  # noqa: F401
+from .matrices import SPD_LAMBDA_MIN, SpectrumBounds, check_symmetric, eigh, real_array  # noqa: F401
 from .quadratics import Population, WeightScheme
 
 # Summation is exact and cheap up to this K; beyond it the geometric closed
@@ -266,8 +266,8 @@ class DiscreteDistribution:
     probs: np.ndarray
 
     def __post_init__(self):
-        values = np.array(self.values, dtype=float, ndmin=1, copy=None)
-        probs = np.array(self.probs, dtype=float, ndmin=1, copy=None)
+        values = np.array(real_array(self.values, "values"), ndmin=1, copy=None)
+        probs = np.array(real_array(self.probs, "probs"), ndmin=1, copy=None)
         if values.ndim != 1 or values.size == 0 or values.shape != probs.shape:
             raise InvalidInputError("values and probs must be matching nonempty 1-d arrays")
         if not (np.isfinite(values).all() and np.isfinite(probs).all()):
@@ -319,10 +319,12 @@ def _spectral_norms(stack: np.ndarray) -> np.ndarray:
 
 
 def _clean_stacks(xs, ys) -> tuple[np.ndarray, np.ndarray] | None:
-    """X and Y as (n, d, d) stacks if both are finite, exactly symmetric and one shape, else None."""
+    """X and Y as (n, d, d) stacks if both are real, finite, exactly symmetric and one shape, else None."""
     try:
-        x_stack = np.asarray(xs, dtype=float)
-        y_stack = np.asarray(ys, dtype=float)
+        x_stack, y_stack = np.asarray(xs), np.asarray(ys)
+        if "c" in (x_stack.dtype.kind, y_stack.dtype.kind):
+            return None  # checked matrix by matrix, which names the complex one
+        x_stack, y_stack = x_stack.astype(float, copy=False), y_stack.astype(float, copy=False)
     except (TypeError, ValueError):  # ragged or non-numeric: checked matrix by matrix
         return None
     clean = (

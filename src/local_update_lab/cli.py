@@ -55,7 +55,15 @@ from .frontier import (
 from .matrices import SpectrumBounds, eigh, keyed_rng
 from .quadratics import Population, WeightScheme
 from .svgplot import frontier_svg
-from .verify import SUITES, CheckResult, random_population, run_checks, theorem1_client_gap
+from .verify import (
+    SUITES,
+    CheckResult,
+    checks_report,
+    random_population,
+    run_checks,
+    run_suites,
+    theorem1_client_gap,
+)
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -281,13 +289,28 @@ def _population_file_checks(path: str) -> list[dict]:
     ]
 
 
+def _failure_line(result: CheckResult, seed: int) -> str:
+    """How a failing suite failed, and the command that reruns its worst trial."""
+    if result.worst_trial is None:
+        return f"{result.name}: failed with no trial recorded ({result.instances} instances)"
+    t = result.worst_trial
+    return (
+        f"{result.name}: worst trial {t}, violation {result.max_violation:.6g}; "
+        f"rerun: lul verify --only {result.name} --seed {seed} --trials {t + 1}"
+    )
+
+
 def cmd_verify(args) -> int:
     seed = _resolve_seed(args.seed)
-    report = run_checks(only=args.only, seed=seed, trials=args.trials)
+    results = run_suites(only=args.only, seed=seed, trials=args.trials)
+    report = checks_report(seed, results)
     if args.population is not None:
         report["checks"].extend(_population_file_checks(args.population))
         report["all_pass"] = bool(all(c["pass"] for c in report["checks"]))
     _emit(_json_dumps(report), args.out)
+    for result in results:
+        if not result.passed:
+            print(_failure_line(result, seed), file=sys.stderr)
     return EXIT_OK if report["all_pass"] else EXIT_VERIFY_FAILED
 
 

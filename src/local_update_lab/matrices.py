@@ -79,9 +79,21 @@ def symmetrize(a: np.ndarray) -> np.ndarray:
     return 0.5 * (a + a.T)
 
 
+def real_array(value, name: str) -> np.ndarray:
+    """value as a float64 array, rejecting complex input before the cast.
+
+    A cast from complex to float drops the imaginary part with only a
+    ComplexWarning, so every validated input goes through here instead.
+    """
+    array = np.asarray(value)
+    if array.dtype.kind == "c":
+        raise InvalidInputError(f"{name} has complex entries")
+    return array.astype(float, copy=False)
+
+
 def check_symmetric(a: np.ndarray, name: str = "matrix") -> np.ndarray:
-    """Validate a finite square symmetric matrix and return it as float64."""
-    a = np.asarray(a, dtype=float)
+    """Validate a finite square real symmetric matrix and return it as float64."""
+    a = real_array(a, name)
     if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] < 1:
         raise DimensionMismatchError(f"{name} must be square, got shape {a.shape}")
     if not np.isfinite(a).all():

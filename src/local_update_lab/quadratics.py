@@ -23,16 +23,31 @@ kernel evaluates the clients' Q_i with one batched matmul per step over
 their stacked (n, d, d) matrices (O(K n d^3) flops, in cache-sized batches
 of clients), and surrogate_hessian/gradient/minimizer/loss_value sum its
 Q_i A_i over the clients in index order, bit-identical to evaluating each
-client alone; distortion_matrix is its one-client view. The eigenvalue route (bounds.scheme_q_eigenvalues,
-kappa_exact, distance_bound) starts from the client spectra a Population
-stores at construction; the verification suites compare the two.
+client alone; distortion_matrix is its one-client view. The eigenvalue route
+(bounds.scheme_q_eigenvalues, kappa_exact, distance_bound) starts from the
+client spectra a Population stores at construction; the verification suites
+compare the two.
+
+A Population remembers one surrogate system: the sums E_i[Q_i A_i] and
+E_i[Q_i A_i c_i] at the (alpha, gamma, theta) it was last asked about, one
+d x d matrix and one d-vector. surrogate_hessian and surrogate_minimizer (and
+so minimizer_distance, auto-tuning and the trajectory export) reuse it while
+the query stays at that point, so a run of queries on one point runs the
+Horner kernel once; a query at another point replaces it. Each call still
+makes its own checks and returns fresh arrays, bit-identical to a fresh
+population's. The named weight schemes (first_k, last_only, single,
+maml_equivalent) are records (kind, K, theta), O(1) in K: their coefficient
+vector is built when first read, which only the Horner kernel and the engine
+do, so the eigenvalue route and its K sweeps to 1e6 allocate nothing of
+length K.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from collections.abc import Iterator
-from dataclasses import dataclass, field
+from dataclasses import FrozenInstanceError, dataclass, field
 
 import numpy as np
 
@@ -63,7 +78,6 @@ _EIGH_BATCH_ENTRIES = 4096
 _HORNER_BATCH_ENTRIES = 65536
 
 
-@dataclass(frozen=True)
 class WeightScheme:
     """Coefficients theta_1..theta_K weighting the K local gradients.
 
@@ -72,13 +86,18 @@ class WeightScheme:
     first_k(K) sums all K gradients (FedAvg/Reptile style), last_only(K)
     sends only the K-th (FOMAML style), and maml_equivalent(K) is the
     last_only(2K+1) scheme realising exact MAML on quadratics.
+
+    A named scheme is its record (kind, K, theta) and takes O(1) memory in
+    K: size, weight and structure() read the record, and the read-only
+    coefficient vector is built the first time coefficients is read (by the
+    Horner kernel, the engine or polyval). A general scheme copies and
+    classifies its coefficients once. Two schemes are equal when they weight
+    the first K(theta) gradients alike: equal structure(), and for a general
+    scheme equal active coefficients (trailing zeros are inert).
     """
 
-    coefficients: np.ndarray
-    _structure: tuple[str, int, float] = field(init=False, compare=False, repr=False)
-
-    def __post_init__(self):
-        coeffs = np.array(self.coefficients, dtype=float, ndmin=1, copy=None)
+    def __init__(self, coefficients):
+        coeffs = np.array(mat.real_array(coefficients, "coefficients"), ndmin=1)
         if coeffs.ndim != 1 or coeffs.size == 0:
             raise InvalidInputError("coefficients must be a nonempty 1-d sequence")
         if not np.isfinite(coeffs).all():
@@ -88,9 +107,8 @@ class WeightScheme:
         positive = coeffs > 0.0
         if not positive.any():
             raise InvalidInputError("at least one coefficient must be positive")
-        object.__setattr__(self, "coefficients", coeffs)
-        # Classified once here: sweeps query size/structure() many times per
-        # grid point on coefficient vectors of length up to 1e6.
+        coeffs.flags.writeable = False
+        # Classified once here: size and structure() are read many times per scheme.
         k = coeffs.size - int(positive[::-1].argmax())
         active = coeffs[:k]
         if np.count_nonzero(positive) == 1:
@@ -100,22 +118,29 @@ class WeightScheme:
         else:
             structure = ("general", k, float("nan"))
         object.__setattr__(self, "_structure", structure)
+        object.__setattr__(self, "_coefficients", coeffs)
+
+    @classmethod
+    def _named(cls, kind: str, k: int) -> "WeightScheme":
+        if k < 1:
+            raise InvalidInputError(f"k must be >= 1, got {k}")
+        k = operator.index(k)
+        if k == 1:
+            kind = "last_only"  # one positive coefficient, as __init__ classifies it
+        scheme = cls.__new__(cls)
+        object.__setattr__(scheme, "_structure", (kind, k, 1.0))
+        object.__setattr__(scheme, "_coefficients", None)
+        return scheme
 
     @classmethod
     def first_k(cls, k: int) -> "WeightScheme":
         """Theta_{1:K}: all of the first k gradients, unit weights."""
-        if k < 1:
-            raise InvalidInputError(f"k must be >= 1, got {k}")
-        return cls(np.ones(k))
+        return cls._named("uniform_prefix", k)
 
     @classmethod
     def last_only(cls, k: int) -> "WeightScheme":
         """Theta_K: only the k-th gradient."""
-        if k < 1:
-            raise InvalidInputError(f"k must be >= 1, got {k}")
-        coeffs = np.zeros(k)
-        coeffs[-1] = 1.0
-        return cls(coeffs)
+        return cls._named("last_only", k)
 
     @classmethod
     def single(cls) -> "WeightScheme":
@@ -128,6 +153,21 @@ class WeightScheme:
         return cls.last_only(2 * k + 1)
 
     @property
+    def coefficients(self) -> np.ndarray:
+        """The read-only vector theta_1..theta_K (built on first read for a named scheme)."""
+        coeffs = self._coefficients
+        if coeffs is None:
+            kind, k, _ = self._structure
+            if kind == "uniform_prefix":
+                coeffs = np.ones(k)
+            else:
+                coeffs = np.zeros(k)
+                coeffs[-1] = 1.0
+            coeffs.flags.writeable = False
+            object.__setattr__(self, "_coefficients", coeffs)
+        return coeffs
+
+    @property
     def size(self) -> int:
         """K(theta): largest index (1-based) with a positive coefficient."""
         return self._structure[1]
@@ -135,7 +175,11 @@ class WeightScheme:
     @property
     def weight(self) -> float:
         """w(theta): sum of the coefficients."""
-        return float(np.sum(self.coefficients))
+        if self._coefficients is None:
+            # a named scheme not yet built: its unit coefficients sum to k exactly
+            kind, k, _ = self._structure
+            return float(k) if kind == "uniform_prefix" else 1.0
+        return float(np.sum(self._coefficients))
 
     def structure(self) -> tuple[str, int, float]:
         """Classify the scheme for closed-form spectral evaluation.
@@ -144,6 +188,28 @@ class WeightScheme:
         ("general", K, nan). Detection is exact, not approximate.
         """
         return self._structure
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, WeightScheme):
+            return NotImplemented
+        kind, k, coeff = self._structure
+        if (kind, k) != other._structure[:2]:
+            return False
+        if kind == "general":
+            return bool(np.array_equal(self._coefficients[:k], other._coefficients[:k]))
+        return coeff == other._structure[2]
+
+    def __repr__(self) -> str:
+        kind, k, coeff = self._structure
+        if kind == "general":
+            return f"WeightScheme({self._coefficients[:k]!r})"
+        return f"WeightScheme({kind}, K={k}, theta={coeff!r})"
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
 
 
 @dataclass(frozen=True)
@@ -159,7 +225,7 @@ class QuadraticExample:
 
     def __post_init__(self):
         b = mat.check_symmetric(self.b_matrix, "b_matrix")
-        c = np.asarray(self.center, dtype=float)
+        c = mat.real_array(self.center, "center")
         if c.shape != (b.shape[0],):
             raise DimensionMismatchError(
                 f"center has shape {c.shape}, expected ({b.shape[0]},)"
@@ -168,6 +234,11 @@ class QuadraticExample:
             raise InvalidInputError("center contains non-finite entries")
         object.__setattr__(self, "b_matrix", b)
         object.__setattr__(self, "center", c)
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return np.array_equal(self.b_matrix, other.b_matrix) and np.array_equal(self.center, other.center)
 
     @property
     def dim(self) -> int:
@@ -188,7 +259,7 @@ class ClientModel:
 
     def __post_init__(self):
         a = mat.check_symmetric(self.a_matrix, "a_matrix")
-        c = np.asarray(self.center, dtype=float)
+        c = mat.real_array(self.center, "center")
         if c.shape != (a.shape[0],):
             raise DimensionMismatchError(
                 f"center has shape {c.shape}, expected ({a.shape[0]},)"
@@ -229,6 +300,15 @@ class ClientModel:
         center = np.linalg.solve(a, bc)
         return cls(a_matrix=a, center=center, examples=examples)
 
+    def __eq__(self, other) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return (
+            np.array_equal(self.a_matrix, other.a_matrix)
+            and np.array_equal(self.center, other.center)
+            and self.examples == other.examples
+        )
+
     @property
     def dim(self) -> int:
         return self.a_matrix.shape[0]
@@ -256,12 +336,20 @@ class Population:
     (batched eigh over stacked clients, bit-identical to one call per
     client); the eigenvalue route of bounds.py maps it instead of
     decomposing again.
+
+    A population also remembers its latest surrogate system (see
+    _surrogate_sums): one d x d matrix and one d-vector, replaced when a
+    query asks for another (alpha, gamma, theta). It takes no part in
+    equality.
+
+    Two populations are equal when their clients, weights and bounds are.
     """
 
     clients: tuple[ClientModel, ...]
     weights: np.ndarray
     bounds: SpectrumBounds | None
     spectra: np.ndarray = field(init=False, compare=False, repr=False)
+    _surrogate_memo: tuple | None = field(default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         clients = tuple(self.clients)
@@ -270,7 +358,7 @@ class Population:
         dim = clients[0].dim
         if any(cl.dim != dim for cl in clients):
             raise DimensionMismatchError("all clients must share one dimension")
-        weights = np.asarray(self.weights, dtype=float)
+        weights = mat.real_array(self.weights, "weights")
         if weights.shape != (len(clients),):
             raise DimensionMismatchError(
                 f"weights shape {weights.shape} does not match {len(clients)} clients"
@@ -323,6 +411,15 @@ class Population:
         clients = tuple(clients)
         weights = np.full(len(clients), 1.0 / max(len(clients), 1))
         return cls(clients=clients, weights=weights, bounds=bounds)
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return (
+            self.clients == other.clients
+            and np.array_equal(self.weights, other.weights)
+            and self.bounds == other.bounds
+        )
 
     @property
     def dim(self) -> int:
@@ -391,14 +488,36 @@ def distortion_matrix(
     return _distortion_stack(client.a_matrix[None], alpha, gamma, theta)[0]
 
 
+def _surrogate_sums(
+    pop: Population, alpha: float, gamma: float, theta: WeightScheme
+) -> tuple[np.ndarray, np.ndarray]:
+    """The read-only sums sum_i w_i Q_i A_i and sum_i w_i Q_i A_i c_i, in client order.
+
+    The population remembers them for its latest (alpha, gamma, theta), the
+    floats compared bit for bit and theta by value, so a run of queries on
+    one point (surrogate_hessian, then surrogate_minimizer, then
+    minimizer_distance) runs the Horner kernel once. Callers build fresh
+    arrays from them and keep their own checks: this adds none.
+    """
+    key = (float(alpha).hex(), float(gamma).hex(), theta)
+    memo = pop._surrogate_memo
+    if memo is not None and memo[0] == key:
+        return memo[1], memo[2]
+    h = np.zeros((pop.dim, pop.dim))
+    rhs = np.zeros(pop.dim)
+    for weight, client, qa in zip(pop.weights, pop.clients, _surrogate_hessians(pop, alpha, gamma, theta)):
+        h += weight * qa
+        rhs += weight * (qa @ client.center)
+    h.flags.writeable = rhs.flags.writeable = False
+    object.__setattr__(pop, "_surrogate_memo", (key, h, rhs))
+    return h, rhs
+
+
 def surrogate_hessian(
     pop: Population, alpha: float, gamma: float, theta: WeightScheme
 ) -> np.ndarray:
     """Hessian of the surrogate loss: E_i[Q_i A_i]."""
-    h = np.zeros((pop.dim, pop.dim))
-    for weight, qa in zip(pop.weights, _surrogate_hessians(pop, alpha, gamma, theta)):
-        h += weight * qa
-    return mat.symmetrize(h)
+    return mat.symmetrize(_surrogate_sums(pop, alpha, gamma, theta)[0])
 
 
 def surrogate_gradient(
@@ -421,11 +540,7 @@ def surrogate_minimizer(
     convex.
     """
     require_contractive(pop.bounds, alpha, gamma)
-    h = np.zeros((pop.dim, pop.dim))
-    rhs = np.zeros(pop.dim)
-    for weight, client, qa in zip(pop.weights, pop.clients, _surrogate_hessians(pop, alpha, gamma, theta)):
-        h += weight * qa
-        rhs += weight * (qa @ client.center)
+    h, rhs = _surrogate_sums(pop, alpha, gamma, theta)
     return np.linalg.solve(mat.symmetrize(h), rhs)
 
 

@@ -252,12 +252,15 @@ class CheckResult:
     """Outcome of one suite: worst violation over the generated instances.
 
     A suite that checked no instance fails: it has shown nothing.
+    worst_trial is the index of the trial that set max_violation (None when
+    no trial did); the JSON report leaves it out.
     """
 
     name: str
     instances: int
     max_violation: float
     threshold: float
+    worst_trial: int | None = None
 
     @property
     def passed(self) -> bool:
@@ -288,23 +291,23 @@ def suite(name: str, tag: int, threshold: float, trials: int):
     The instance function maps (rng, trial) to (violation, instances), or to
     None for a trial it skips. The registered check(seed, trials) draws trial
     t from keyed_rng(seed, tag, t), so `lul verify --only name --seed seed
-    --trials t+1` reruns it. It keeps the worst violation and sums the
-    instances. A NaN violation beats every number and is never replaced, so
-    it fails the suite; max() would drop it.
+    --trials t+1` reruns it. It keeps the worst violation, the first trial
+    that reached it, and sums the instances. A NaN violation beats every
+    number and is never replaced, so it fails the suite; max() would drop it.
     """
 
     def register(instance: Callable[[np.random.Generator, int], tuple[float, int] | None]):
         def check(seed: int, trials: int = trials) -> CheckResult:
-            worst, count = -np.inf, 0
+            worst, worst_trial, count = -np.inf, None, 0
             for trial in range(trials):
                 outcome = instance(keyed_rng(seed, tag, trial), trial)
                 if outcome is None:
                     continue
                 violation, instances = outcome
-                if violation > worst or violation != violation:
-                    worst = violation
+                if violation > worst or (violation != violation and worst == worst):
+                    worst, worst_trial = violation, trial
                 count += instances
-            return CheckResult(name, count, worst, threshold)
+            return CheckResult(name, count, worst, threshold, worst_trial)
 
         check.__name__ = check.__qualname__ = instance.__name__
         check.__doc__ = instance.__doc__
@@ -612,20 +615,30 @@ def select_suites(only: str | None) -> list[str]:
     return names
 
 
-def run_checks(
+def run_suites(
     only: str | None = None, seed: int = 0, trials: int | None = None
-) -> dict:
-    """Run the selected suites and assemble the JSON-ready report."""
+) -> list[CheckResult]:
+    """Run the suites that select_suites(only) names, in its order."""
     if trials is not None and trials < 1:
         raise InvalidInputError(f"trials must be >= 1, got {trials}")
-    results = []
-    for name in select_suites(only):
-        fn = SUITES[name]
-        result = fn(seed) if trials is None else fn(seed, trials)
-        results.append(result)
+    return [
+        SUITES[name](seed) if trials is None else SUITES[name](seed, trials)
+        for name in select_suites(only)
+    ]
+
+
+def checks_report(seed: int, results: list[CheckResult]) -> dict:
+    """The JSON-ready report of suite results."""
     return {
         "schema_version": SCHEMA_VERSION,
         "seed": seed,
         "checks": [r.as_dict() for r in results],
         "all_pass": bool(all(r.passed for r in results)),
     }
+
+
+def run_checks(
+    only: str | None = None, seed: int = 0, trials: int | None = None
+) -> dict:
+    """Run the selected suites and assemble the JSON-ready report."""
+    return checks_report(seed, run_suites(only, seed, trials))

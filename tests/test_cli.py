@@ -133,6 +133,20 @@ class TestSimulateCommand:
         last = out.read_text().strip().split("\n")[-1].split(",")
         assert float(last[-1]) <= 1e-8  # dist_to_empirical_opt
 
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_auto_round_run_assembles_the_surrogate_once(self, fmt, tmp_path, monkeypatch):
+        # auto-tuning, the auto round count and the written distances all
+        # read one surrogate system: one Horner kernel call for the run
+        from local_update_lab import quadratics
+
+        calls = []
+        kernel = quadratics._distortion_stack
+        monkeypatch.setattr(quadratics, "_distortion_stack", lambda *args: calls.append(1) or kernel(*args))
+        code = run_cli(["simulate", "--gamma", "0.02", "--theta", "first-k", "--k", "6", "--dim", "4",
+                        "--n-clients", "3", "--format", fmt, "--out", str(tmp_path / f"traj.{fmt}")])
+        assert code == 0
+        assert len(calls) == 1
+
     def test_population_file_input(self, tmp_path):
         pop_file = tmp_path / "pop.txt"
         save_population(tightness_population(0.5), pop_file)
@@ -375,3 +389,41 @@ class TestDeterminism:
         assert run_cli(args + ["--out", str(out1)]) in (0, 4)
         assert run_cli(args + ["--out", str(out2)]) in (0, 4)
         assert read(out1) == read(out2)
+
+
+class TestVerifyFailureReport:
+    """A failing suite names its worst trial on stderr and how to rerun it."""
+
+    @pytest.fixture
+    def scripted_suite(self, monkeypatch):
+        from local_update_lab import verify
+
+        monkeypatch.setattr(verify, "SUITES", dict(SUITES))
+
+        @verify.suite("scripted_failure", 0x7F, 1.0, 6)
+        def scripted(rng, trial):
+            return (1.0 + rng.random() if trial in (2, 4) else 0.0), 1
+
+    def test_stderr_names_the_worst_trial_and_the_rerun_reproduces_it(self, scripted_suite, tmp_path, capsys):
+        out = tmp_path / "r.json"
+        assert run_cli(["verify", "--only", "scripted_failure,theorem2", "--trials", "6", "--seed", "9",
+                        "--out", str(out)]) == 4
+        report = json.loads(out.read_text())
+        scripted, theorem2 = report["checks"]
+        assert theorem2["pass"] and not scripted["pass"]
+        assert all(set(check) == {"name", "instances", "max_violation", "threshold", "pass"}
+                   for check in report["checks"])
+        (line,) = capsys.readouterr().err.splitlines()  # passing suites print nothing
+        prefix, rerun = line.split("; rerun: ")
+        trial = int(prefix.split("worst trial ")[1].split(",")[0])
+        assert trial in (2, 4)
+        assert prefix == f"scripted_failure: worst trial {trial}, violation {scripted['max_violation']:.6g}"
+        assert rerun == f"lul verify --only scripted_failure --seed 9 --trials {trial + 1}"
+        assert run_cli(rerun.split()[1:] + ["--out", str(tmp_path / "rerun.json")]) == 4
+        (again,) = json.loads((tmp_path / "rerun.json").read_text())["checks"]
+        assert (again["instances"], again["max_violation"]) == (trial + 1, scripted["max_violation"])
+
+    def test_result_without_a_trial(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setitem(SUITES, "always_fails", lambda seed, trials=1: CheckResult("always_fails", 1, 1.0, 0.0))
+        assert run_cli(["verify", "--only", "always_fails", "--out", str(tmp_path / "r.json")]) == 4
+        assert capsys.readouterr().err == "always_fails: failed with no trial recorded (1 instances)\n"

@@ -1,5 +1,7 @@
 """Frontier sweeps, polyline diagnostics, and the empirical rate crosscheck."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -105,6 +107,26 @@ class TestSweep:
         assert last.rho <= 1e-6
         expected_delta = (np.sqrt(10.0) - 1.0) / (np.sqrt(10.0) + 1.0)
         assert last.delta == pytest.approx(expected_delta, abs=1e-9)
+
+    def test_population_sweep_to_a_million_takes_no_memory_in_k(self):
+        # named schemes stay records (kind, K, theta) and kappa_exact maps the
+        # stored spectra, so no grid point allocates its K coefficients (the
+        # largest, 8 MB at K = 1e6, set a 10 MB peak when they were built)
+        import tracemalloc
+
+        rng = keyed_rng(43, 0)
+        pop = random_population(rng, min_dim=48, max_dim=48, min_clients=48, max_clients=48)
+        spec = SweepSpec(family="fedavg_theta", vary="K", grid=default_k_grid(10**6, 60), mu=1.0,
+                         ell=10.0, gamma=1e-3, optimizers=("plain",), kappa_source="exact_spectral",
+                         population=pop)
+        for family in ("fedavg_theta", "maml_theta"):
+            tracemalloc.start()
+            try:
+                frontier = sweep(dataclasses.replace(spec, family=family))
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert frontier.points and peak < 1_000_000
 
     def test_monotone_along_k(self):
         # increasing K trades convergence for accuracy: rho falls, delta rises

@@ -20,7 +20,8 @@ from local_update_lab import (
     surrogate_loss_value,
     surrogate_minimizer,
 )
-from local_update_lab.bounds import scheme_q_eigenvalues, scheme_qa_eigenvalues
+from local_update_lab import quadratics as qw
+from local_update_lab.bounds import kappa_exact, scheme_q_eigenvalues, scheme_qa_eigenvalues
 from local_update_lab.errors import (
     ConditioningError,
     DimensionMismatchError,
@@ -110,6 +111,70 @@ class TestWeightScheme:
             WeightScheme(np.array([np.inf]))
         with pytest.raises(InvalidInputError):
             WeightScheme.first_k(0)
+
+    @pytest.mark.parametrize(
+        "named, coefficients",
+        [
+            (WeightScheme.first_k(4), [1.0, 1.0, 1.0, 1.0]),
+            (WeightScheme.last_only(4), [0.0, 0.0, 0.0, 1.0]),
+            (WeightScheme.single(), [1.0]),
+            (WeightScheme.maml_equivalent(2), [0.0, 0.0, 0.0, 0.0, 1.0]),
+        ],
+    )
+    def test_named_and_general_schemes_agree(self, named, coefficients):
+        general = WeightScheme(np.array(coefficients))
+        assert named == general and general == named and not named != general
+        assert named.size == general.size
+        assert named.weight == general.weight
+        assert named.structure() == general.structure()
+        np.testing.assert_array_equal(named.coefficients, general.coefficients)
+        assert named.coefficients is named.coefficients  # built once
+        for theta in (named, general):
+            assert not theta.coefficients.flags.writeable
+            with pytest.raises(ValueError):
+                theta.coefficients[0] = 2.0
+
+    def test_equality_is_by_value(self):
+        assert WeightScheme.first_k(3) != WeightScheme.first_k(4)
+        assert WeightScheme.first_k(3) != WeightScheme.last_only(3)
+        assert WeightScheme([2.0, 2.0]) != WeightScheme.first_k(2)
+        general = WeightScheme([0.3, 0.0, 0.9])
+        assert general == WeightScheme([0.3, 0.0, 0.9, 0.0])  # trailing zeros are inert
+        assert general != WeightScheme([0.3, 0.1, 0.9])
+        assert WeightScheme.first_k(3) != (1.0, 1.0, 1.0)
+        assert isinstance(WeightScheme.first_k(3) == WeightScheme([1.0, 1.0, 1.0]), bool)
+
+    def test_general_scheme_copies_its_input(self):
+        coeffs = np.array([0.5, 1.0])
+        theta = WeightScheme(coeffs)
+        coeffs[0] = 3.0
+        np.testing.assert_array_equal(theta.coefficients, [0.5, 1.0])
+        assert coeffs.flags.writeable
+
+    def test_schemes_are_immutable(self):
+        theta = WeightScheme.first_k(3)
+        with pytest.raises(AttributeError):
+            theta.coefficients = np.ones(2)
+        with pytest.raises(AttributeError):
+            theta._structure = ("last_only", 1, 1.0)
+
+    def test_named_schemes_take_constant_memory_in_k(self):
+        import tracemalloc
+
+        pop = scalar_pair_population()
+        for k in (10**7, 10**9):  # 10**7 first: a regression costs 80 MB there, not 8 GB
+            tracemalloc.start()
+            try:
+                fed, maml = WeightScheme.first_k(k), WeightScheme.last_only(k)
+                assert (fed.size, fed.weight, fed.structure()) == (k, float(k), ("uniform_prefix", k, 1.0))
+                assert (maml.size, maml.weight, maml.structure()) == (k, 1.0, ("last_only", k, 1.0))
+                reports = [kappa_exact(pop, 0.0, 1e-12, theta) for theta in (fed, maml)]
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 100_000
+            for report in reports:
+                assert 1.0 <= report.kappa_exact <= 4.0
 
 
 class TestClientAndPopulation:
@@ -220,6 +285,33 @@ class TestClientAndPopulation:
     def test_empty_population_rejected(self):
         with pytest.raises(InvalidInputError):
             Population(clients=(), weights=np.array([]), bounds=SpectrumBounds(1.0, 2.0))
+
+    def test_equality_is_by_value_and_never_raises(self):
+        example = QuadraticExample(b_matrix=np.diag([2.0, 3.0]), center=np.array([1.0, 0.0]))
+        other_example = QuadraticExample(b_matrix=np.diag([2.0, 3.0]), center=np.array([0.0, 1.0]))
+        client = ClientModel.from_examples([example, other_example])
+        pop = random_population(keyed_rng(40, 0), min_dim=3, max_dim=3, min_clients=3, max_clients=3)
+        copy = Population(
+            clients=tuple(ClientModel(a_matrix=c.a_matrix.copy(), center=c.center.copy()) for c in pop.clients),
+            weights=pop.weights.copy(),
+            bounds=pop.bounds,
+        )
+        reweighted = Population(clients=pop.clients, weights=pop.weights[::-1], bounds=pop.bounds)
+        cases = [
+            (example, QuadraticExample(b_matrix=example.b_matrix.copy(), center=example.center.copy()), True),
+            (example, other_example, False),
+            (client, ClientModel.from_examples([example, other_example]), True),
+            (client, ClientModel(a_matrix=client.a_matrix, center=client.center), False),  # no examples
+            (pop.clients[0], pop.clients[1], False),
+            (pop, copy, True),
+            (pop, reweighted, False),
+            (pop, Population(clients=pop.clients, weights=pop.weights, bounds=None), False),
+            (pop, pop.clients[0], False),
+        ]
+        for left, right, equal in cases:
+            assert (left == right) is equal and (right == left) is equal
+            assert (left != right) is (not equal)
+        assert loads_population(dumps_population(pop)) == pop
 
 
 class TestDistortionMatrix:
@@ -428,6 +520,77 @@ class TestMinimizerDistance:
         pop = scalar_pair_population()
         d = minimizer_distance(pop, 0.0, 0.125, WeightScheme.first_k(2))
         assert d == pytest.approx(abs(4.125 / 7.875 - 0.6), abs=1e-12)
+
+
+class TestSurrogateMemo:
+    """A population remembers its latest surrogate system, and nothing else changes."""
+
+    @staticmethod
+    def counted_kernel(monkeypatch):
+        calls = []
+        kernel = qw._distortion_stack
+
+        def counting(*args):
+            calls.append(args[1:3])
+            return kernel(*args)
+
+        monkeypatch.setattr(qw, "_distortion_stack", counting)
+        return calls
+
+    def test_one_kernel_run_per_key(self, monkeypatch):
+        pop = random_population(keyed_rng(41, 0), min_dim=4, max_dim=4, min_clients=3, max_clients=3)
+        calls = self.counted_kernel(monkeypatch)
+        gamma = 0.5 / pop.bounds.ell
+        surrogate_hessian(pop, 0.0, gamma, WeightScheme.first_k(5))
+        surrogate_minimizer(pop, 0.0, gamma, WeightScheme.first_k(5))
+        minimizer_distance(pop, 0.0, gamma, WeightScheme([1.0] * 5))  # equal by value
+        assert len(calls) == 1
+        for alpha, gamma2, theta in (
+            (0.5, gamma, WeightScheme.first_k(5)),
+            (0.5, 0.25 / pop.bounds.ell, WeightScheme.first_k(5)),
+            (0.5, 0.25 / pop.bounds.ell, WeightScheme.last_only(5)),
+            (0.0, gamma, WeightScheme.first_k(5)),  # the memo holds one key only
+        ):
+            before = len(calls)
+            surrogate_minimizer(pop, alpha, gamma2, theta)
+            surrogate_hessian(pop, alpha, gamma2, theta)
+            assert len(calls) == before + 1
+
+    def test_results_equal_a_fresh_population_and_stay_unaliased(self):
+        pop = random_population(keyed_rng(42, 0), min_dim=5, max_dim=5, min_clients=4, max_clients=4)
+
+        def fresh():
+            return Population(clients=pop.clients, weights=pop.weights, bounds=pop.bounds)
+
+        gamma = 0.5 / pop.bounds.ell
+        keys = [(0.0, gamma, WeightScheme.first_k(6)), (0.5, gamma, WeightScheme([0.2, 0.0, 0.7])),
+                (0.0, gamma / 2, WeightScheme.last_only(6))]
+        for alpha, g, theta in keys + keys[::-1] + keys:
+            h = surrogate_hessian(pop, alpha, g, theta)
+            x = surrogate_minimizer(pop, alpha, g, theta)
+            assert np.array_equal(h, surrogate_hessian(fresh(), alpha, g, theta))
+            assert np.array_equal(x, surrogate_minimizer(fresh(), alpha, g, theta))
+            assert minimizer_distance(pop, alpha, g, theta) == minimizer_distance(fresh(), alpha, g, theta)
+            h[:] = 0.0
+            x[:] = 0.0
+            assert np.array_equal(surrogate_hessian(pop, alpha, g, theta), surrogate_hessian(fresh(), alpha, g, theta))
+            assert np.array_equal(surrogate_minimizer(pop, alpha, g, theta),
+                                  surrogate_minimizer(fresh(), alpha, g, theta))
+
+    def test_checks_run_on_every_call(self):
+        pop = scalar_pair_population()
+        theta = WeightScheme.first_k(3)
+        surrogate_hessian(pop, 0.0, 0.3, theta)  # gamma = 0.3 > 1/ell: not contractive
+        with pytest.raises(ConditioningError):
+            surrogate_minimizer(pop, 0.0, 0.3, theta)
+        with pytest.raises(InvalidInputError):
+            surrogate_hessian(pop, 0.0, float("nan"), theta)
+
+    def test_memo_is_not_part_of_equality_or_repr(self):
+        pop = scalar_pair_population()
+        surrogate_hessian(pop, 0.0, 0.1, WeightScheme.first_k(3))
+        assert pop == scalar_pair_population()
+        assert repr(pop) == repr(scalar_pair_population())
 
 
 class TestLossValues:

@@ -251,3 +251,32 @@ def test_weighted_family_accepts_stacks_and_nested_lists():
     got_x, got_y = _validate_weighted_family(xs, ys)
     assert got_x.shape == got_y.shape == (2, 2, 2)
     np.testing.assert_array_equal(got_x, np.array(xs))
+
+
+COMPLEX_EYE = (1.0 + 1.0j) * np.eye(2)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: check_symmetric(COMPLEX_EYE, "A"), "A has complex entries"),
+        (lambda: ClientModel(a_matrix=COMPLEX_EYE, center=np.zeros(2)), "a_matrix has complex entries"),
+        (lambda: ClientModel(a_matrix=np.eye(2), center=[1.0j, 0.0]), "center has complex entries"),
+        (lambda: QuadraticExample(b_matrix=COMPLEX_EYE, center=np.zeros(2)), "b_matrix has complex entries"),
+        (lambda: QuadraticExample(b_matrix=np.eye(2), center=np.array([0.0, 2.0 + 0.0j])),
+         "center has complex entries"),
+        (lambda: DiscreteDistribution(values=[1.0 + 1.0j, 2.0], probs=[0.5, 0.5]), "values has complex entries"),
+        (lambda: DiscreteDistribution(values=[1.0, 2.0], probs=np.array([0.5, 0.5], dtype=complex)),
+         "probs has complex entries"),
+        (lambda: WeightScheme([1.0, 1.0j]), "coefficients has complex entries"),
+        (lambda: Population(clients=(_client([1.0, 2.0]),) * 2, weights=[0.5 + 0.5j, 0.5], bounds=BOUNDS),
+         "weights has complex entries"),
+        (lambda: matrix_weighted_mean([np.eye(2), COMPLEX_EYE], [np.eye(2)] * 2), "X[1] has complex entries"),
+        (lambda: matrix_weighted_discrepancy([np.eye(2)] * 2, [np.eye(2), COMPLEX_EYE]),
+         "Y[1] has complex entries"),
+    ],
+)
+def test_complex_input_is_rejected_before_any_cast(build, message):
+    """A cast to float would drop the imaginary part with only a ComplexWarning."""
+    assert_rejects(build, InvalidInputError, message)

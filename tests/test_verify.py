@@ -198,3 +198,34 @@ def test_client_gap_equals_per_client_route():
             for client in pop.clients
         )
         assert theorem1_client_gap(pop, x, alpha, gamma, theta) == reference
+
+
+class TestWorstTrial:
+    """The suite loop records which trial set the worst violation."""
+
+    @pytest.fixture
+    def register(self, monkeypatch):
+        monkeypatch.setattr(verify, "SUITES", dict(SUITES))
+
+        def register(violations, threshold=1.0):
+            def instance(rng, trial):
+                violation = violations[trial]
+                return None if violation is None else (violation, 1)
+
+            return verify.suite("scripted", 0x7E, threshold, len(violations))(instance)
+
+        return register
+
+    @pytest.mark.parametrize(
+        "violations, worst_trial",
+        [
+            ([0.1, 3.0, 3.0, 0.5], 1),  # the first trial that reaches the worst
+            ([0.5, math.nan, 2.0, math.nan], 1),  # a NaN is never replaced
+            ([None, -1.0, None], 1),
+            ([None, None], None),  # no trial checked an instance
+        ],
+    )
+    def test_worst_trial(self, register, violations, worst_trial):
+        result = register(violations)(0)
+        assert result.worst_trial == worst_trial
+        assert set(result.as_dict()) == {"name", "instances", "max_violation", "threshold", "pass"}
