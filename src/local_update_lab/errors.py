@@ -31,6 +31,10 @@ class DivergenceError(LocalUpdateError):
         self.round_index = round_index
         self.norm = norm
 
+    def __reduce__(self):
+        # pickle rebuilds an exception from self.args, here the message alone
+        return type(self), (self.round_index, self.norm), self.__dict__
+
 
 class PopulationFormatError(LocalUpdateError):
     """Population file could not be parsed."""
@@ -38,3 +42,7 @@ class PopulationFormatError(LocalUpdateError):
     def __init__(self, line_number: int, message: str):
         super().__init__(f"line {line_number}: {message}")
         self.line_number = line_number
+        self.message = message
+
+    def __reduce__(self):
+        return type(self), (self.line_number, self.message), self.__dict__

@@ -79,21 +79,23 @@ def symmetrize(a: np.ndarray) -> np.ndarray:
     return 0.5 * (a + a.T)
 
 
-def real_array(value, name: str) -> np.ndarray:
+def real_array(value, name: str, copy: bool = False) -> np.ndarray:
     """value as a float64 array, rejecting complex input before the cast.
 
     A cast from complex to float drops the imaginary part with only a
     ComplexWarning, so every validated input goes through here instead.
+    copy=True returns an array the caller owns, never one sharing memory
+    with value.
     """
     array = np.asarray(value)
     if array.dtype.kind == "c":
         raise InvalidInputError(f"{name} has complex entries")
-    return array.astype(float, copy=False)
+    return array.astype(float, copy=copy)
 
 
-def check_symmetric(a: np.ndarray, name: str = "matrix") -> np.ndarray:
-    """Validate a finite square real symmetric matrix and return it as float64."""
-    a = real_array(a, name)
+def check_symmetric(a: np.ndarray, name: str = "matrix", copy: bool = False) -> np.ndarray:
+    """Validate a finite square real symmetric matrix and return it as float64 (see real_array)."""
+    a = real_array(a, name, copy)
     if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] < 1:
         raise DimensionMismatchError(f"{name} must be square, got shape {a.shape}")
     if not np.isfinite(a).all():

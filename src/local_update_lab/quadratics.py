@@ -217,21 +217,23 @@ class QuadraticExample:
     """One example z: loss 0.5 (x - c_z)^T B_z (x - c_z).
 
     B_z must be symmetric but need not be PSD; only the client mean A_i is
-    required to satisfy the population spectrum bounds.
+    required to satisfy the population spectrum bounds. b_matrix and center
+    are read-only copies of the caller's arrays.
     """
 
     b_matrix: np.ndarray
     center: np.ndarray
 
     def __post_init__(self):
-        b = mat.check_symmetric(self.b_matrix, "b_matrix")
-        c = mat.real_array(self.center, "center")
+        b = mat.check_symmetric(self.b_matrix, "b_matrix", copy=True)
+        c = mat.real_array(self.center, "center", copy=True)
         if c.shape != (b.shape[0],):
             raise DimensionMismatchError(
                 f"center has shape {c.shape}, expected ({b.shape[0]},)"
             )
         if not np.isfinite(c).all():
             raise InvalidInputError("center contains non-finite entries")
+        b.flags.writeable = c.flags.writeable = False
         object.__setattr__(self, "b_matrix", b)
         object.__setattr__(self, "center", c)
 
@@ -251,6 +253,8 @@ class ClientModel:
 
     When examples are present they are sampled uniformly, and consistency of
     (A_i, c_i) with the example moments is validated at construction.
+    a_matrix and center are read-only copies of the caller's arrays, so a
+    later write to those arrays cannot leave a validated object stale.
     """
 
     a_matrix: np.ndarray
@@ -258,14 +262,15 @@ class ClientModel:
     examples: tuple[QuadraticExample, ...] | None = None
 
     def __post_init__(self):
-        a = mat.check_symmetric(self.a_matrix, "a_matrix")
-        c = mat.real_array(self.center, "center")
+        a = mat.check_symmetric(self.a_matrix, "a_matrix", copy=True)
+        c = mat.real_array(self.center, "center", copy=True)
         if c.shape != (a.shape[0],):
             raise DimensionMismatchError(
                 f"center has shape {c.shape}, expected ({a.shape[0]},)"
             )
         if not np.isfinite(c).all():
             raise InvalidInputError("center contains non-finite entries")
+        a.flags.writeable = c.flags.writeable = False
         object.__setattr__(self, "a_matrix", a)
         object.__setattr__(self, "center", c)
         if self.examples is not None:
@@ -342,7 +347,8 @@ class Population:
     query asks for another (alpha, gamma, theta). It takes no part in
     equality.
 
-    Two populations are equal when their clients, weights and bounds are.
+    weights is a read-only copy of the caller's array. Two populations are
+    equal when their clients, weights and bounds are.
     """
 
     clients: tuple[ClientModel, ...]
@@ -358,7 +364,7 @@ class Population:
         dim = clients[0].dim
         if any(cl.dim != dim for cl in clients):
             raise DimensionMismatchError("all clients must share one dimension")
-        weights = mat.real_array(self.weights, "weights")
+        weights = mat.real_array(self.weights, "weights", copy=True)
         if weights.shape != (len(clients),):
             raise DimensionMismatchError(
                 f"weights shape {weights.shape} does not match {len(clients)} clients"
@@ -399,7 +405,7 @@ class Population:
             raise InvalidInputError(
                 f"client {index}: center norm {norms[index]:.12g} above c_radius={bounds.c_radius}"
             )
-        spectra.flags.writeable = False
+        spectra.flags.writeable = weights.flags.writeable = False
         object.__setattr__(self, "clients", clients)
         object.__setattr__(self, "weights", weights)
         object.__setattr__(self, "bounds", bounds)

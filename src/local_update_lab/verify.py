@@ -1,17 +1,22 @@
 """Self-checking suites: every analytic claim, verified on random instances.
 
 Each suite is one instance function, registered with `suite`: it draws one
-random instance and measures the violation of one claim on it. One loop runs
-every suite over its trials, keeps the worst violation and reports {name,
-instances, max_violation, threshold, pass}. The suites back the `verify` CLI
-command and the test suite; the generators are shared so tests exercise the
-same instance distributions.
+random instance and measures the violation of one claim on it. Trial t of a
+suite draws from its own stream keyed_rng(seed, tag, t), so trials are
+independent and one update rule (_worst) folds them, or the partial results
+of contiguous trial ranges, into {name, instances, max_violation, threshold,
+pass}. run_suites cuts each suite's trials into one range per CPU and runs
+the ranges on a forked worker pool; the report does not depend on the CPU
+count. The suites back the `verify` CLI command and the test suite; the
+generators are shared so tests exercise the same instance distributions.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import multiprocessing
+import os
 from collections.abc import Callable
 from dataclasses import dataclass
 
@@ -285,32 +290,65 @@ class CheckResult:
 SUITES: dict[str, Callable[..., CheckResult]] = {}
 
 
+def _worst(outcomes) -> tuple[float, int | None, int]:
+    """(worst violation, its trial, instances) over (violation, trial, instances) in trial order.
+
+    A strictly greater violation replaces the worst, so the first trial that
+    reached it is kept. A NaN violation beats every number and is never
+    replaced, so it fails the suite; max() would drop it. Folding the
+    partial results of contiguous trial ranges, in order, gives the same
+    triple as folding their trials one by one.
+    """
+    worst, worst_trial, count = -np.inf, None, 0
+    for violation, trial, instances in outcomes:
+        if violation > worst or (violation != violation and worst == worst):
+            worst, worst_trial = violation, trial
+        count += instances
+    return worst, worst_trial, count
+
+
+class Suite:
+    """A registered verification suite: one instance function over keyed trials.
+
+    Calling it as check(seed, trials) draws trial t from keyed_rng(seed,
+    tag, t), so `lul verify --only name --seed seed --trials t+1` reruns it,
+    and reports the worst violation (see _worst). trial_range runs trials
+    [lo, hi) alone and returns their partial (worst, worst_trial,
+    instances), which is how run_suites splits a suite over worker processes.
+    """
+
+    def __init__(self, name: str, tag: int, threshold: float, trials: int, instance):
+        self.name, self.tag, self.threshold, self.trials = name, tag, threshold, trials
+        self.instance = instance
+        self.__name__ = self.__qualname__ = instance.__name__
+        self.__doc__ = instance.__doc__
+
+    def trial_range(self, seed: int, lo: int, hi: int) -> tuple[float, int | None, int]:
+        def outcomes():
+            for trial in range(lo, hi):
+                outcome = self.instance(keyed_rng(seed, self.tag, trial), trial)
+                if outcome is not None:
+                    violation, instances = outcome
+                    yield violation, trial, instances
+
+        return _worst(outcomes())
+
+    def result(self, worst: float, worst_trial: int | None, count: int) -> CheckResult:
+        return CheckResult(self.name, count, worst, self.threshold, worst_trial)
+
+    def __call__(self, seed: int, trials: int | None = None) -> CheckResult:
+        return self.result(*self.trial_range(seed, 0, self.trials if trials is None else trials))
+
+
 def suite(name: str, tag: int, threshold: float, trials: int):
     """Register an instance function as the verification suite `name`.
 
     The instance function maps (rng, trial) to (violation, instances), or to
-    None for a trial it skips. The registered check(seed, trials) draws trial
-    t from keyed_rng(seed, tag, t), so `lul verify --only name --seed seed
-    --trials t+1` reruns it. It keeps the worst violation, the first trial
-    that reached it, and sums the instances. A NaN violation beats every
-    number and is never replaced, so it fails the suite; max() would drop it.
+    None for a trial it skips; trials is the suite's default trial count.
     """
 
-    def register(instance: Callable[[np.random.Generator, int], tuple[float, int] | None]):
-        def check(seed: int, trials: int = trials) -> CheckResult:
-            worst, worst_trial, count = -np.inf, None, 0
-            for trial in range(trials):
-                outcome = instance(keyed_rng(seed, tag, trial), trial)
-                if outcome is None:
-                    continue
-                violation, instances = outcome
-                if violation > worst or (violation != violation and worst == worst):
-                    worst, worst_trial = violation, trial
-                count += instances
-            return CheckResult(name, count, worst, threshold, worst_trial)
-
-        check.__name__ = check.__qualname__ = instance.__name__
-        check.__doc__ = instance.__doc__
+    def register(instance: Callable[[np.random.Generator, int], tuple[float, int] | None]) -> Suite:
+        check = Suite(name, tag, threshold, trials, instance)
         SUITES[name] = check
         return check
 
@@ -615,16 +653,68 @@ def select_suites(only: str | None) -> list[str]:
     return names
 
 
+def _worker_count() -> int:
+    """Processes run_suites may fork: one per CPU this process may run on, 1 without fork."""
+    if "fork" not in multiprocessing.get_all_start_methods() or not hasattr(os, "sched_getaffinity"):
+        return 1
+    return len(os.sched_getaffinity(0))
+
+
+def _split(trials: int, workers: int) -> list[tuple[int, int]]:
+    """Trials 0..trials-1 as one contiguous (lo, hi) range per worker, at most one per trial."""
+    parts = min(trials, workers)
+    return [(trials * i // parts, trials * (i + 1) // parts) for i in range(parts)]
+
+
+def _run_range(task: tuple[str, int, int, int]) -> tuple[float, int | None, int]:
+    """Worker side of run_suites: one trial range of a registered suite.
+
+    A forked worker holds the parent's SUITES as it was when the pool started.
+    """
+    name, seed, lo, hi = task
+    return SUITES[name].trial_range(seed, lo, hi)
+
+
 def run_suites(
     only: str | None = None, seed: int = 0, trials: int | None = None
 ) -> list[CheckResult]:
-    """Run the suites that select_suites(only) names, in its order."""
+    """Run the suites that select_suites(only) names, in its order.
+
+    With more than one CPU, each Suite's trials are cut into one contiguous
+    range per worker (one per trial when it has fewer) and run on a forked
+    pool. The partial results are folded back in trial order by the suite's
+    own rule (_worst), so every result, its worst trial included, is the one
+    the in-process loop gives, whatever the CPU count. A SUITES entry that is
+    not a Suite (a plain function, or a wrapper around a Suite) runs whole,
+    in this process, in its place in the order. When
+    an instance raises, the error re-raised is the one the in-process loop
+    meets first: that of the first failing range in suite and trial order.
+    Everything runs in this process without fork, with one CPU, or when no
+    selected suite has more than one trial.
+    """
     if trials is not None and trials < 1:
         raise InvalidInputError(f"trials must be >= 1, got {trials}")
-    return [
-        SUITES[name](seed) if trials is None else SUITES[name](seed, trials)
-        for name in select_suites(only)
-    ]
+    checks = [(name, SUITES[name]) for name in select_suites(only)]
+
+    def whole(check) -> CheckResult:
+        return check(seed) if trials is None else check(seed, trials)
+
+    workers = _worker_count()
+    ranges = {
+        name: _split(check.trials if trials is None else trials, workers)
+        for name, check in checks
+        if isinstance(check, Suite)
+    }
+    if all(len(spans) <= 1 for spans in ranges.values()):
+        return [whole(check) for _, check in checks]
+    tasks = [(name, seed, lo, hi) for name, spans in ranges.items() for lo, hi in spans]
+    # Leaving the block terminates and joins every worker, on success or error.
+    with multiprocessing.get_context("fork").Pool(min(workers, len(tasks))) as pool:
+        partials = pool.imap(_run_range, tasks)  # in task order, so the first error is the loop's
+        return [
+            check.result(*_worst([next(partials) for _ in ranges[name]])) if name in ranges else whole(check)
+            for name, check in checks
+        ]
 
 
 def checks_report(seed: int, results: list[CheckResult]) -> dict:

@@ -282,6 +282,42 @@ class TestClientAndPopulation:
         with pytest.raises(InvalidInputError):
             Population(clients=clients, weights=np.array([1.5, -0.5]), bounds=bounds)
 
+    def test_construction_copies_the_callers_arrays(self):
+        # writing to an array after construction changed the client while its
+        # validated spectra, bounds and surrogate memo stayed as they were
+        a = np.diag([1.0, 1.0])
+        center = np.array([0.5, 0.0])
+        weights = np.array([0.25, 0.75])
+        b, example_center = np.diag([2.0, 3.0]), np.array([1.0, 0.0])
+        example = QuadraticExample(b_matrix=b, center=example_center)
+        pop = Population(
+            clients=(ClientModel(a_matrix=a, center=center), ClientModel(a_matrix=a, center=-center)),
+            weights=weights, bounds=None,
+        )
+        theta = WeightScheme.first_k(3)
+        hessian = surrogate_hessian(pop, 0.0, 0.1, theta)
+        for array in (a, center, weights, b, example_center):
+            array[0] = 100.0
+        np.testing.assert_array_equal(pop.clients[0].a_matrix, np.eye(2))
+        np.testing.assert_array_equal(pop.clients[1].center, [-0.5, 0.0])
+        np.testing.assert_array_equal(pop.weights, [0.25, 0.75])
+        np.testing.assert_array_equal(pop.spectra, np.ones((2, 2)))
+        np.testing.assert_array_equal(example.b_matrix, np.diag([2.0, 3.0]))
+        np.testing.assert_array_equal(example.center, [1.0, 0.0])
+        np.testing.assert_array_equal(surrogate_hessian(pop, 0.0, 0.1, theta), hessian)
+
+    def test_arrays_are_read_only(self):
+        example = QuadraticExample(b_matrix=np.diag([2.0, 3.0]), center=np.array([1.0, 0.0]))
+        client = ClientModel.from_examples([example])
+        pop = Population.uniform([client])
+        arrays = [client.a_matrix, client.center, example.b_matrix, example.center, pop.weights]
+        for array in arrays:
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 0.0
+        # a client's arrays are its own, not views of another client's
+        for array in (client.a_matrix, client.center):
+            assert array.base is None
+
     def test_empty_population_rejected(self):
         with pytest.raises(InvalidInputError):
             Population(clients=(), weights=np.array([]), bounds=SpectrumBounds(1.0, 2.0))

@@ -2,6 +2,9 @@
 
 import json
 import math
+import multiprocessing
+import os
+import pickle
 
 import numpy as np
 import pytest
@@ -13,7 +16,7 @@ from local_update_lab import (
     distortion_matrix,
     surrogate_gradient,
 )
-from local_update_lab import quadratics, verify
+from local_update_lab import errors, quadratics, verify
 from local_update_lab.bounds import scheme_q_eigenvalues
 from local_update_lab.cli import main
 from local_update_lab.errors import InvalidInputError
@@ -200,21 +203,25 @@ def test_client_gap_equals_per_client_route():
         assert theorem1_client_gap(pop, x, alpha, gamma, theta) == reference
 
 
+@pytest.fixture
+def scripted(monkeypatch):
+    """Register a suite whose trial t returns script[t]: a violation, None to skip, or an error to raise."""
+    monkeypatch.setattr(verify, "SUITES", dict(SUITES))
+
+    def register(name, script):
+        def instance(rng, trial):
+            outcome = script[trial]
+            if isinstance(outcome, Exception):
+                raise outcome
+            return None if outcome is None else (outcome, 1)
+
+        return verify.suite(name, 0x7E, 1.0, len(script))(instance)
+
+    return register
+
+
 class TestWorstTrial:
     """The suite loop records which trial set the worst violation."""
-
-    @pytest.fixture
-    def register(self, monkeypatch):
-        monkeypatch.setattr(verify, "SUITES", dict(SUITES))
-
-        def register(violations, threshold=1.0):
-            def instance(rng, trial):
-                violation = violations[trial]
-                return None if violation is None else (violation, 1)
-
-            return verify.suite("scripted", 0x7E, threshold, len(violations))(instance)
-
-        return register
 
     @pytest.mark.parametrize(
         "violations, worst_trial",
@@ -225,7 +232,170 @@ class TestWorstTrial:
             ([None, None], None),  # no trial checked an instance
         ],
     )
-    def test_worst_trial(self, register, violations, worst_trial):
-        result = register(violations)(0)
+    def test_worst_trial(self, scripted, violations, worst_trial):
+        result = scripted("scripted", violations)(0)
         assert result.worst_trial == worst_trial
         assert set(result.as_dict()) == {"name", "instances", "max_violation", "threshold", "pass"}
+
+
+# ---------------------------------------------------------------------------
+# run_suites on a forked worker pool
+# ---------------------------------------------------------------------------
+
+
+@pytest.fixture
+def workers(monkeypatch):
+    """Force run_suites' worker count: workers(n)."""
+    return lambda n: monkeypatch.setattr(verify, "_worker_count", lambda: n)
+
+
+def no_fork():
+    raise AssertionError("a process was started")
+
+
+def test_worker_count_is_the_cpu_affinity():
+    if "fork" in multiprocessing.get_all_start_methods() and hasattr(os, "sched_getaffinity"):
+        assert verify._worker_count() == len(os.sched_getaffinity(0))
+    else:
+        assert verify._worker_count() == 1
+
+
+@pytest.mark.parametrize("trials, workers, ranges", [
+    (10, 2, [(0, 5), (5, 10)]),
+    (7, 3, [(0, 2), (2, 4), (4, 7)]),
+    (2, 3, [(0, 1), (1, 2)]),
+    (1, 2, [(0, 1)]),
+])
+def test_split_covers_every_trial_once_in_order(trials, workers, ranges):
+    assert verify._split(trials, workers) == ranges
+
+
+@pytest.mark.parametrize("seed", [0, 1, 3])
+def test_pooled_run_equals_every_suite_alone(seed, workers):
+    workers(2)
+    pooled = verify.run_suites(seed=seed)
+    # repr tells -0.0 from 0.0 and compares NaN with NaN
+    assert [repr(r) for r in pooled] == [repr(SUITES[name](seed)) for name in SUITES]
+    assert multiprocessing.active_children() == []
+
+
+def test_pooled_failing_suite_names_the_same_worst_trial(workers):
+    # theorem3_rates fails at seed 5; its worst trial sits in the second range
+    workers(2)
+    (pooled,) = verify.run_suites(only="theorem3", seed=5)
+    assert not pooled.passed and pooled.worst_trial == 46
+    assert repr(pooled) == repr(check_theorem3_rates(5))
+
+
+NAN = math.nan
+
+
+@pytest.mark.parametrize("script, n_workers, expected", [
+    # a tie across the range boundary: the earlier trial wins
+    ([1.0, 5.0, 5.0, 2.0], 2, (5.0, 1, 4)),
+    ([-0.0, 0.0, 0.0, -0.0], 2, (-0.0, 0, 4)),
+    # a NaN only in a later range, then NaN in two ranges: the first wins
+    ([1.0, 9.0, 2.0, NAN], 2, (NAN, 3, 4)),
+    ([1.0, NAN, 2.0, 3.0, NAN, 4.0], 3, (NAN, 1, 6)),
+    # skipped trials, a whole range of them, and a suite that checks nothing
+    ([None, None, 2.0, None, 1.0], 2, (2.0, 2, 2)),
+    ([None, None, None], 2, (-math.inf, None, 0)),
+    # fewer trials than workers
+    ([3.0, 4.0], 5, (4.0, 1, 2)),
+])
+def test_partial_results_merge_as_the_loop_does(script, n_workers, expected, scripted, workers):
+    check = scripted("scripted", script)
+    worst, worst_trial, count = expected
+    reference = CheckResult("scripted", count, worst, 1.0, worst_trial)
+    assert repr(check(0)) == repr(reference)
+    workers(n_workers)
+    (pooled,) = verify.run_suites(only="scripted")
+    assert repr(pooled) == repr(reference)
+    assert multiprocessing.active_children() == []
+
+
+def test_one_worker_path_gives_identical_reports(workers, monkeypatch, tmp_path):
+    argv = ["verify", "--seed", "1", "--trials", "15", "--out"]
+    workers(2)
+    assert main(argv + [str(tmp_path / "pooled.json")]) == 0
+    workers(1)
+    monkeypatch.setattr(os, "fork", no_fork)
+    assert main(argv + [str(tmp_path / "one.json")]) == 0
+    assert (tmp_path / "one.json").read_bytes() == (tmp_path / "pooled.json").read_bytes()
+
+
+def test_one_trial_run_starts_no_process(monkeypatch, tmp_path):
+    monkeypatch.setattr(os, "fork", no_fork)
+    assert main(["verify", "--trials", "1", "--out", str(tmp_path / "r.json")]) in (0, 4)
+    assert multiprocessing.active_children() == []
+
+
+def test_plain_callables_run_whole_in_their_place(scripted, workers, monkeypatch):
+    calls = []
+
+    def plain(seed, trials=1):
+        calls.append((seed, trials))
+        return CheckResult("plain", trials, 0.5, 1.0)
+
+    scripted("scripted_a", [1.0, 2.0, 3.0])
+    monkeypatch.setitem(verify.SUITES, "plain", plain)
+    scripted("scripted_b", [4.0, 0.0])
+    workers(2)
+    results = verify.run_suites(only="scripted_a,plain,scripted_b", seed=4, trials=2)
+    assert [(r.name, r.instances, r.max_violation, r.worst_trial) for r in results] == [
+        ("scripted_a", 2, 2.0, 1), ("plain", 2, 0.5, None), ("scripted_b", 2, 4.0, 0),
+    ]
+    assert calls == [(4, 2)]  # in this process
+
+
+ERRORS = [
+    cls for cls in vars(errors).values()
+    if isinstance(cls, type) and issubclass(cls, Exception) and cls.__module__ == errors.__name__
+]
+ERROR_ARGS = {errors.DivergenceError: (3, 1e9), errors.PopulationFormatError: (7, "expected 2 numbers")}
+
+
+@pytest.mark.parametrize("cls", ERRORS, ids=lambda cls: cls.__name__)
+def test_errors_survive_pickle(cls):
+    # a worker's error reaches run_suites pickled
+    error = cls(*ERROR_ARGS.get(cls, ("bad input",)))
+    back = pickle.loads(pickle.dumps(error))
+    assert type(back) is cls
+    assert str(back) == str(error) and back.args == error.args
+    assert vars(back) == vars(error)
+
+
+def _raised(run):
+    with pytest.raises(Exception) as caught:
+        run()
+    return type(caught.value), str(caught.value)
+
+
+@pytest.mark.parametrize("scripts, expected", [
+    # an error in an earlier range wins over one in a later range
+    ({"first": [0.0, errors.DivergenceError(1, 1e9), 0.0, errors.InvalidInputError("second")]},
+     (errors.DivergenceError, "iterate norm 1.000e+09 exceeded divergence threshold at round 1")),
+    # the first failing suite in suite order, then trial order
+    ({"first": [0.0, 0.0, 0.0, errors.PopulationFormatError(3, "later trial")],
+      "second": [errors.InvalidInputError("later suite"), 0.0]},
+     (errors.PopulationFormatError, "line 3: later trial")),
+    ({"first": [0.0, 0.0], "second": [0.0, ZeroDivisionError("not a library error")]},
+     (ZeroDivisionError, "not a library error")),
+])
+def test_worker_errors_are_raised_in_loop_order(scripts, expected, scripted, workers):
+    for name, script in scripts.items():
+        scripted(name, script)
+    only = ",".join(scripts)
+    workers(1)
+    assert _raised(lambda: verify.run_suites(only=only)) == expected
+    workers(2)
+    assert _raised(lambda: verify.run_suites(only=only)) == expected
+    assert multiprocessing.active_children() == []
+
+
+def test_no_worker_outlives_a_failing_run(scripted, workers, tmp_path, capsys):
+    scripted("scripted_failure", [0.0, 2.0, 0.0])
+    workers(2)
+    assert main(["verify", "--only", "scripted_failure", "--out", str(tmp_path / "r.json")]) == 4
+    assert capsys.readouterr().err.startswith("scripted_failure: worst trial 1, violation 2;")
+    assert multiprocessing.active_children() == []
