@@ -213,13 +213,18 @@ def _simulate_population(args, seed: int) -> Population:
 
 
 def _auto_rounds(rho: float, d0: float, kind: str) -> int:
-    """Rounds needed to push rho^T * d0 below 1e-9, with momentum headroom."""
+    """Rounds needed to push rho^T * d0 below 1e-9, with momentum headroom.
+
+    The count is clamped to [1, 200000] before it becomes an int, so a d0
+    that overflows to inf asks for 200000 rounds and the engine reports the
+    divergence.
+    """
     if d0 <= 1e-9 or rho == 0.0:
         return 1
-    rounds = int(np.ceil(np.log(1e-9 / d0) / np.log(rho))) if rho < 1.0 else 100000
+    rounds = np.ceil(np.log(1e-9 / d0) / np.log(rho)) if rho < 1.0 else 100000.0
     if kind != "plain":
         rounds *= 2
-    return int(min(max(rounds, 1), 200000))
+    return int(min(max(rounds, 1.0), 200000.0))
 
 
 def cmd_simulate(args) -> int:
@@ -241,6 +246,8 @@ def cmd_simulate(args) -> int:
             raise InvalidInputError(f"bad --x0 value: {exc}") from exc
         if x0.shape != (pop.dim,):
             raise InvalidInputError(f"--x0 has {x0.size} components, expected {pop.dim}")
+        if not np.isfinite(x0).all():
+            raise InvalidInputError(f"--x0 components must be finite, got {args.x0}")
     rounds = args.rounds
     if rounds is None:
         x_star = qw.surrogate_minimizer(pop, args.alpha, args.gamma, theta)

@@ -406,48 +406,29 @@ def run(
     return Trajectory(iterates=np.array(iterates), pseudo_gradients=np.array(gradients))
 
 
-def max_step_contraction(
-    traj: Trajectory, x_star: np.ndarray, start_round: int = 5, floor: float | None = None
-) -> float:
-    """max over t >= start_round of ||x_{t+1} - x*|| / ||x_t - x*||.
+def round_operator(pop: Population, cfg: RunConfig, opt: ServerOptSpec) -> np.ndarray:
+    """The matrix M of one deterministic round on the server state.
 
-    Ratios are only counted while the error is meaningfully above the
-    floating-point floor; once iterates sit at rounding-level distance from
-    x*, per-step ratios carry no information. Returns 0.0 if no ratio is
-    measurable (e.g. started at x*).
+    The state s is x for plain and the stacked (x, anchor) for momentum. A
+    deterministic round is affine in it, s' = M s + F(0), so M is built column
+    by column from server_round itself: column j is F(e_j) - F(0), d + 1
+    rounds for plain and 2d + 1 for momentum. The spectral radius of M is the
+    rate at which the literal engine contracts; a tuned momentum M is not
+    normal, so its per-round norm ratios can exceed that rate.
     """
-    x_star = np.asarray(x_star, dtype=float)
-    errors = np.linalg.norm(traj.iterates - x_star, axis=1)
-    if floor is None:
-        floor = 1e-12 * (1.0 + float(np.linalg.norm(x_star)))
-    best = 0.0
-    for t in range(start_round, len(errors) - 1):
-        if errors[t] <= floor or errors[t + 1] <= floor:
-            continue
-        best = max(best, errors[t + 1] / errors[t])
-    return best
+    if cfg.mode != "deterministic":
+        raise InvalidInputError(f"round_operator needs a deterministic round, got mode {cfg.mode!r}")
+    d = pop.dim
 
+    def next_state(s: np.ndarray) -> np.ndarray:
+        if opt.kind == "plain":
+            return server_round(pop, s, cfg, opt)[0]
+        x_next, state, _ = server_round(pop, s[:d], cfg, opt, OptState(anchor=s[d:]))
+        return np.concatenate([x_next, state.anchor])
 
-def geometric_rate(
-    traj: Trajectory, x_star: np.ndarray, start_round: int = 5, floor: float | None = None
-) -> float:
-    """Geometric-mean contraction (||x_T - x*|| / ||x_s - x*||)^(1/(T-s)).
-
-    T is pulled in to the last round where the error still clears the
-    rounding floor. Returns 0.0 when the start error is already at the floor.
-    """
-    x_star = np.asarray(x_star, dtype=float)
-    errors = np.linalg.norm(traj.iterates - x_star, axis=1)
-    if floor is None:
-        floor = 1e-12 * (1.0 + float(np.linalg.norm(x_star)))
-    if start_round >= len(errors) - 1 or errors[start_round] <= floor:
-        return 0.0
-    last = len(errors) - 1
-    while last > start_round and errors[last] <= floor:
-        last -= 1
-    if last <= start_round:
-        return 0.0
-    return float((errors[last] / errors[start_round]) ** (1.0 / (last - start_round)))
+    basis = np.eye(d if opt.kind == "plain" else 2 * d)
+    offset = next_state(np.zeros(basis.shape[0]))
+    return np.stack([next_state(e) - offset for e in basis], axis=1)
 
 
 def export_trajectory_csv(

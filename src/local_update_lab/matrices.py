@@ -135,6 +135,13 @@ def eigh(a: np.ndarray) -> EigenDecomposition:
     return EigenDecomposition(eigenvalues=w, eigenvectors=v)
 
 
+def spectral_radius(m: np.ndarray) -> float:
+    """Largest eigenvalue modulus of a square matrix; NaN if m has a non-finite entry."""
+    if not np.isfinite(m).all():
+        return math.nan
+    return float(np.abs(np.linalg.eigvals(m)).max())
+
+
 @dataclass(frozen=True)
 class SpectrumBounds:
     """Population-level bounds: mu I <= A_i <= ell I and ||c_i|| <= c_radius."""

@@ -21,9 +21,9 @@ operations are pure.
 The functions here are the matrix route to the surrogate: one stacked Horner
 kernel evaluates the clients' Q_i with one batched matmul per step over
 their stacked (n, d, d) matrices (O(K n d^3) flops, in cache-sized batches
-of clients), and surrogate_hessian/gradient/minimizer/loss_value sum its
-Q_i A_i over the clients in index order, bit-identical to evaluating each
-client alone; distortion_matrix is its one-client view. The eigenvalue route
+of clients), and surrogate_hessian/gradient/minimizer sum its Q_i A_i over
+the clients in index order, bit-identical to evaluating each client alone;
+distortion_matrix is its one-client view. The eigenvalue route
 (bounds.scheme_q_eigenvalues, kappa_exact, distance_bound) starts from the
 client spectra a Population stores at construction; the verification suites
 compare the two.
@@ -573,32 +573,6 @@ def minimizer_distance(
     x_surrogate = surrogate_minimizer(pop, alpha, gamma, theta)
     x_empirical = empirical_minimizer(pop)
     return float(np.linalg.norm(x_surrogate - x_empirical))
-
-
-def loss_value(pop: Population, x: np.ndarray) -> float:
-    """Empirical loss E_i[0.5 (x - c_i)^T A_i (x - c_i)].
-
-    Clients built from examples would add a nonnegative constant; the (A, c)
-    form is used so a single client's loss vanishes at its own center.
-    """
-    x = np.asarray(x, dtype=float)
-    total = 0.0
-    for weight, client in zip(pop.weights, pop.clients):
-        diff = x - client.center
-        total += weight * 0.5 * float(diff @ (client.a_matrix @ diff))
-    return total
-
-
-def surrogate_loss_value(
-    pop: Population, x: np.ndarray, alpha: float, gamma: float, theta: WeightScheme
-) -> float:
-    """Surrogate loss E_i[0.5 (x - c_i)^T Q_i A_i (x - c_i)], constant dropped."""
-    x = np.asarray(x, dtype=float)
-    total = 0.0
-    for weight, client, qa in zip(pop.weights, pop.clients, _surrogate_hessians(pop, alpha, gamma, theta)):
-        diff = x - client.center
-        total += weight * 0.5 * float(diff @ (qa @ diff))
-    return total
 
 
 # ---------------------------------------------------------------------------

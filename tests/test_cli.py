@@ -169,6 +169,15 @@ class TestSimulateCommand:
         assert code == 2
         assert "line 6" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("optimizer", ["plain", "heavy_ball"])
+    def test_overflowing_x0_distance_is_a_divergence(self, optimizer, tmp_path, capsys):
+        # ||x0 - x*|| overflows to inf: the auto round count clamps, and the
+        # engine stops at round 0
+        code = run_cli(["simulate", "--gamma", "0.01", "--theta", "one", "--optimizer", optimizer,
+                        "--x0", "1e300,0,0,0", "--out", str(tmp_path / "t.csv")])
+        assert code == 3
+        assert capsys.readouterr().err == "error: iterate norm inf exceeded divergence threshold at round 0\n"
+
     def test_json_format(self, tmp_path):
         out = tmp_path / "traj.json"
         code = run_cli([
@@ -321,6 +330,10 @@ class TestBadInput:
             ["frontier", "--mu", "1", "--ell", "10", "--vary", "gamma", "--gamma-min", "1e-4",
              "--points", "-1"],
             ["simulate", "--gamma", "0.01", "--theta", "one", "--x0", "1,2"],
+            ["simulate", "--gamma", "0.01", "--theta", "one", "--x0", "1,nan,0,0"],
+            ["simulate", "--gamma", "0.01", "--theta", "one", "--x0", "inf,0,0,0"],
+            ["simulate", "--gamma", "0.01", "--theta", "one", "--n-clients", "0"],
+            ["simulate", "--gamma", "0.01", "--theta", "one", "--dim", "0"],
             ["simulate", "--gamma", "0.01", "--theta", "one", "--mu", "0"],
             ["simulate", "--gamma", "nan", "--theta", "one"],
             ["verify", "--trials", "-1"],

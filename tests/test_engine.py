@@ -24,6 +24,7 @@ from local_update_lab import (
     empirical_minimizer,
     kappa_exact,
     rho_from_kappa,
+    round_operator,
     run,
     save_population,
     server_round,
@@ -34,15 +35,14 @@ from local_update_lab import (
 from local_update_lab import engine
 from local_update_lab.cli import main as cli_main
 from local_update_lab.engine import (
+    SERVER_OPT_KINDS,
     OptState,
     Trajectory,
     _apply_server_opt,
     export_trajectory_csv,
-    geometric_rate,
-    max_step_contraction,
 )
 from local_update_lab.errors import DivergenceError, InvalidInputError
-from local_update_lab.matrices import keyed_rng
+from local_update_lab.matrices import keyed_rng, spectral_radius
 from local_update_lab.verify import (
     exact_stochastic_mean,
     random_admissible_params,
@@ -616,29 +616,81 @@ class TestAutoTune:
         assert opt.auto_tuned
 
 
-class TestRates:
-    def test_plain_per_step_contraction(self):
-        for trial in range(5):
-            rng = keyed_rng(63, trial)
-            pop = rate_check_population(rng)
-            gamma = 0.4 / pop.bounds.ell
-            theta = WeightScheme.first_k(5)
-            report = kappa_exact(pop, 0.0, gamma, theta)
-            dec = eigh(surrogate_hessian(pop, 0.0, gamma, theta))
-            opt = auto_tune("plain", dec.lambda_max, dec.lambda_min)
-            x_star = surrogate_minimizer(pop, 0.0, gamma, theta)
-            x0 = x_star + dec.eigenvectors @ (np.ones(pop.dim) / np.sqrt(pop.dim))
-            traj = run(pop, x0, det_cfg(0.0, gamma, theta, rounds=25), opt)
-            measured = max_step_contraction(traj, x_star, start_round=5)
-            assert measured <= rho_from_kappa(report.kappa_exact, "plain") + 1e-6
+def rate_instance(trial):
+    """A rate_check_population with a first-K scheme and a random state draw stream."""
+    rng = keyed_rng(63, trial)
+    pop = rate_check_population(rng)
+    theta = WeightScheme.first_k(int(rng.integers(2, 8)))
+    gamma = float(rng.uniform(0.2, 0.8)) / pop.bounds.ell
+    return pop, det_cfg(0.0, gamma, theta), rng
 
-    def test_geometric_rate_zero_when_started_at_optimum(self):
-        pop = random_population(keyed_rng(64, 0), max_dim=4, max_clients=3)
-        theta = WeightScheme.first_k(2)
-        gamma = 0.3 / pop.bounds.ell
-        x_star = surrogate_minimizer(pop, 0.0, gamma, theta)
-        traj = run(pop, x_star, det_cfg(0.0, gamma, theta, rounds=10), ServerOptSpec(kind="plain", step=0.05))
-        assert geometric_rate(traj, x_star, start_round=5) == 0.0
+
+def next_state(pop, cfg, opt, s):
+    """server_round on the stacked state: x for plain, (x, anchor) for momentum."""
+    d = pop.dim
+    if opt.kind == "plain":
+        return server_round(pop, s, cfg, opt)[0]
+    x_next, state, _ = server_round(pop, s[:d], cfg, opt, OptState(anchor=s[d:]))
+    return np.concatenate([x_next, state.anchor])
+
+
+class TestRoundOperator:
+    @pytest.mark.parametrize("kind", SERVER_OPT_KINDS)
+    def test_operator_is_the_engines_map(self, kind):
+        # M s + F(0) is server_round's next state from a random state s
+        for trial in range(5):
+            pop, cfg, rng = rate_instance(trial)
+            opt = auto_tune_for(pop, cfg.alpha, cfg.gamma, cfg.theta, kind)
+            m = round_operator(pop, cfg, opt)
+            width = pop.dim if kind == "plain" else 2 * pop.dim
+            assert m.shape == (width, width)
+            s = rng.uniform(-3.0, 3.0, size=width)
+            expected = next_state(pop, cfg, opt, s)
+            got = m @ s + next_state(pop, cfg, opt, np.zeros(width))
+            assert np.linalg.norm(got - expected) <= 1e-12 * np.linalg.norm(expected)
+
+    def test_blocks_are_the_server_step_on_the_surrogate_hessian(self):
+        pop, cfg, _ = rate_instance(0)
+        h = surrogate_hessian(pop, cfg.alpha, cfg.gamma, cfg.theta)
+        eye, zero = np.eye(pop.dim), np.zeros((pop.dim, pop.dim))
+        for kind in SERVER_OPT_KINDS:
+            opt = auto_tune_for(pop, cfg.alpha, cfg.gamma, cfg.theta, kind)
+            step, beta = opt.step, opt.momentum
+            expected = {
+                "plain": eye - step * h,
+                "heavy_ball": np.block([[(1.0 + beta) * eye - step * h, -beta * eye], [eye, zero]]),
+                "nesterov": np.block([[(1.0 + beta) * (eye - step * h), -beta * eye], [eye - step * h, zero]]),
+            }[kind]
+            np.testing.assert_allclose(round_operator(pop, cfg, opt), expected, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("kind", SERVER_OPT_KINDS)
+    def test_surrogate_optimum_is_the_fixed_point(self, kind):
+        pop, cfg, _ = rate_instance(1)
+        opt = auto_tune_for(pop, cfg.alpha, cfg.gamma, cfg.theta, kind)
+        x_star = surrogate_minimizer(pop, cfg.alpha, cfg.gamma, cfg.theta)
+        s_star = x_star if kind == "plain" else np.concatenate([x_star, x_star])
+        m = round_operator(pop, cfg, opt)
+        offset = next_state(pop, cfg, opt, np.zeros(m.shape[0]))
+        np.testing.assert_allclose(m @ s_star + offset, s_star, rtol=0, atol=1e-12)
+
+    def test_tuned_rates_are_theorem3s(self):
+        # the plain operator is symmetric, so its rate is exact to rounding;
+        # tuned momentum operators have double eigenvalues, resolved to ~sqrt(eps)
+        for trial in range(5):
+            pop, cfg, _ = rate_instance(trial)
+            dec = eigh(surrogate_hessian(pop, cfg.alpha, cfg.gamma, cfg.theta))
+            report = kappa_exact(pop, cfg.alpha, cfg.gamma, cfg.theta)
+            for kind, tol in (("plain", 1e-12), ("heavy_ball", 1e-6), ("nesterov", 1e-6)):
+                opt = auto_tune(kind, dec.lambda_max, dec.lambda_min)
+                rho = spectral_radius(round_operator(pop, cfg, opt))
+                assert rho == pytest.approx(rho_from_kappa(dec.lambda_max / dec.lambda_min, kind), abs=tol)
+                assert rho <= rho_from_kappa(report.kappa_exact, kind) + tol
+
+    def test_stochastic_round_has_no_operator(self):
+        pop, cfg, _ = rate_instance(0)
+        cfg = replace(cfg, mode="stochastic", clients_per_round=2, batch_size=1)
+        with pytest.raises(InvalidInputError, match="deterministic"):
+            round_operator(pop, cfg, ServerOptSpec(kind="plain", step=0.1))
 
 
 class TestTrajectoryExport:

@@ -423,33 +423,31 @@ class TestSymmetryMeasure:
 
 
 class TestEmpiricalRateCrosscheck:
-    def test_starts_at_optimum_gives_zero(self):
+    def test_single_step_diag_rate_is_exact(self):
+        # gamma = 0: the surrogate Hessian is diag(10, 1) itself
         client = ClientModel(a_matrix=np.diag([10.0, 1.0]), center=np.zeros(2))
         pop = Population.uniform([client], bounds=SpectrumBounds(1.0, 10.0, 0.0))
-        theta = WeightScheme.single()
-        measured, predicted = empirical_rate_crosscheck(pop, 0.0, 0.0, theta, "plain", rounds=20)
-        # x0 is displaced from the optimum internally; just check consistency
-        assert measured <= predicted + 1e-6
+        measured, predicted = empirical_rate_crosscheck(pop, 0.0, 0.0, WeightScheme.single(), "plain")
+        assert predicted == pytest.approx(9.0 / 11.0, abs=1e-15)
+        assert measured == pytest.approx(predicted, abs=1e-12)
 
     def test_diag_worst_case_rate_is_exact(self):
         client = ClientModel(a_matrix=np.diag([10.0, 1.0]), center=np.zeros(2))
         pop = Population.uniform([client], bounds=SpectrumBounds(1.0, 10.0, 0.0))
         theta = WeightScheme.first_k(3)
-        measured, predicted = empirical_rate_crosscheck(pop, 0.0, 0.05, theta, "plain", rounds=25)
-        assert measured == pytest.approx(predicted, abs=1e-6)
+        for kind, tol in (("plain", 1e-12), ("heavy_ball", 1e-6), ("nesterov", 1e-6)):
+            measured, predicted = empirical_rate_crosscheck(pop, 0.0, 0.05, theta, kind)
+            assert measured == pytest.approx(predicted, abs=tol)
 
     def test_heavy_ball_rate_bounded(self):
         pop = rate_check_population(keyed_rng(70, 0))
         theta = WeightScheme.first_k(5)
-        measured, predicted = empirical_rate_crosscheck(
-            pop, 0.0, 0.4 / pop.bounds.ell, theta, "heavy_ball", rounds=60
-        )
-        assert measured <= predicted + 1e-3
+        measured, predicted = empirical_rate_crosscheck(pop, 0.0, 0.4 / pop.bounds.ell, theta, "heavy_ball")
+        assert measured <= predicted + 1e-6
 
     def test_two_client_heavy_ball_instance(self):
-        # a concrete two-client population; rho_measured needs headroom of
-        # kappa_exact over cond(E[QA]) to absorb momentum transients, which
-        # two heterogeneous rotated clients provide
+        # a concrete two-client population: two heterogeneous rotated clients
+        # put kappa_exact strictly above cond(E[QA]), which bounds the rate
         rng = keyed_rng(4242, 4)
         pop = random_population(
             rng, min_dim=3, max_dim=8, min_clients=2, max_clients=2,
@@ -457,10 +455,8 @@ class TestEmpiricalRateCrosscheck:
         )
         theta = WeightScheme.first_k(int(rng.integers(2, 15)))
         gamma = float(rng.uniform(0.2, 0.8)) / pop.bounds.ell
-        measured, predicted = empirical_rate_crosscheck(
-            pop, 0.0, gamma, theta, "heavy_ball", rounds=60
-        )
-        assert measured <= predicted + 1e-3
+        measured, predicted = empirical_rate_crosscheck(pop, 0.0, gamma, theta, "heavy_ball")
+        assert measured <= predicted + 1e-6
 
 
 class TestSerialization:

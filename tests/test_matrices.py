@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from local_update_lab import EigenDecomposition, SpectrumBounds, eigh, random_spd_with_spectrum
 from local_update_lab.errors import InfeasibleSpectrumError, InvalidInputError
 from local_update_lab import engine, verify
-from local_update_lab.matrices import child_seed, keyed_rng, symmetrize
+from local_update_lab.matrices import child_seed, keyed_rng, spectral_radius, symmetrize
 
 
 def random_symmetric(rng, dim):
@@ -49,6 +49,16 @@ class TestEigh:
     def test_asymmetric_rejected(self):
         with pytest.raises(InvalidInputError):
             eigh(np.array([[1.0, 2.0], [0.0, 1.0]]))
+
+
+class TestSpectralRadius:
+    def test_non_normal_and_complex_spectra(self):
+        assert spectral_radius(np.array([[0.5, 100.0], [0.0, -0.75]])) == 0.75
+        assert spectral_radius(np.array([[0.0, -2.0], [2.0, 0.0]])) == pytest.approx(2.0, rel=1e-15)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_nonfinite_entry_gives_nan(self, bad):
+        assert np.isnan(spectral_radius(np.array([[1.0, bad], [0.0, 1.0]])))
 
 
 class TestSymmetrize:

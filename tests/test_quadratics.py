@@ -13,11 +13,9 @@ from local_update_lab import (
     distortion_matrix,
     empirical_minimizer,
     eigh,
-    loss_value,
     minimizer_distance,
     surrogate_gradient,
     surrogate_hessian,
-    surrogate_loss_value,
     surrogate_minimizer,
 )
 from local_update_lab import quadratics as qw
@@ -627,34 +625,6 @@ class TestSurrogateMemo:
         surrogate_hessian(pop, 0.0, 0.1, WeightScheme.first_k(3))
         assert pop == scalar_pair_population()
         assert repr(pop) == repr(scalar_pair_population())
-
-
-class TestLossValues:
-    def test_minimality_probe(self):
-        pop = random_population(keyed_rng(20, 0), max_dim=5, max_clients=4)
-        x_star = empirical_minimizer(pop)
-        base = loss_value(pop, x_star)
-        rng = keyed_rng(20, 1)
-        for _ in range(100):
-            assert base <= loss_value(pop, x_star + 0.5 * rng.standard_normal(pop.dim)) + 1e-15
-
-    def test_single_client_zero_at_center(self):
-        client = scalar_client(2.0, 0.9)
-        pop = Population.uniform([client])
-        assert loss_value(pop, client.center) == 0.0
-
-    def test_scalar_value(self):
-        client = scalar_client(2.0, 0.0)
-        pop = Population.uniform([client])
-        assert loss_value(pop, np.array([3.0])) == pytest.approx(9.0, abs=1e-15)
-
-    def test_surrogate_loss_consistent_with_gradient(self):
-        pop = scalar_pair_population()
-        theta = WeightScheme.first_k(2)
-        # f~(x) = 0.5 * E[Q A] (x - x*)^2 + const; check against hand values
-        value = surrogate_loss_value(pop, np.zeros(1), 0.0, 0.125, theta)
-        expected = 0.5 * (0.5 * 6.0 * 1.0 + 0.5 * 1.875 * 1.0)
-        assert value == pytest.approx(expected, abs=1e-14)
 
 
 class TestSerialization:

@@ -73,16 +73,6 @@ def ref_surrogate_minimizer(pop, alpha, gamma, theta):
     return np.linalg.solve(symmetrize(h), rhs)
 
 
-def ref_surrogate_loss_value(pop, x, alpha, gamma, theta):
-    x = np.asarray(x, dtype=float)
-    total = 0.0
-    for weight, client in zip(pop.weights, pop.clients):
-        qa = ref_client_surrogate_hessian(client, alpha, gamma, theta)
-        diff = x - client.center
-        total += weight * 0.5 * float(diff @ (qa @ diff))
-    return total
-
-
 def ref_theorem1_client_gap(pop, x, alpha, gamma, theta):
     updates = _deterministic_updates(
         np.stack([client.a_matrix for client in pop.clients]),
@@ -204,7 +194,6 @@ def assert_routes_equal(pop, x, alpha, gamma, theta):
                           ref_surrogate_gradient(pop, x, alpha, gamma, theta))
     assert np.array_equal(qw.surrogate_minimizer(pop, alpha, gamma, theta),
                           ref_surrogate_minimizer(pop, alpha, gamma, theta))
-    assert qw.surrogate_loss_value(pop, x, alpha, gamma, theta) == ref_surrogate_loss_value(pop, x, alpha, gamma, theta)
     assert theorem1_client_gap(pop, x, alpha, gamma, theta) == ref_theorem1_client_gap(pop, x, alpha, gamma, theta)
 
 
@@ -354,7 +343,6 @@ def test_simulate_csv_unchanged_under_reference_route(tmp_path, monkeypatch):
         ("surrogate_hessian", ref_surrogate_hessian),
         ("surrogate_gradient", ref_surrogate_gradient),
         ("surrogate_minimizer", ref_surrogate_minimizer),
-        ("surrogate_loss_value", ref_surrogate_loss_value),
     ):
         monkeypatch.setattr(qw, name, counted(name, reference))
     assert main(argv + ["--out", str(tmp_path / "reference.csv")]) == 0

@@ -148,7 +148,13 @@ class TestNanViolation:
         assert math.isnan(theorem1_client_gap(pop, x, alpha, gamma, theta))
 
     def test_theorem3_keeps_nan_of_one_optimizer(self, monkeypatch):
-        monkeypatch.setattr(verify, "geometric_rate", lambda *args, **kwargs: np.nan)  # nesterov only
+        operator = verify.round_operator
+
+        def nan_for_nesterov(pop, cfg, opt):
+            m = operator(pop, cfg, opt)
+            return np.full_like(m, np.nan) if opt.kind == "nesterov" else m
+
+        monkeypatch.setattr(verify, "round_operator", nan_for_nesterov)
         assert math.isnan(check_theorem3_rates(0, trials=1).max_violation)
 
 
@@ -167,6 +173,15 @@ def test_formerly_failing_seeds_pass(seed):
     assert report["all_pass"], report["checks"]
 
 
+@pytest.mark.parametrize("seed", [5, 97, 107])
+def test_theorem3_passes_where_per_step_ratios_overshot(seed, tmp_path):
+    # a tuned momentum round is not a normal map: on these seeds its per-step
+    # norm ratios exceeded the rate at kappa_exact, while its spectral radius
+    # is the tuned rate at cond(H)
+    argv = ["verify", "--only", "theorem3_rates", "--seed", str(seed), "--out", str(tmp_path / "r.json")]
+    assert main(argv) == 0
+
+
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_horner_distortion_agrees_with_eigenvalue_map(seed):
     """On lemma1's own instances, eig(Horner Q_i) equals q(lambda_i) to rounding.
@@ -182,6 +197,20 @@ def test_horner_distortion_agrees_with_eigenvalue_map(seed):
         for client, q in zip(pop.clients, mapped):
             horner = np.sort(np.linalg.eigvalsh(distortion_matrix(client, alpha, gamma, theta)))
             assert np.max(np.abs(horner - q)) <= 1e-12 * np.max(np.abs(q))
+
+
+@pytest.mark.parametrize("ranges", [
+    {"min_dim": 0, "max_dim": 0},
+    {"min_dim": -1, "max_dim": 3},
+    {"min_clients": 0, "max_clients": 0},
+    {"min_dim": 4, "max_dim": 3},
+    {"min_clients": 5, "max_clients": 2},
+])
+def test_random_population_rejects_empty_ranges_before_drawing(ranges):
+    rng = keyed_rng(0, 0xA0, 0)
+    with pytest.raises(InvalidInputError, match="random_population needs"):
+        random_population(rng, **ranges)
+    assert rng.random() == keyed_rng(0, 0xA0, 0).random()  # nothing was drawn
 
 
 def test_client_gap_equals_per_client_route():
@@ -279,12 +308,13 @@ def test_pooled_run_equals_every_suite_alone(seed, workers):
     assert multiprocessing.active_children() == []
 
 
-def test_pooled_failing_suite_names_the_same_worst_trial(workers):
-    # theorem3_rates fails at seed 5; its worst trial sits in the second range
+def test_pooled_failing_suite_names_the_same_worst_trial(scripted, workers):
+    # the worst trial sits in the second of two ranges
+    check = scripted("scripted_failure", [0.5, 2.0, 0.0, 1.5, 3.0, -1.0])
     workers(2)
-    (pooled,) = verify.run_suites(only="theorem3", seed=5)
-    assert not pooled.passed and pooled.worst_trial == 46
-    assert repr(pooled) == repr(check_theorem3_rates(5))
+    (pooled,) = verify.run_suites(only="scripted_failure")
+    assert not pooled.passed and pooled.worst_trial == 4
+    assert repr(pooled) == repr(check(0))
 
 
 NAN = math.nan
