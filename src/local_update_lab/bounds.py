@@ -74,18 +74,6 @@ def psi(lam: float, alpha: float, gamma: float, k: int) -> float:
     return xi ** (k - 1) * lam
 
 
-def kappa_bound_fedavg(mu: float, ell: float, alpha: float, gamma: float, k: int) -> float:
-    """Condition-number bound phi(ell)/phi(mu) for the all-gradients scheme.
-
-    Requires gamma < (ell + alpha)^-1. Equals ell/mu exactly iff gamma = 0 or
-    K = 1 (alpha only enters through gamma * alpha); saturates to 1 as K
-    grows when alpha = 0.
-    """
-    qw.require_contractive(SpectrumBounds(mu=mu, ell=ell), alpha, gamma)
-    # provably >= 1 here; the max() only strips a possible trailing-ulp dip
-    return max(1.0, phi(ell, alpha, gamma, k) / phi(mu, alpha, gamma, k))
-
-
 def maml_bound_applies(ell: float, alpha: float, gamma: float, k: int) -> bool:
     """Whether gamma < (K ell + alpha)^-1, the precondition of the psi bound.
 
@@ -94,20 +82,29 @@ def maml_bound_applies(ell: float, alpha: float, gamma: float, k: int) -> bool:
     return bool(gamma * (k * ell + alpha) < 1.0)
 
 
-def kappa_bound_maml(mu: float, ell: float, alpha: float, gamma: float, k: int) -> float:
-    """Condition-number bound psi(ell)/psi(mu) for the last-gradient scheme.
+def kappa_bound(mu: float, ell: float, alpha: float, gamma: float, theta: WeightScheme) -> float:
+    """Closed-form condition-number bound of theta's family; needs gamma < (ell + alpha)^-1.
 
-    Requires gamma < (K ell + alpha)^-1; outside that regime the exact
-    spectral route (kappa_exact) must be used instead.
+    A uniform prefix (the first K gradients) gets phi(ell)/phi(mu): it equals
+    ell/mu iff gamma = 0 or K = 1 and saturates to 1 as K grows when alpha =
+    0. A last-only scheme gets psi(ell)/psi(mu) under gamma < (K ell +
+    alpha)^-1, outside which only kappa_exact applies. A general scheme has
+    no closed form.
     """
     qw.require_contractive(SpectrumBounds(mu=mu, ell=ell), alpha, gamma)
-    if k < 1:
-        raise InvalidInputError(f"k must be >= 1, got {k}")
-    if not maml_bound_applies(ell, alpha, gamma, k):
-        raise ConditioningError(
-            f"need gamma < 1/(K*ell+alpha) = {1.0 / (k * ell + alpha):.6g}, got gamma={gamma}"
-        )
-    return max(1.0, psi(ell, alpha, gamma, k) / psi(mu, alpha, gamma, k))
+    kind, k, _ = theta.structure()
+    if kind == "uniform_prefix":
+        ratio = phi(ell, alpha, gamma, k) / phi(mu, alpha, gamma, k)
+    elif kind == "last_only":
+        if not maml_bound_applies(ell, alpha, gamma, k):
+            raise ConditioningError(
+                f"need gamma < 1/(K*ell+alpha) = {1.0 / (k * ell + alpha):.6g}, got gamma={gamma}"
+            )
+        ratio = psi(ell, alpha, gamma, k) / psi(mu, alpha, gamma, k)
+    else:
+        raise InvalidInputError("a closed-form kappa bound needs a first-K or last-only weight scheme")
+    # provably >= 1 here; the max() only strips a possible trailing-ulp dip
+    return max(1.0, ratio)
 
 
 def scheme_q_eigenvalues(
@@ -172,13 +169,10 @@ def kappa_exact(
     # monotone), so each client's extremes are searched for
     expected_max = float(pop.weights @ mapped.max(axis=1))
     expected_min = float(pop.weights @ mapped.min(axis=1))
-    bound = None
-    kind, k, _ = theta.structure()
-    mu, ell = pop.bounds.mu, pop.bounds.ell
-    if kind == "uniform_prefix":
-        bound = kappa_bound_fedavg(mu, ell, alpha, gamma, k)
-    elif kind == "last_only" and maml_bound_applies(ell, alpha, gamma, k):
-        bound = kappa_bound_maml(mu, ell, alpha, gamma, k)
+    try:
+        bound = kappa_bound(pop.bounds.mu, pop.bounds.ell, alpha, gamma, theta)
+    except (ConditioningError, InvalidInputError):  # psi outside its precondition, or a general theta
+        bound = None
     return KappaReport(
         kappa_exact=max(1.0, expected_max / expected_min),
         l_tilde=expected_max,

@@ -34,14 +34,7 @@ from .engine import (
     export_trajectory_csv,
     run,
 )
-from .errors import (
-    ConditioningError,
-    DivergenceError,
-    InfeasibleSpectrumError,
-    InvalidInputError,
-    LocalUpdateError,
-    PopulationFormatError,
-)
+from .errors import ConditioningError, InvalidInputError, LocalUpdateError, PopulationFormatError
 from .frontier import (
     Frontier,
     SweepSpec,
@@ -52,7 +45,7 @@ from .frontier import (
     simulated_maml_sweep,
     sweep,
 )
-from .matrices import SpectrumBounds, eigh, keyed_rng
+from .matrices import SpectrumBounds, eigh, euclidean_norm, keyed_rng
 from .quadratics import Population, WeightScheme
 from .svgplot import frontier_svg
 from .verify import (
@@ -215,12 +208,13 @@ def _simulate_population(args, seed: int) -> Population:
 def _auto_rounds(rho: float, d0: float, kind: str) -> int:
     """Rounds needed to push rho^T * d0 below 1e-9, with momentum headroom.
 
-    The count is clamped to [1, 200000] before it becomes an int, so a d0
-    that overflows to inf asks for 200000 rounds and the engine reports the
-    divergence.
+    The count is clamped to [1, 200000]; a d0 that overflowed to inf asks for
+    the cap, and the engine reports the divergence.
     """
     if d0 <= 1e-9 or rho == 0.0:
         return 1
+    if not np.isfinite(d0):
+        return 200000
     rounds = np.ceil(np.log(1e-9 / d0) / np.log(rho)) if rho < 1.0 else 100000.0
     if kind != "plain":
         rounds *= 2
@@ -252,7 +246,7 @@ def cmd_simulate(args) -> int:
     if rounds is None:
         x_star = qw.surrogate_minimizer(pop, args.alpha, args.gamma, theta)
         rho = tb.rho_from_kappa(dec.lambda_max / dec.lambda_min, args.optimizer)
-        rounds = _auto_rounds(rho, float(np.linalg.norm(x0 - x_star)), args.optimizer)
+        rounds = _auto_rounds(rho, euclidean_norm(x0 - x_star), args.optimizer)
     cfg = RunConfig(
         alpha=args.alpha, gamma=args.gamma, theta=theta, rounds=rounds, seed=seed,
         mode="deterministic",
@@ -363,20 +357,16 @@ def cmd_tightness(args) -> int:
         mu, ell, alpha, gamma, k = args.mu, args.ell, args.alpha, args.gamma, args.k
         client = qw.ClientModel(a_matrix=np.diag([ell, mu]), center=np.zeros(2))
         pop = Population.uniform([client], bounds=SpectrumBounds(mu, ell, 0.0))
+        schemes = {"first_k": WeightScheme.first_k(k), "last_only": WeightScheme.last_only(k)}
+        qw.require_contractive(pop.bounds, alpha, gamma)
         rows = {}
-        fed = tb.kappa_exact(pop, alpha, gamma, WeightScheme.first_k(k))
-        rows["first_k"] = {
-            "kappa_exact": fed.kappa_exact,
-            "kappa_bound": fed.kappa_bound,
-            "gap": abs(fed.kappa_exact - fed.kappa_bound) if fed.kappa_bound else None,
-        }
-        if tb.maml_bound_applies(ell, alpha, gamma, k):
-            mam = tb.kappa_exact(pop, alpha, gamma, WeightScheme.last_only(k))
-            rows["last_only"] = {
-                "kappa_exact": mam.kappa_exact,
-                "kappa_bound": mam.kappa_bound,
-                "gap": abs(mam.kappa_exact - mam.kappa_bound) if mam.kappa_bound else None,
-            }
+        for name, theta in schemes.items():
+            try:
+                bound = tb.kappa_bound(mu, ell, alpha, gamma, theta)
+            except ConditioningError:  # psi outside gamma < 1/(K ell + alpha): no row
+                continue
+            exact = tb.kappa_exact(pop, alpha, gamma, theta).kappa_exact
+            rows[name] = {"kappa_exact": exact, "kappa_bound": bound, "gap": abs(exact - bound)}
         payload = {
             "schema_version": 1,
             "family": "b3",
@@ -513,16 +503,10 @@ def main(argv=None) -> int:
     except PopulationFormatError as exc:
         print(f"error: population file: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except InvalidInputError as exc:
+    except (InvalidInputError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (ConditioningError, InfeasibleSpectrumError, DivergenceError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PRECONDITION
-    except LocalUpdateError as exc:
+    except LocalUpdateError as exc:  # a precondition: conditioning, spectrum or divergence
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION
 

@@ -24,7 +24,7 @@ import numpy as np
 
 from . import quadratics as qw
 from .errors import DivergenceError, InvalidInputError
-from .matrices import eigh, keyed_rng
+from .matrices import check_integer, eigh, euclidean_norm, keyed_rng
 from .quadratics import ClientModel, Population, WeightScheme
 
 DIVERGENCE_THRESHOLD = 1e12
@@ -48,7 +48,7 @@ class RunConfig:
     the client's example set). clients_per_round may not exceed the number of
     clients with nonzero weight.
 
-    alpha and gamma must be nonnegative; NaN is rejected.
+    alpha and gamma must be finite and nonnegative, and the three counts integers.
     """
 
     alpha: float
@@ -63,15 +63,17 @@ class RunConfig:
     def __post_init__(self):
         if not (self.alpha >= 0.0 and self.gamma >= 0.0):
             raise InvalidInputError("alpha and gamma must be nonnegative")
-        if self.rounds < 1:
+        if not (self.alpha < np.inf and self.gamma < np.inf):
+            raise InvalidInputError("alpha and gamma must be finite")
+        if check_integer(self.rounds, "rounds") < 1:
             raise InvalidInputError(f"rounds must be >= 1, got {self.rounds}")
         if self.mode not in ("deterministic", "stochastic"):
             raise InvalidInputError(f"unknown mode {self.mode!r}")
         if self.mode == "stochastic":
-            if self.clients_per_round is None or self.clients_per_round < 1:
-                raise InvalidInputError("stochastic mode needs clients_per_round >= 1")
-            if self.batch_size is None or self.batch_size < 1:
-                raise InvalidInputError("stochastic mode needs batch_size >= 1")
+            for name in ("clients_per_round", "batch_size"):
+                value = getattr(self, name)
+                if value is None or check_integer(value, name) < 1:
+                    raise InvalidInputError(f"stochastic mode needs {name} >= 1")
 
 
 @dataclass(frozen=True)
@@ -398,7 +400,7 @@ def run(
     state = OptState()
     for t in range(cfg.rounds):
         x, state, q = server_round(pop, x, cfg, opt, state)
-        norm = float(np.linalg.norm(x))
+        norm = euclidean_norm(x)
         if not np.isfinite(norm) or norm > DIVERGENCE_THRESHOLD:
             raise DivergenceError(round_index=t, norm=norm)
         iterates.append(x)

@@ -26,7 +26,11 @@ FAMILIES = ("fedavg_theta", "maml_theta")
 VARY_AXES = ("K", "gamma", "alpha")
 KAPPA_SOURCES = ("closed_form", "exact_spectral")
 
-_FAMILY_SCHEME = {"fedavg_theta": "first_k", "maml_theta": "last_only"}
+# family -> (FrontierPoint.scheme, the WeightScheme constructor taking K)
+_FAMILY_SCHEMES = {
+    "fedavg_theta": ("first_k", WeightScheme.first_k),
+    "maml_theta": ("last_only", WeightScheme.last_only),
+}
 
 
 def _check_points(points: int) -> None:
@@ -199,15 +203,6 @@ def _point_population(spec: SweepSpec, index: int) -> Population:
     )
 
 
-def _kappa_for_point(spec: SweepSpec, index: int, alpha: float, gamma: float, k: int) -> float:
-    """kappa at one grid point; ConditioningError marks an inadmissible point."""
-    if spec.kappa_source == "closed_form":
-        bound = tb.kappa_bound_fedavg if spec.family == "fedavg_theta" else tb.kappa_bound_maml
-        return bound(spec.mu, spec.ell, alpha, gamma, k)
-    theta = WeightScheme.first_k(k) if spec.family == "fedavg_theta" else WeightScheme.last_only(k)
-    return tb.kappa_exact(_point_population(spec, index), alpha, gamma, theta).kappa_exact
-
-
 def sweep(spec: SweepSpec) -> Frontier:
     """Trace the frontier of a sweep, one point per admissible grid value.
 
@@ -225,13 +220,17 @@ def sweep(spec: SweepSpec) -> Frontier:
         alpha, gamma, _ = _resolve_point(spec, spec.grid[-1])
         qw.require_contractive(SpectrumBounds(mu=spec.mu, ell=spec.ell), alpha, gamma)
     kappa0 = spec.ell / spec.mu
-    scheme = _FAMILY_SCHEME[spec.family]
+    scheme, family_theta = _FAMILY_SCHEMES[spec.family]
     points: list[FrontierPoint] = []
     skipped: list[SkippedPoint] = []
     for index, axis_value in enumerate(spec.grid):
         alpha, gamma, k = _resolve_point(spec, axis_value)
+        theta = family_theta(k)
         try:
-            kappa = _kappa_for_point(spec, index, alpha, gamma, k)
+            if spec.kappa_source == "closed_form":
+                kappa = tb.kappa_bound(spec.mu, spec.ell, alpha, gamma, theta)
+            else:
+                kappa = tb.kappa_exact(_point_population(spec, index), alpha, gamma, theta).kappa_exact
         except ConditioningError as exc:
             skipped.append(SkippedPoint(float(axis_value), "*", str(exc)))
             continue
@@ -409,31 +408,16 @@ def empirical_rate_crosscheck(
 # ---------------------------------------------------------------------------
 
 CSV_HEADER = "axis_value,rho,delta,kappa,kappa_source,alpha,gamma,K,scheme,optimizer"
-
-
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
+# One frontier point as (CSV column and JSON key, FrontierPoint field): each
+# field is its column in lower case.
+_POINT_FIELDS = tuple((column, column.lower()) for column in CSV_HEADER.split(","))
 
 
 def frontier_csv(frontier: Frontier) -> str:
     lines = [CSV_HEADER]
     for p in frontier.points:
-        lines.append(
-            ",".join(
-                [
-                    _fmt(p.axis_value),
-                    _fmt(p.rho),
-                    _fmt(p.delta),
-                    _fmt(p.kappa),
-                    p.kappa_source,
-                    _fmt(p.alpha),
-                    _fmt(p.gamma),
-                    str(p.k),
-                    p.scheme,
-                    p.optimizer,
-                ]
-            )
-        )
+        values = (getattr(p, field) for _, field in _POINT_FIELDS)
+        lines.append(",".join(format(v, ".17g") if isinstance(v, float) else str(v) for v in values))
     return "\n".join(lines) + "\n"
 
 
@@ -456,19 +440,7 @@ def frontier_json_payload(frontier: Frontier) -> dict:
             "grid_size": int(frontier.spec.grid.size),
         },
         "points": [
-            {
-                "axis_value": p.axis_value,
-                "rho": p.rho,
-                "delta": p.delta,
-                "kappa": p.kappa,
-                "kappa_source": p.kappa_source,
-                "alpha": p.alpha,
-                "gamma": p.gamma,
-                "K": p.k,
-                "scheme": p.scheme,
-                "optimizer": p.optimizer,
-            }
-            for p in frontier.points
+            {column: getattr(p, field) for column, field in _POINT_FIELDS} for p in frontier.points
         ],
         "skipped": [
             {"axis_value": s.axis_value, "optimizer": s.optimizer, "reason": s.reason}

@@ -10,6 +10,7 @@ pure functions, and all randomness flows through counter-based keyed streams
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -91,6 +92,22 @@ def real_array(value, name: str, copy: bool = False) -> np.ndarray:
     if array.dtype.kind == "c":
         raise InvalidInputError(f"{name} has complex entries")
     return array.astype(float, copy=copy)
+
+
+def euclidean_norm(x: np.ndarray) -> float:
+    """||x|| of a real vector, bit-identical to np.linalg.norm(x), but an overflow reads inf silently.
+
+    np.vdot runs the same BLAS dot as np.linalg.norm without numpy's floating-point error check.
+    """
+    return math.sqrt(np.vdot(x, x))
+
+
+def check_integer(value, name: str) -> int:
+    """value as a Python int; a float (even 3.0 or nan), a string or None raises InvalidInputError."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise InvalidInputError(f"{name} must be an integer, got {value!r}") from None
 
 
 def check_symmetric(a: np.ndarray, name: str = "matrix", copy: bool = False) -> np.ndarray:

@@ -45,7 +45,6 @@ length K.
 from __future__ import annotations
 
 import math
-import operator
 from collections.abc import Iterator
 from dataclasses import FrozenInstanceError, dataclass, field
 
@@ -122,9 +121,9 @@ class WeightScheme:
 
     @classmethod
     def _named(cls, kind: str, k: int) -> "WeightScheme":
+        k = mat.check_integer(k, "k")
         if k < 1:
             raise InvalidInputError(f"k must be >= 1, got {k}")
-        k = operator.index(k)
         if k == 1:
             kind = "last_only"  # one positive coefficient, as __init__ classifies it
         scheme = cls.__new__(cls)
@@ -150,7 +149,7 @@ class WeightScheme:
     @classmethod
     def maml_equivalent(cls, k: int) -> "WeightScheme":
         """Theta_{2K+1}: the scheme matching a K-step MAML client."""
-        return cls.last_only(2 * k + 1)
+        return cls.last_only(2 * mat.check_integer(k, "k") + 1)
 
     @property
     def coefficients(self) -> np.ndarray:
@@ -212,6 +211,20 @@ class WeightScheme:
         raise FrozenInstanceError(f"cannot delete field {name!r}")
 
 
+def _own_matrix_and_center(model, name: str) -> tuple[np.ndarray, np.ndarray]:
+    """Store read-only validated copies of model's matrix field `name` and center; return them."""
+    matrix = mat.check_symmetric(getattr(model, name), name, copy=True)
+    center = mat.real_array(model.center, "center", copy=True)
+    if center.shape != (matrix.shape[0],):
+        raise DimensionMismatchError(f"center has shape {center.shape}, expected ({matrix.shape[0]},)")
+    if not np.isfinite(center).all():
+        raise InvalidInputError("center contains non-finite entries")
+    matrix.flags.writeable = center.flags.writeable = False
+    object.__setattr__(model, name, matrix)
+    object.__setattr__(model, "center", center)
+    return matrix, center
+
+
 @dataclass(frozen=True)
 class QuadraticExample:
     """One example z: loss 0.5 (x - c_z)^T B_z (x - c_z).
@@ -225,17 +238,7 @@ class QuadraticExample:
     center: np.ndarray
 
     def __post_init__(self):
-        b = mat.check_symmetric(self.b_matrix, "b_matrix", copy=True)
-        c = mat.real_array(self.center, "center", copy=True)
-        if c.shape != (b.shape[0],):
-            raise DimensionMismatchError(
-                f"center has shape {c.shape}, expected ({b.shape[0]},)"
-            )
-        if not np.isfinite(c).all():
-            raise InvalidInputError("center contains non-finite entries")
-        b.flags.writeable = c.flags.writeable = False
-        object.__setattr__(self, "b_matrix", b)
-        object.__setattr__(self, "center", c)
+        _own_matrix_and_center(self, "b_matrix")
 
     def __eq__(self, other) -> bool:
         if type(other) is not type(self):
@@ -262,17 +265,7 @@ class ClientModel:
     examples: tuple[QuadraticExample, ...] | None = None
 
     def __post_init__(self):
-        a = mat.check_symmetric(self.a_matrix, "a_matrix", copy=True)
-        c = mat.real_array(self.center, "center", copy=True)
-        if c.shape != (a.shape[0],):
-            raise DimensionMismatchError(
-                f"center has shape {c.shape}, expected ({a.shape[0]},)"
-            )
-        if not np.isfinite(c).all():
-            raise InvalidInputError("center contains non-finite entries")
-        a.flags.writeable = c.flags.writeable = False
-        object.__setattr__(self, "a_matrix", a)
-        object.__setattr__(self, "center", c)
+        a, c = _own_matrix_and_center(self, "a_matrix")
         if self.examples is not None:
             examples = tuple(self.examples)
             if not examples:

@@ -371,10 +371,10 @@ def _family_instance(
     alpha = float(rng.choice(alphas))
     k = int(rng.integers(1, 31))
     if rng.random() < 0.5:
-        gamma = float(rng.uniform(0.0, 0.95)) / (ell + alpha)
-        return alpha, gamma, WeightScheme.first_k(k), tb.kappa_bound_fedavg(mu, ell, alpha, gamma, k)
-    gamma = float(rng.uniform(0.0, 0.95)) / (k * ell + alpha)
-    return alpha, gamma, WeightScheme.last_only(k), tb.kappa_bound_maml(mu, ell, alpha, gamma, k)
+        theta, gamma = WeightScheme.first_k(k), float(rng.uniform(0.0, 0.95)) / (ell + alpha)
+    else:
+        theta, gamma = WeightScheme.last_only(k), float(rng.uniform(0.0, 0.95)) / (k * ell + alpha)
+    return alpha, gamma, theta, tb.kappa_bound(mu, ell, alpha, gamma, theta)
 
 
 def theorem1_client_gap(
@@ -594,7 +594,7 @@ def check_corollary1(rng, trial):
     k = int(rng.integers(1, 21))
     theta = WeightScheme.first_k(k)
     gamma = float(rng.uniform(0.1, 0.9)) / (pop.bounds.ell + alpha)
-    kappa = tb.kappa_bound_fedavg(pop.bounds.mu, pop.bounds.ell, alpha, gamma, k)
+    kappa = tb.kappa_bound(pop.bounds.mu, pop.bounds.ell, alpha, gamma, theta)
     rho = tb.rho_from_kappa(kappa, "plain")
     dec = eigh(qw.surrogate_hessian(pop, alpha, gamma, theta))
     opt = auto_tune("plain", dec.lambda_max, dec.lambda_min)

@@ -28,8 +28,7 @@ from local_update_lab import (
     SpectrumBounds,
     WeightScheme,
     auto_tune,
-    kappa_bound_fedavg,
-    kappa_bound_maml,
+    kappa_bound,
     kappa_exact,
     phi,
     psi,
@@ -252,7 +251,8 @@ def test_criterion_8_frontier_shapes():
     for p in sim.points:
         if p.k < k_star:
             match_worst = max(
-                match_worst, abs(p.kappa - kappa_bound_maml(1.0, 10.0, 0.0, 0.001, p.k))
+                match_worst,
+                abs(p.kappa - kappa_bound(1.0, 10.0, 0.0, 0.001, WeightScheme.last_only(p.k))),
             )
     beyond = simulated_maml_sweep(
         dim=100, mu=1.0, ell=10.0, alpha=0.0, gamma=0.001,

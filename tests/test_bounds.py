@@ -14,8 +14,7 @@ from local_update_lab import (
     distance_bound,
     distance_bound_from_kappa,
     distortion_matrix,
-    kappa_bound_fedavg,
-    kappa_bound_maml,
+    kappa_bound,
     kappa_exact,
     mad,
     mad_bound,
@@ -87,75 +86,79 @@ class TestPhiPsi:
 
 class TestKappaBoundFedavg:
     def test_no_distortion_recovers_kappa0(self):
-        assert kappa_bound_fedavg(1.0, 10.0, 0.0, 0.0, 5) == 10.0
-        assert kappa_bound_fedavg(1.0, 10.0, 0.0, 0.05, 1) == 10.0
+        assert kappa_bound(1.0, 10.0, 0.0, 0.0, WeightScheme.first_k(5)) == 10.0
+        assert kappa_bound(1.0, 10.0, 0.0, 0.05, WeightScheme.first_k(1)) == 10.0
 
     def test_hand_value(self):
         # mu=1, L=10, gamma=0.05, K=2: 15 / 1.95
-        assert kappa_bound_fedavg(1.0, 10.0, 0.0, 0.05, 2) == pytest.approx(15.0 / 1.95, rel=1e-15)
+        bound = kappa_bound(1.0, 10.0, 0.0, 0.05, WeightScheme.first_k(2))
+        assert bound == pytest.approx(15.0 / 1.95, rel=1e-15)
 
     def test_saturates_to_one(self):
-        assert kappa_bound_fedavg(1.0, 10.0, 0.0, 0.05, 10**6) == pytest.approx(1.0, abs=1e-6)
+        bound = kappa_bound(1.0, 10.0, 0.0, 0.05, WeightScheme.first_k(10**6))
+        assert bound == pytest.approx(1.0, abs=1e-6)
 
     def test_saturation_never_dips_below_one(self):
         # deep saturation can land a trailing ulp below 1 in float; the bound
         # is provably >= 1 and must stay there so delta/rho stay defined
         for k in (10**4, 10**5, 10**6):
-            assert kappa_bound_fedavg(1.0, 4.0, 0.0, 0.1, k) >= 1.0
-            assert kappa_bound_maml(1.0, 4.0, 0.0, 0.9 / (4.0 * k), k) >= 1.0
+            assert kappa_bound(1.0, 4.0, 0.0, 0.1, WeightScheme.first_k(k)) >= 1.0
+            assert kappa_bound(1.0, 4.0, 0.0, 0.9 / (4.0 * k), WeightScheme.last_only(k)) >= 1.0
 
     def test_equality_exactly_when_undistorted(self):
         # the bound equals L/mu iff gamma = 0 or K = 1 (alpha enters only
         # through the product gamma * alpha, so it cannot break equality)
-        assert kappa_bound_fedavg(1.0, 10.0, 0.5, 0.0, 1) == 10.0
-        assert kappa_bound_fedavg(1.0, 10.0, 3.0, 0.0, 8) == 10.0
-        assert kappa_bound_fedavg(1.0, 10.0, 0.0, 0.05, 1) == 10.0
-        assert kappa_bound_fedavg(1.0, 10.0, 0.0, 0.01, 2) < 10.0
-        assert kappa_bound_fedavg(1.0, 10.0, 0.5, 0.01, 2) < 10.0
+        assert kappa_bound(1.0, 10.0, 0.5, 0.0, WeightScheme.first_k(1)) == 10.0
+        assert kappa_bound(1.0, 10.0, 3.0, 0.0, WeightScheme.first_k(8)) == 10.0
+        assert kappa_bound(1.0, 10.0, 0.0, 0.05, WeightScheme.first_k(1)) == 10.0
+        assert kappa_bound(1.0, 10.0, 0.0, 0.01, WeightScheme.first_k(2)) < 10.0
+        assert kappa_bound(1.0, 10.0, 0.5, 0.01, WeightScheme.first_k(2)) < 10.0
 
     def test_monotone_in_k_and_gamma(self):
-        ks = [kappa_bound_fedavg(1.0, 10.0, 0.0, 0.05, k) for k in (1, 2, 5, 20, 100)]
+        ks = [kappa_bound(1.0, 10.0, 0.0, 0.05, WeightScheme.first_k(k)) for k in (1, 2, 5, 20, 100)]
         assert all(a > b for a, b in zip(ks, ks[1:]))
-        gs = [kappa_bound_fedavg(1.0, 10.0, 0.0, g, 10) for g in (0.001, 0.01, 0.05, 0.09)]
+        gs = [kappa_bound(1.0, 10.0, 0.0, g, WeightScheme.first_k(10)) for g in (0.001, 0.01, 0.05, 0.09)]
         assert all(a > b for a, b in zip(gs, gs[1:]))
 
     def test_alpha_not_monotone_but_always_below_kappa0(self):
         # at fixed gamma the bound is NOT monotone in alpha (2.49 at alpha=0
         # vs 4.12 at alpha=5 for mu=1, L=10, gamma=0.05, K=10); it does stay
         # below L/mu
-        als = [kappa_bound_fedavg(1.0, 10.0, a, 0.05, 10) for a in (0.0, 0.5, 1.0, 5.0)]
+        als = [kappa_bound(1.0, 10.0, a, 0.05, WeightScheme.first_k(10)) for a in (0.0, 0.5, 1.0, 5.0)]
         assert als[0] < als[-1]
         assert all(1.0 <= v <= 10.0 for v in als)
 
     def test_precondition(self):
         with pytest.raises(ConditioningError):
-            kappa_bound_fedavg(1.0, 10.0, 0.0, 0.1, 5)
+            kappa_bound(1.0, 10.0, 0.0, 0.1, WeightScheme.first_k(5))
 
 
 class TestKappaBoundMaml:
     def test_k1_and_gamma0(self):
-        assert kappa_bound_maml(1.0, 10.0, 0.0, 0.01, 1) == 10.0
-        assert kappa_bound_maml(1.0, 10.0, 0.0, 0.0, 7) == 10.0
+        assert kappa_bound(1.0, 10.0, 0.0, 0.01, WeightScheme.last_only(1)) == 10.0
+        assert kappa_bound(1.0, 10.0, 0.0, 0.0, WeightScheme.last_only(7)) == 10.0
 
     def test_hand_value(self):
         # mu=1, L=10, gamma=0.01, K=2: (0.9 / 0.99) * 10
-        assert kappa_bound_maml(1.0, 10.0, 0.0, 0.01, 2) == pytest.approx(0.9 / 0.99 * 10.0, rel=1e-15)
+        bound = kappa_bound(1.0, 10.0, 0.0, 0.01, WeightScheme.last_only(2))
+        assert bound == pytest.approx(0.9 / 0.99 * 10.0, rel=1e-15)
 
     def test_decreasing_in_k_gamma_alpha(self):
-        ks = [kappa_bound_maml(1.0, 10.0, 0.0, 0.001, k) for k in (1, 2, 5, 20, 90)]
+        ks = [kappa_bound(1.0, 10.0, 0.0, 0.001, WeightScheme.last_only(k)) for k in (1, 2, 5, 20, 90)]
         assert all(a > b for a, b in zip(ks, ks[1:]))
-        gs = [kappa_bound_maml(1.0, 10.0, 0.0, g, 5) for g in (0.001, 0.005, 0.019)]
+        gs = [kappa_bound(1.0, 10.0, 0.0, g, WeightScheme.last_only(5)) for g in (0.001, 0.005, 0.019)]
         assert all(a > b for a, b in zip(gs, gs[1:]))
-        als = [kappa_bound_maml(1.0, 10.0, a, 0.001, 5) for a in (0.0, 0.5, 1.0, 5.0)]
+        als = [kappa_bound(1.0, 10.0, a, 0.001, WeightScheme.last_only(5)) for a in (0.0, 0.5, 1.0, 5.0)]
         assert all(a > b for a, b in zip(als, als[1:]))
 
     def test_precondition(self):
-        with pytest.raises(ConditioningError, match=r"need gamma < 1/\(K\*ell\+alpha\) = 0\.01,"):
-            kappa_bound_maml(1.0, 10.0, 0.0, 0.011, 10)
+        with pytest.raises(ConditioningError) as caught:
+            kappa_bound(1.0, 10.0, 0.0, 0.011, WeightScheme.last_only(10))
+        assert str(caught.value) == "need gamma < 1/(K*ell+alpha) = 0.01, got gamma=0.011"
 
     def test_bad_mu_ell(self):
         with pytest.raises(InvalidInputError, match="need 0 < mu <= ell, got mu=2.0, ell=1.0"):
-            kappa_bound_maml(2.0, 1.0, 0.0, 0.01, 10)
+            kappa_bound(2.0, 1.0, 0.0, 0.01, WeightScheme.last_only(10))
 
     def test_applies(self):
         assert maml_bound_applies(10.0, 0.0, 0.0099, 10)
@@ -163,14 +166,37 @@ class TestKappaBoundMaml:
         assert not maml_bound_applies(10.0, 2.0, 0.0099, 10)
 
 
+class TestKappaBoundDispatch:
+    """kappa_bound picks phi or psi from the scheme's structure alone."""
+
+    @pytest.mark.parametrize("coefficients", [[1.0, 2.0], [0.5, 0.0, 0.5], [3.0, 1.0, 1.0]])
+    def test_general_scheme_has_no_closed_form(self, coefficients):
+        with pytest.raises(InvalidInputError, match="first-K or last-only"):
+            kappa_bound(1.0, 10.0, 0.0, 0.01, WeightScheme(coefficients))
+
+    @pytest.mark.parametrize("alpha, gamma", [(0.0, 0.05), (0.5, 0.09), (3.0, 0.0)])
+    def test_k1_is_kappa0_for_both_families(self, alpha, gamma):
+        assert kappa_bound(1.0, 10.0, alpha, gamma, WeightScheme.first_k(1)) == 10.0
+        assert kappa_bound(1.0, 10.0, alpha, gamma, WeightScheme.last_only(1)) == 10.0
+
+    def test_uniform_prefix_vector_gets_the_first_k_bound(self):
+        expected = phi(10.0, 0.5, 0.05, 3) / phi(1.0, 0.5, 0.05, 3)
+        for theta in (WeightScheme([2.0, 2.0, 2.0]), WeightScheme([0.5, 0.5, 0.5, 0.0])):
+            assert kappa_bound(1.0, 10.0, 0.5, 0.05, theta) == expected
+
+    def test_last_only_vector_gets_the_psi_bound(self):
+        expected = psi(10.0, 0.0, 0.01, 3) / psi(1.0, 0.0, 0.01, 3)
+        assert kappa_bound(1.0, 10.0, 0.0, 0.01, WeightScheme([0.0, 0.0, 4.0])) == expected
+
+
 @pytest.mark.parametrize("alpha, gamma", [(np.nan, 0.01), (0.0, np.nan), (np.nan, np.nan)])
 def test_nan_parameters_rejected(alpha, gamma):
     assert not maml_bound_applies(10.0, alpha, gamma, 5)
     with pytest.raises(InvalidInputError, match="nonnegative"):
         require_contractive(SpectrumBounds(mu=1.0, ell=10.0), alpha, gamma)
-    for bound in (kappa_bound_fedavg, kappa_bound_maml):
+    for theta in (WeightScheme.first_k(5), WeightScheme.last_only(5)):
         with pytest.raises(InvalidInputError, match="nonnegative"):
-            bound(1.0, 10.0, alpha, gamma, 5)
+            kappa_bound(1.0, 10.0, alpha, gamma, theta)
 
 
 class TestKappaExact:
@@ -342,10 +368,10 @@ class TestEigenvalueRoute:
         with pytest.raises(ConditioningError) as direct:
             require_contractive(SpectrumBounds(mu=1.0, ell=10.0), 0.5, 0.1)
         with pytest.raises(ConditioningError) as fedavg:
-            kappa_bound_fedavg(1.0, 10.0, 0.5, 0.1, 5)
+            kappa_bound(1.0, 10.0, 0.5, 0.1, WeightScheme.first_k(5))
         assert str(fedavg.value) == str(direct.value)
         with pytest.raises(InvalidInputError, match="nonnegative"):
-            kappa_bound_fedavg(1.0, 10.0, -0.5, 0.01, 5)
+            kappa_bound(1.0, 10.0, -0.5, 0.01, WeightScheme.first_k(5))
 
 
 class TestRho:
@@ -447,7 +473,7 @@ class TestDistanceBoundFromKappa:
             pop = random_population(rng, max_dim=8, max_clients=5, min_dim=2)
             k = int(rng.integers(1, 20))
             gamma = float(rng.uniform(0.0, 0.9)) / pop.bounds.ell
-            kappa = kappa_bound_fedavg(pop.bounds.mu, pop.bounds.ell, 0.0, gamma, k)
+            kappa = kappa_bound(pop.bounds.mu, pop.bounds.ell, 0.0, gamma, WeightScheme.first_k(k))
             measured = minimizer_distance(pop, 0.0, gamma, WeightScheme.first_k(k))
             bound = distance_bound_from_kappa(kappa, pop.bounds.kappa0, pop.bounds.c_radius)
             assert measured <= bound + 1e-12

@@ -169,10 +169,11 @@ class TestSimulateCommand:
         assert code == 2
         assert "line 6" in capsys.readouterr().err
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("optimizer", ["plain", "heavy_ball"])
     def test_overflowing_x0_distance_is_a_divergence(self, optimizer, tmp_path, capsys):
         # ||x0 - x*|| overflows to inf: the auto round count clamps, and the
-        # engine stops at round 0
+        # engine stops at round 0; neither overflow is also a numpy warning
         code = run_cli(["simulate", "--gamma", "0.01", "--theta", "one", "--optimizer", optimizer,
                         "--x0", "1e300,0,0,0", "--out", str(tmp_path / "t.csv")])
         assert code == 3
@@ -286,6 +287,15 @@ class TestTightnessCommand:
         payload = json.loads(out.read_text())
         assert payload["schemes"]["first_k"]["gap"] <= 1e-10
         assert payload["schemes"]["last_only"]["gap"] <= 1e-10
+
+    def test_b3_has_no_last_only_row_outside_the_psi_precondition(self, tmp_path):
+        # gamma >= 1/(K ell): no psi bound, and the last-only spectrum would
+        # underflow, so that row is left out rather than measured
+        out = tmp_path / "b3.json"
+        code = run_cli(["tightness", "--family", "b3", "--gamma", "0.02", "--k", "10000",
+                        "--out", str(out)])
+        assert code == 0
+        assert list(json.loads(out.read_text())["schemes"]) == ["first_k"]
 
 
 class TestUsageErrors:

@@ -134,6 +134,30 @@ class TestConfigValidation:
         with pytest.raises(InvalidInputError):
             RunConfig(alpha=0.0, gamma=0.0, theta=theta, rounds=1, mode="stochastic")
 
+    @pytest.mark.parametrize("alpha, gamma", [(np.inf, 0.0), (0.0, np.inf), (np.inf, np.inf)])
+    def test_run_config_rejects_infinite_rates(self, alpha, gamma):
+        with pytest.raises(InvalidInputError, match="alpha and gamma must be finite"):
+            RunConfig(alpha=alpha, gamma=gamma, theta=WeightScheme.single(), rounds=1)
+
+    @pytest.mark.parametrize(
+        "fields, message",
+        [
+            ({"rounds": 2.5}, "rounds must be an integer, got 2.5"),
+            ({"rounds": 3.0}, "rounds must be an integer, got 3.0"),
+            ({"mode": "stochastic", "clients_per_round": 2.5, "batch_size": 1},
+             "clients_per_round must be an integer, got 2.5"),
+            ({"mode": "stochastic", "clients_per_round": 2, "batch_size": 1.5},
+             "batch_size must be an integer, got 1.5"),
+            ({"mode": "stochastic", "clients_per_round": 2, "batch_size": "1"},
+             "batch_size must be an integer, got '1'"),
+        ],
+    )
+    def test_run_config_rejects_non_integer_counts(self, fields, message):
+        config = {"alpha": 0.0, "gamma": 0.01, "theta": WeightScheme.single(), "rounds": 1} | fields
+        with pytest.raises(InvalidInputError) as caught:
+            RunConfig(**config)
+        assert str(caught.value) == message
+
     def test_server_opt_spec(self):
         with pytest.raises(InvalidInputError):
             ServerOptSpec(kind="adam", step=0.1)

@@ -11,7 +11,7 @@ from local_update_lab import (
     SpectrumBounds,
     WeightScheme,
     delta_from_kappa,
-    kappa_bound_maml,
+    kappa_bound,
     kappa_exact,
     psi,
     random_spd_with_spectrum,
@@ -308,7 +308,7 @@ class TestSimulatedMamlSweep:
             dim=8, mu=1.0, ell=10.0, alpha=0.0, gamma=0.001, k_grid=k_grid, seed=5,
         )
         for point in frontier.points:
-            closed = kappa_bound_maml(1.0, 10.0, 0.0, 0.001, point.k)
+            closed = kappa_bound(1.0, 10.0, 0.0, 0.001, WeightScheme.last_only(point.k))
             assert abs(point.kappa - closed) <= 1e-6
 
     def test_departs_beyond_threshold(self):

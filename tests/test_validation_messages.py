@@ -76,6 +76,11 @@ def test_weight_scheme(coefficients, message):
         (WeightScheme.first_k, 0, "k must be >= 1, got 0"),
         (WeightScheme.last_only, 0, "k must be >= 1, got 0"),
         (WeightScheme.maml_equivalent, -1, "k must be >= 1, got -1"),
+        (WeightScheme.first_k, 2.5, "k must be an integer, got 2.5"),
+        (WeightScheme.first_k, "3", "k must be an integer, got '3'"),
+        (WeightScheme.last_only, NAN, "k must be an integer, got nan"),
+        (WeightScheme.last_only, 3.0, "k must be an integer, got 3.0"),
+        (WeightScheme.maml_equivalent, 2.5, "k must be an integer, got 2.5"),
     ],
 )
 def test_named_weight_schemes(named, k, message):
