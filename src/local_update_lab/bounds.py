@@ -20,6 +20,7 @@ compare the two.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -158,27 +159,66 @@ def kappa_exact(
 
     Valid whenever gamma < (ell + alpha)^-1, including the regime where the
     last-gradient map is non-monotone and the psi bound does not apply.
+    When a last-gradient map underflows float64 at large K, the extremes are
+    taken in log space (see _log_expected_extremes): kappa_exact is then
+    their ratio, inf once that overflows, and l_tilde and mu_tilde may read 0.
     """
     qw.require_contractive(pop.bounds, alpha, gamma)
     mapped = scheme_qa_eigenvalues(pop.spectra, alpha, gamma, theta)
     if np.any(mapped <= 0.0):
-        raise ConditioningError(
-            f"nonpositive distorted eigenvalue {mapped.min():.6g} encountered"
-        )
-    # mapped spectra need not stay sorted (the last-gradient map is not
-    # monotone), so each client's extremes are searched for
-    expected_max = float(pop.weights @ mapped.max(axis=1))
-    expected_min = float(pop.weights @ mapped.min(axis=1))
+        log_extremes = _log_expected_extremes(pop, alpha, gamma, theta)
+        if log_extremes is None:
+            raise ConditioningError(
+                f"nonpositive distorted eigenvalue {mapped.min():.6g} encountered"
+            )
+        log_max, log_min = log_extremes
+        with np.errstate(over="ignore"):  # a ratio beyond float64 reads inf
+            expected_max, expected_min, ratio = np.exp([log_max, log_min, log_max - log_min]).tolist()
+    else:
+        # mapped spectra need not stay sorted (the last-gradient map is not
+        # monotone), so each client's extremes are searched for
+        expected_max = float(pop.weights @ mapped.max(axis=1))
+        expected_min = float(pop.weights @ mapped.min(axis=1))
+        ratio = expected_max / expected_min
     try:
         bound = kappa_bound(pop.bounds.mu, pop.bounds.ell, alpha, gamma, theta)
     except (ConditioningError, InvalidInputError):  # psi outside its precondition, or a general theta
         bound = None
     return KappaReport(
-        kappa_exact=max(1.0, expected_max / expected_min),
+        kappa_exact=max(1.0, ratio),
         l_tilde=expected_max,
         mu_tilde=expected_min,
         kappa_bound=bound,
     )
+
+
+def _log_expected_extremes(
+    pop: Population, alpha: float, gamma: float, theta: WeightScheme
+) -> tuple[float, float] | None:
+    """(log E_i[max_j m_ij], log E_i[min_j m_ij]) of a last-only theta's mapped spectra m.
+
+    m_ij = theta_K xi_ij^(K-1) lam_ij is positive when every lam and xi = 1 -
+    gamma (lam + alpha) is, but underflows float64 at large K; its log,
+    log theta_K + log lam + (K-1) log xi, does not. The expectations run over
+    the clients with positive weight, as a log-sum-exp. None for another
+    scheme, or when some lam or xi is not positive (the map itself is then
+    nonpositive).
+    """
+    kind, k, coeff = theta.structure()
+    lams = pop.spectra
+    xi = 1.0 - gamma * (lams + alpha)
+    if kind != "last_only" or not ((lams > 0.0).all() and (xi > 0.0).all()):
+        return None
+    logs = math.log(coeff) + np.log(lams) + (k - 1) * np.log(xi)
+    weighted = pop.weights > 0.0
+    log_weights = np.log(pop.weights[weighted])
+
+    def log_mean(values: np.ndarray) -> float:
+        terms = values[weighted] + log_weights
+        top = terms.max()
+        return float(top + math.log(np.exp(terms - top).sum()))
+
+    return log_mean(logs.max(axis=1)), log_mean(logs.min(axis=1))
 
 
 def rho_from_kappa(kappa: float, optimizer_kind: str) -> float:

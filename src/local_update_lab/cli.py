@@ -2,7 +2,8 @@
 
 Subcommands:
 
-  frontier   closed-form Pareto frontier sweeps (CSV/JSON/SVG)
+  frontier   Pareto frontier sweeps, closed-form or on a population file
+             (CSV/JSON/SVG)
   maml-sim   simulated last-gradient frontiers on random matrices
   simulate   deterministic full-participation trajectories (CSV/JSON)
   verify     run the analytic verification suites (JSON report)
@@ -152,13 +153,16 @@ def cmd_frontier(args) -> int:
             grid = np.array(sorted(float(v) for v in args.alphas.split(",")))
         except ValueError as exc:
             raise InvalidInputError(f"bad --alphas value: {exc}") from exc
+    if (args.kappa_source == "exact_spectral") != (args.population is not None):
+        raise InvalidInputError("--kappa-source exact_spectral and --population go together")
+    population = None if args.population is None else qw.load_population(args.population)
     # the varied axis's fixed field keeps SweepSpec's default
     spec = SweepSpec(
         family=family, vary=args.vary, grid=grid, mu=args.mu, ell=args.ell,
         alpha=0.0 if args.vary == "alpha" else args.alpha,
         gamma=None if args.vary == "gamma" else gamma,
         k=None if args.vary == "K" else args.k,
-        optimizers=optimizers, kappa_source=args.kappa_source, seed=seed,
+        optimizers=optimizers, kappa_source=args.kappa_source, population=population, seed=seed,
     )
     frontier = sweep(spec)
     title = f"frontier {args.family} mu={args.mu:g} ell={args.ell:g} vary {args.vary}"
@@ -398,7 +402,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("frontier", help="closed-form Pareto frontier sweep")
+    p = sub.add_parser("frontier", help="Pareto frontier sweep, closed-form or on a population file")
     p.add_argument("--mu", type=float, required=True, help="strong convexity bound mu")
     p.add_argument("--ell", type=float, required=True, help="smoothness bound L")
     p.add_argument("--alpha", type=float, default=0.0, help="proximal strength (default 0)")
@@ -417,8 +421,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--points", type=int, default=60, help="grid size (default 60)")
     p.add_argument("--optimizers", type=str, default="plain",
                    help="comma subset of plain,nesterov,heavy_ball")
-    p.add_argument("--kappa-source", choices=("closed_form",), default="closed_form",
-                   help="condition number source (spectral sweeps: use maml-sim)")
+    p.add_argument("--kappa-source", choices=("closed_form", "exact_spectral"), default="closed_form",
+                   help="condition number source: the phi/psi closed form, or kappa_exact of the "
+                   "--population file (random matrices: use maml-sim)")
+    p.add_argument("--population", type=str, default=None,
+                   help="population file for --kappa-source exact_spectral; its bounds must equal --mu/--ell")
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--format", choices=("csv", "json", "svg"), default="csv")
     p.add_argument("--out", type=str, default=None, help="output path (default stdout)")

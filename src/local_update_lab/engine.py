@@ -13,6 +13,14 @@ per-(seed, round, draw) child streams so trajectories are reproducible and
 independent of scheduling. Deterministic rounds step all clients together in
 one batched kernel; stochastic rounds run the same K-step loop one sampled
 client at a time, with mini-batch gradients.
+
+The kernels read the stacks the data lives in and copy nothing per round: a
+deterministic round steps the population's read-only (n, d, d) matrix and
+(n, d) center stacks, and a mini-batch draw gathers its examples from the
+client's (m, d, d) and (m, d) example stacks, one indexing operation per
+block of local steps. The proximal term alpha (x_k - x) is computed only
+when alpha > 0; adding its zero would change nothing but the sign of an
+exactly-zero gradient component.
 """
 
 from __future__ import annotations
@@ -34,6 +42,12 @@ SERVER_OPT_KINDS = ("plain", "nesterov", "heavy_ball")
 # Stream-domain tags for child RNGs.
 _DOMAIN_SAMPLING = 0x01
 _DOMAIN_CLIENT = 0x02
+
+# A mini-batch draw gathers the example matrices of at most this many matrix
+# entries at once (512 kB): all K steps of an engine round's draw in one
+# indexing operation, and a bounded block of steps for the exact expectation's
+# thousands of batch sequences.
+_GATHER_BLOCK_ENTRIES = 65536
 
 
 @dataclass(frozen=True)
@@ -145,16 +159,19 @@ def _local_steps(
     """The K-step kernel: n stacked clients run K local steps from x together.
 
     loss_gradient(k, xk) returns the (n, d) local loss gradients at step k
-    (full or mini-batch); the proximal term alpha (xk - x) is added here.
-    Returns the (n, d) stacked messages sum_k theta_k g_k. Every operation is
-    elementwise across clients or a per-client matrix product, so each row
-    is the same floating-point computation as one client stepping alone.
+    (full or mini-batch), called for k = 0, 1, ... in order; the proximal
+    term alpha (xk - x) is added here when alpha > 0. Returns the (n, d)
+    stacked messages sum_k theta_k g_k. Every operation is elementwise across
+    clients or a per-client matrix product, so each row is the same
+    floating-point computation as one client stepping alone.
     """
     coeffs = theta.coefficients[: theta.size]
     xk = np.tile(x, (n, 1))
     total = np.zeros_like(xk)
     for k, coeff in enumerate(coeffs):
-        g = loss_gradient(k, xk) + alpha * (xk - x)
+        g = loss_gradient(k, xk)
+        if alpha > 0.0:
+            g += alpha * (xk - x)
         if coeff != 0.0:
             total += coeff * g
         xk = xk - gamma * g
@@ -194,16 +211,27 @@ def _stochastic_client_updates(
     local step. Returns the (n_sims, d) stacked client messages. The single
     draw path and the exact expectation of the verification suites share this
     code, so they are the same algorithm by construction.
+
+    The batches of a block of steps are gathered in one indexing operation,
+    step-major, so each step reads a contiguous (n_sims, B, d, d) slice laid
+    out as a gather of that step alone: the result is bit-identical to one
+    gather per step.
     """
     b_stack, c_stack = client.example_arrays()
     n_sims, k_steps, batch = batch_indices.shape
     if k_steps != theta.size:
         raise InvalidInputError("batch_indices second axis must equal K(theta)")
+    steps = batch_indices.swapaxes(0, 1)  # (K, n_sims, B)
+    block = max(1, _GATHER_BLOCK_ENTRIES // (n_sims * batch * b_stack[0].size))
+    b_block = c_block = None
 
     def loss_gradient(k, xk):
-        idx = batch_indices[:, k, :]
-        diff = xk[:, None, :] - c_stack[idx]  # (n_sims, B, d)
-        return np.einsum("sbij,sbj->si", b_stack[idx], diff) / batch
+        nonlocal b_block, c_block
+        j = k % block
+        if j == 0:
+            b_block, c_block = b_stack[steps[k : k + block]], c_stack[steps[k : k + block]]
+        diff = xk[:, None, :] - c_block[j]  # (n_sims, B, d)
+        return np.einsum("sbij,sbj->si", b_block[j], diff) / batch
 
     return _local_steps(x, n_sims, alpha, gamma, theta, loss_gradient)
 
@@ -358,11 +386,7 @@ def server_round(
                 "deterministic mode requires full participation "
                 f"(clients_per_round={cfg.clients_per_round}, population={pop.n_clients})"
             )
-        updates = _deterministic_updates(
-            np.stack([client.a_matrix for client in pop.clients]),
-            np.stack([client.center for client in pop.clients]),
-            x, cfg.alpha, cfg.gamma, cfg.theta,
-        )
+        updates = _deterministic_updates(pop.matrices, pop.centers, x, cfg.alpha, cfg.gamma, cfg.theta)
         q = np.zeros_like(x)
         for weight, update in zip(pop.weights, updates):
             q += weight * update

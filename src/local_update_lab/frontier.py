@@ -209,10 +209,11 @@ def sweep(spec: SweepSpec) -> Frontier:
     The all-gradients family requires gamma < (ell + alpha)^-1 at every grid
     point and raises otherwise. A point whose kappa source raises
     ConditioningError (the psi bound outside gamma < (K ell + alpha)^-1, a
-    spectral point outside gamma < (ell + alpha)^-1 or with an underflowing
-    mapped eigenvalue), and a point whose kappa exceeds kappa0 (so delta
-    leaves [0, 1]), is skipped with its reason recorded. An empty admissible
-    set is an error.
+    spectral point outside gamma < (ell + alpha)^-1), and a point whose kappa
+    exceeds kappa0 (so delta leaves [0, 1]), is skipped with its reason
+    recorded; a last-gradient spectral point whose mapped eigenvalues
+    underflow gets its kappa from log space, inf when that overflows. An
+    empty admissible set is an error.
     """
     if spec.family == "fedavg_theta":
         # The grid increases strictly, so its last point has the largest
@@ -279,8 +280,9 @@ def simulated_maml_sweep(
     (child seed from (seed, grid index)) and kappa is measured from its
     mapped spectrum. Valid for any gamma < (ell + alpha)^-1, including the
     non-monotone regime where the closed-form psi bound does not apply;
-    points whose measured kappa exceeds kappa0, or whose smallest mapped
-    eigenvalue underflows float64, are skipped with a recorded reason.
+    points whose measured kappa exceeds kappa0 are skipped with a recorded
+    reason, also where the mapped eigenvalues underflow float64 and kappa
+    is measured in log space.
     """
     qw.require_contractive(SpectrumBounds(mu=mu, ell=ell), alpha, gamma)
     return sweep(

@@ -46,7 +46,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Iterator
-from dataclasses import FrozenInstanceError, dataclass, field
+from dataclasses import FrozenInstanceError, InitVar, dataclass, field
 
 import numpy as np
 
@@ -148,8 +148,11 @@ class WeightScheme:
 
     @classmethod
     def maml_equivalent(cls, k: int) -> "WeightScheme":
-        """Theta_{2K+1}: the scheme matching a K-step MAML client."""
-        return cls.last_only(2 * mat.check_integer(k, "k") + 1)
+        """Theta_{2K+1}: the scheme matching a K-step MAML client, K >= 1."""
+        k = mat.check_integer(k, "k")
+        if k < 1:
+            raise InvalidInputError(f"k must be >= 1, got {k}")
+        return cls.last_only(2 * k + 1)
 
     @property
     def coefficients(self) -> np.ndarray:
@@ -225,13 +228,32 @@ def _own_matrix_and_center(model, name: str) -> tuple[np.ndarray, np.ndarray]:
     return matrix, center
 
 
+def _view(cls, **fields):
+    """An instance of the frozen dataclass cls holding fields as given, unchecked.
+
+    For the clients and examples that a population or a client builds over
+    its own validated, read-only stacks: their arrays are views of a stack.
+    """
+    view = object.__new__(cls)
+    for name, value in fields.items():
+        object.__setattr__(view, name, value)
+    return view
+
+
+def _read_only_stack(arrays) -> np.ndarray:
+    stack = np.stack(arrays)
+    stack.flags.writeable = False
+    return stack
+
+
 @dataclass(frozen=True)
 class QuadraticExample:
     """One example z: loss 0.5 (x - c_z)^T B_z (x - c_z).
 
     B_z must be symmetric but need not be PSD; only the client mean A_i is
     required to satisfy the population spectrum bounds. b_matrix and center
-    are read-only copies of the caller's arrays.
+    are read-only copies of the caller's arrays; the examples a client holds
+    are views of its example stacks instead.
     """
 
     b_matrix: np.ndarray
@@ -257,12 +279,19 @@ class ClientModel:
     When examples are present they are sampled uniformly, and consistency of
     (A_i, c_i) with the example moments is validated at construction.
     a_matrix and center are read-only copies of the caller's arrays, so a
-    later write to those arrays cannot leave a validated object stale.
+    later write to those arrays cannot leave a validated object stale; the
+    clients of a Population are views of its stacks instead.
+
+    A client with examples stores them once, as the read-only stacks
+    example_matrices (m, d, d) and example_centers (m, d); its examples are
+    views of those stacks, which the engine's mini-batch kernel reads.
     """
 
     a_matrix: np.ndarray
     center: np.ndarray
     examples: tuple[QuadraticExample, ...] | None = None
+    example_matrices: np.ndarray | None = field(default=None, init=False, compare=False, repr=False)
+    example_centers: np.ndarray | None = field(default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         a, c = _own_matrix_and_center(self, "a_matrix")
@@ -272,7 +301,9 @@ class ClientModel:
                 raise InvalidInputError("examples, when given, must be nonempty")
             if any(ex.dim != a.shape[0] for ex in examples):
                 raise DimensionMismatchError("example dimension differs from client dimension")
-            a_mean = np.mean([ex.b_matrix for ex in examples], axis=0)
+            b_stack = _read_only_stack([ex.b_matrix for ex in examples])
+            c_stack = _read_only_stack([ex.center for ex in examples])
+            a_mean = np.mean(b_stack, axis=0)
             if np.max(np.abs(a_mean - a)) > _BOUNDS_TOL:
                 raise InvalidInputError(
                     "a_matrix does not match the mean of the example matrices "
@@ -285,7 +316,11 @@ class ClientModel:
                     "center does not match A^-1 E[B_z c_z] "
                     f"(max deviation {np.max(np.abs(center_implied - c)):.3e})"
                 )
-            object.__setattr__(self, "examples", examples)
+            object.__setattr__(self, "examples", tuple(
+                _view(QuadraticExample, b_matrix=b, center=center) for b, center in zip(b_stack, c_stack)
+            ))
+            object.__setattr__(self, "example_matrices", b_stack)
+            object.__setattr__(self, "example_centers", c_stack)
 
     @classmethod
     def from_examples(cls, examples) -> "ClientModel":
@@ -312,12 +347,56 @@ class ClientModel:
         return self.a_matrix.shape[0]
 
     def example_arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        """Stacked (n_examples, d, d) matrices and (n_examples, d) centers."""
+        """The read-only (n_examples, d, d) matrix and (n_examples, d) center stacks."""
         if self.examples is None:
             raise InvalidInputError("client has no example set")
-        b = np.stack([ex.b_matrix for ex in self.examples])
-        c = np.stack([ex.center for ex in self.examples])
-        return b, c
+        return self.example_matrices, self.example_centers
+
+
+def _client_view(a_matrix: np.ndarray, center: np.ndarray, source: ClientModel | None) -> ClientModel:
+    """A client over a population's stack rows (a_matrix, center), with source's examples if any."""
+    if source is None:
+        return _view(ClientModel, a_matrix=a_matrix, center=center, examples=None,
+                     example_matrices=None, example_centers=None)
+    return _view(ClientModel, a_matrix=a_matrix, center=center, examples=source.examples,
+                 example_matrices=source.example_matrices, example_centers=source.example_centers)
+
+
+def _validated_stacks(matrices, centers) -> tuple[np.ndarray, np.ndarray]:
+    """Client matrices (n, d, d) and centers (n, d), validated in one vectorized pass.
+
+    The checks are ClientModel's, made on every client at once, and the error
+    names the first bad client (its matrix, then its center). A matrix that is
+    asymmetric only at rounding level is symmetrised in place, as
+    check_symmetric does for one matrix, so the caller hands over arrays it
+    owns.
+    """
+    matrices = mat.real_array(matrices, "matrices")
+    centers = mat.real_array(centers, "centers")
+    if matrices.ndim != 3 or matrices.shape[1] != matrices.shape[2] or 0 in matrices.shape:
+        raise DimensionMismatchError(f"matrices must be a nonempty (n, d, d) stack, got shape {matrices.shape}")
+    if centers.shape != matrices.shape[:2]:
+        raise DimensionMismatchError(f"centers have shape {centers.shape}, expected {matrices.shape[:2]}")
+    transposed = matrices.swapaxes(1, 2)
+    finite = np.isfinite(matrices).all(axis=(1, 2))
+    asymmetric = finite & (matrices != transposed).any(axis=(1, 2))
+    rounding = np.zeros_like(asymmetric)
+    if asymmetric.any():
+        m = matrices[asymmetric]
+        deviation = np.abs(m - m.swapaxes(1, 2)).max(axis=(1, 2))
+        rounding[asymmetric] = deviation <= 1e-12 * (1.0 + np.abs(m).max(axis=(1, 2)))
+    bad = ~finite | (asymmetric & ~rounding) | ~np.isfinite(centers).all(axis=1)
+    if bad.any():
+        i = int(bad.argmax())
+        if not finite[i]:
+            raise InvalidInputError(f"client {i}: a_matrix contains non-finite entries")
+        if asymmetric[i]:
+            raise InvalidInputError(f"client {i}: a_matrix is not symmetric")
+        raise InvalidInputError(f"client {i}: center contains non-finite entries")
+    if asymmetric.any():
+        m = matrices[asymmetric]
+        matrices[asymmetric] = 0.5 * (m + m.swapaxes(1, 2))
+    return matrices, centers
 
 
 @dataclass(frozen=True)
@@ -329,10 +408,18 @@ class Population:
     (up to 1e-9 slack). bounds=None takes the tightest bounds the clients
     satisfy.
 
+    The client matrices and centers are stored once, as the read-only stacks
+    matrices (n_clients, dim, dim) and centers (n_clients, dim), and clients
+    holds views of them (with each client's own example stacks): a population
+    built from clients copies their arrays into the stacks and keeps no
+    per-client copy. Stacks given directly are validated in one vectorized
+    pass: from_stacks copies the caller's, and load_population parses a file
+    into the stacks it hands over.
+
     spectra holds the ascending eigenvalues of every A_i as one read-only
     (n_clients, dim) array, kept from the validating eigendecomposition
-    (batched eigh over stacked clients, bit-identical to one call per
-    client); the eigenvalue route of bounds.py maps it instead of
+    (batched eigh over slices of the matrix stack, bit-identical to one call
+    per client); the eigenvalue route of bounds.py maps it instead of
     decomposing again.
 
     A population also remembers its latest surrogate system (see
@@ -344,19 +431,32 @@ class Population:
     equal when their clients, weights and bounds are.
     """
 
-    clients: tuple[ClientModel, ...]
+    clients: tuple[ClientModel, ...] | None
     weights: np.ndarray
     bounds: SpectrumBounds | None
+    # (matrices, centers) arrays handed over by from_stacks or the loader, in place of clients
+    _stacks: InitVar[tuple[np.ndarray, np.ndarray] | None] = None
+    matrices: np.ndarray = field(init=False, compare=False, repr=False)
+    centers: np.ndarray = field(init=False, compare=False, repr=False)
     spectra: np.ndarray = field(init=False, compare=False, repr=False)
     _surrogate_memo: tuple | None = field(default=None, init=False, compare=False, repr=False)
 
-    def __post_init__(self):
-        clients = tuple(self.clients)
-        if not clients:
-            raise InvalidInputError("population needs at least one client")
-        dim = clients[0].dim
-        if any(cl.dim != dim for cl in clients):
-            raise DimensionMismatchError("all clients must share one dimension")
+    def __post_init__(self, _stacks):
+        if _stacks is None:
+            clients = tuple(self.clients)
+            if not clients:
+                raise InvalidInputError("population needs at least one client")
+            dim = clients[0].dim
+            if any(cl.dim != dim for cl in clients):
+                raise DimensionMismatchError("all clients must share one dimension")
+            matrices = np.stack([client.a_matrix for client in clients])
+            centers = np.stack([client.center for client in clients])
+        else:
+            if self.clients is not None:
+                raise InvalidInputError("a population takes clients or stacks, not both")
+            matrices, centers = _validated_stacks(*_stacks)
+            clients = (None,) * len(matrices)
+            dim = matrices.shape[1]
         weights = mat.real_array(self.weights, "weights", copy=True)
         if weights.shape != (len(clients),):
             raise DimensionMismatchError(
@@ -369,11 +469,10 @@ class Population:
             raise InvalidInputError(f"weights sum to {total!r}, expected 1")
         step = max(1, _EIGH_BATCH_ENTRIES // dim**2)
         spectra = np.concatenate([
-            np.linalg.eigh(np.array([client.a_matrix for client in clients[i : i + step]]))[0]
-            for i in range(0, len(clients), step)
+            np.linalg.eigh(matrices[i : i + step])[0] for i in range(0, len(clients), step)
         ])
         # sqrt(c . c) is np.linalg.norm(c) bit for bit, without its dispatch
-        norms = np.array([math.sqrt(client.center.dot(client.center)) for client in clients])
+        norms = np.array([math.sqrt(center.dot(center)) for center in centers])
         lowest, highest = spectra[:, 0], spectra[:, -1]
         bounds = self.bounds
         if bounds is None:
@@ -398,11 +497,26 @@ class Population:
             raise InvalidInputError(
                 f"client {index}: center norm {norms[index]:.12g} above c_radius={bounds.c_radius}"
             )
-        spectra.flags.writeable = weights.flags.writeable = False
-        object.__setattr__(self, "clients", clients)
+        for array in (matrices, centers, spectra, weights):
+            array.flags.writeable = False
+        views = tuple(_client_view(a, c, client) for a, c, client in zip(matrices, centers, clients))
+        object.__setattr__(self, "clients", views)
         object.__setattr__(self, "weights", weights)
         object.__setattr__(self, "bounds", bounds)
+        object.__setattr__(self, "matrices", matrices)
+        object.__setattr__(self, "centers", centers)
         object.__setattr__(self, "spectra", spectra)
+
+    @classmethod
+    def from_stacks(cls, matrices, centers, weights, bounds: SpectrumBounds | None = None) -> "Population":
+        """Population of the clients (matrices[i], centers[i]) without examples.
+
+        The stacks are validated in one vectorized pass, and the population
+        keeps read-only copies of them.
+        """
+        return cls(None, weights, bounds, _stacks=(
+            mat.real_array(matrices, "matrices", copy=True), mat.real_array(centers, "centers", copy=True),
+        ))
 
     @classmethod
     def uniform(cls, clients, bounds: SpectrumBounds | None = None) -> "Population":
@@ -422,11 +536,11 @@ class Population:
 
     @property
     def dim(self) -> int:
-        return self.clients[0].dim
+        return self.matrices.shape[1]
 
     @property
     def n_clients(self) -> int:
-        return len(self.clients)
+        return len(self.matrices)
 
 
 def require_contractive(bounds: SpectrumBounds, alpha: float, gamma: float) -> None:
@@ -470,7 +584,7 @@ def _surrogate_hessians(
     """Every client's symmetrised Q_i A_i, in client order, one batch at a time."""
     step = max(1, _HORNER_BATCH_ENTRIES // pop.dim**2)
     for i in range(0, pop.n_clients, step):
-        a_stack = np.stack([client.a_matrix for client in pop.clients[i : i + step]])
+        a_stack = pop.matrices[i : i + step]
         qa = _distortion_stack(a_stack, alpha, gamma, theta) @ a_stack
         yield from 0.5 * (qa + qa.swapaxes(-1, -2))
 
@@ -504,9 +618,9 @@ def _surrogate_sums(
         return memo[1], memo[2]
     h = np.zeros((pop.dim, pop.dim))
     rhs = np.zeros(pop.dim)
-    for weight, client, qa in zip(pop.weights, pop.clients, _surrogate_hessians(pop, alpha, gamma, theta)):
+    for weight, center, qa in zip(pop.weights, pop.centers, _surrogate_hessians(pop, alpha, gamma, theta)):
         h += weight * qa
-        rhs += weight * (qa @ client.center)
+        rhs += weight * (qa @ center)
     h.flags.writeable = rhs.flags.writeable = False
     object.__setattr__(pop, "_surrogate_memo", (key, h, rhs))
     return h, rhs
@@ -525,8 +639,8 @@ def surrogate_gradient(
     """Gradient of the surrogate loss: E_i[Q_i A_i (x - c_i)]."""
     x = np.asarray(x, dtype=float)
     g = np.zeros(pop.dim)
-    for weight, client, qa in zip(pop.weights, pop.clients, _surrogate_hessians(pop, alpha, gamma, theta)):
-        g += weight * (qa @ (x - client.center))
+    for weight, center, qa in zip(pop.weights, pop.centers, _surrogate_hessians(pop, alpha, gamma, theta)):
+        g += weight * (qa @ (x - center))
     return g
 
 
@@ -547,9 +661,9 @@ def empirical_minimizer(pop: Population) -> np.ndarray:
     """Minimizer of the empirical loss, E[A_i]^-1 E[A_i c_i]."""
     h = np.zeros((pop.dim, pop.dim))
     rhs = np.zeros(pop.dim)
-    for weight, client in zip(pop.weights, pop.clients):
-        h += weight * client.a_matrix
-        rhs += weight * (client.a_matrix @ client.center)
+    for weight, a, center in zip(pop.weights, pop.matrices, pop.centers):
+        h += weight * a
+        rhs += weight * (a @ center)
     h = mat.symmetrize(h)
     lambda_min = mat.eigh(h).lambda_min
     if lambda_min <= mat.SPD_LAMBDA_MIN:
@@ -603,10 +717,10 @@ def _population_lines(pop: Population):
     yield f"bounds mu {_fmt(b.mu)} ell {_fmt(b.ell)} c_radius {_fmt(b.c_radius)}"
     yield f"clients {pop.n_clients}"
     lower = np.tril_indices(pop.dim)  # row-major lower triangle
-    for weight, client in zip(pop.weights, pop.clients):
+    for weight, a, center in zip(pop.weights, pop.matrices, pop.centers):
         yield f"client weight {_fmt(weight)}"
-        yield "a " + " ".join(_fmt(v) for v in client.a_matrix[lower])
-        yield "c " + " ".join(_fmt(v) for v in client.center)
+        yield "a " + " ".join(_fmt(v) for v in a[lower])
+        yield "c " + " ".join(_fmt(v) for v in center)
 
 
 def dumps_population(pop: Population) -> str:
@@ -686,35 +800,38 @@ def _parse_population(lines) -> Population:
     if n_clients < 1:
         raise PopulationFormatError(line_number, f"client count must be >= 1, got {n_clients}")
 
-    clients = []
-    weights = []
+    # The clients are parsed straight into the stacks the population keeps,
+    # so loading holds no per-client copy of the matrices.
+    try:
+        matrices, centers, weights = np.empty((n_clients, dim, dim)), np.empty((n_clients, dim)), np.empty(n_clients)
+    except (MemoryError, ValueError) as exc:
+        raise PopulationFormatError(line_number, f"{n_clients} clients of dimension {dim} do not fit in memory") from exc
     n_tril = dim * (dim + 1) // 2
     lower = np.tril_indices(dim)  # row-major lower triangle, as _population_lines writes it
-    for _ in range(n_clients):
+    for i, (a, center) in enumerate(zip(matrices, centers)):
         line_number, tokens = reader.next_content()
         if len(tokens) != 3 or tokens[0] != "client" or tokens[1] != "weight":
             raise PopulationFormatError(line_number, "expected 'client weight <w>'")
-        weights.append(float(_parse_floats(line_number, [tokens[2]], 1, "weight")[0]))
+        weights[i] = _parse_floats(line_number, [tokens[2]], 1, "weight")[0]
 
         line_number, tokens = reader.next_content()
         if tokens[0] != "a":
             raise PopulationFormatError(line_number, "expected 'a <lower triangle>'")
         tril = _parse_floats(line_number, tokens[1:], n_tril, "matrix lower triangle")
-        a = np.zeros((dim, dim))
         a[lower] = tril
         a[lower[::-1]] = tril
 
         line_number, tokens = reader.next_content()
         if tokens[0] != "c":
             raise PopulationFormatError(line_number, "expected 'c <center>'")
-        center = _parse_floats(line_number, tokens[1:], dim, "center")
-        try:
-            clients.append(ClientModel(a_matrix=a, center=center))
-        except (InvalidInputError, DimensionMismatchError) as exc:
-            raise PopulationFormatError(line_number, str(exc)) from exc
+        center[:] = _parse_floats(line_number, tokens[1:], dim, "center")
+        # the client's checks, at the line that completes it; the stacks are symmetric by construction
+        for values, name in ((tril, "a_matrix"), (center, "center")):
+            if not np.isfinite(values).all():
+                raise PopulationFormatError(line_number, f"{name} contains non-finite entries")
 
     try:
-        return Population(clients=tuple(clients), weights=np.array(weights), bounds=bounds)
+        return Population(None, weights, bounds, _stacks=(matrices, centers))
     except (InvalidInputError, DimensionMismatchError) as exc:
         raise PopulationFormatError(line_number, str(exc)) from exc
 

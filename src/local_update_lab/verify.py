@@ -108,8 +108,9 @@ def random_population(
     """Population of random_client draws, bit-identical to drawing them one by one.
 
     Each client's numbers are drawn in random_client's stream order; the
-    eigenbases then come from one stacked QR. Ranges that admit no dimension
-    or no client are rejected before anything is drawn.
+    eigenbases then come from one stacked QR, and the stacked draws go to
+    Population.from_stacks. Ranges that admit no dimension or no client are
+    rejected before anything is drawn.
     """
     if min_dim < 1 or min_clients < 1 or max_dim < min_dim or max_clients < min_clients:
         raise InvalidInputError(
@@ -119,24 +120,27 @@ def random_population(
     bounds = SpectrumBounds(mu, ell, c_radius)
     dim = int(rng.integers(min_dim, max_dim + 1))
     n = int(rng.integers(min_clients, max_clients + 1))
+    centers = np.empty((n, dim))
     if dim == 1:
-        clients = tuple(random_client(rng, dim, mu, ell, c_radius, pin_extremes) for _ in range(n))
+        matrices = np.empty((n, 1, 1))
+        for a, center in zip(matrices, centers):
+            a[0, 0] = ell if pin_extremes else rng.uniform(mu, ell)
+            center[:] = _center_in_ball(rng, dim, c_radius)
     else:
-        gaussians, spectra, centers = [], [], []
-        for _ in range(n):
-            gaussians.append(rng.standard_normal((dim, dim)))
-            spectra.append(_client_spectrum(rng, dim, mu, ell, pin_extremes))
-            centers.append(_center_in_ball(rng, dim, c_radius))
-        q, r = np.linalg.qr(np.stack(gaussians))
+        gaussians, spectra = np.empty((n, dim, dim)), np.empty((n, dim))
+        for gaussian, spectrum, center in zip(gaussians, spectra, centers):
+            gaussian[:] = rng.standard_normal((dim, dim))
+            spectrum[:] = _client_spectrum(rng, dim, mu, ell, pin_extremes)
+            center[:] = _center_in_ball(rng, dim, c_radius)
+        q, r = np.linalg.qr(gaussians)
         bases = q * np.sign(np.diagonal(r, axis1=-2, axis2=-1))[:, None, :]
-        matrices = _symmetric_from_eigenpairs(bases, np.array(spectra))
-        clients = tuple(ClientModel(a_matrix=a, center=center) for a, center in zip(matrices, centers))
+        matrices = _symmetric_from_eigenpairs(bases, spectra)
     if uniform_weights:
         weights = np.full(n, 1.0 / n)
     else:
         weights = rng.dirichlet(np.ones(n))
         weights = weights / weights.sum()
-    return Population(clients=clients, weights=weights, bounds=bounds)
+    return Population.from_stacks(matrices, centers, weights, bounds)
 
 
 def rate_check_population(rng: np.random.Generator, mu: float = 1.0, ell: float = 10.0) -> Population:
@@ -361,12 +365,13 @@ def suite(name: str, tag: int, threshold: float, trials: int):
 
 
 def _family_instance(
-    rng: np.random.Generator, mu: float, ell: float, alphas: tuple[float, ...]
-) -> tuple[float, float, WeightScheme, float]:
-    """(alpha, gamma, theta, phi/psi bound) for a first-K or last-only scheme, K in 1..30.
+    rng: np.random.Generator, ell: float, alphas: tuple[float, ...]
+) -> tuple[float, float, WeightScheme]:
+    """(alpha, gamma, theta) for a first-K or last-only scheme, K in 1..30.
 
     gamma is drawn strictly inside the family's precondition range, so the
-    closed-form bound always applies.
+    closed-form phi/psi bound always applies; each suite computes it once,
+    itself or as kappa_exact's kappa_bound.
     """
     alpha = float(rng.choice(alphas))
     k = int(rng.integers(1, 31))
@@ -374,7 +379,7 @@ def _family_instance(
         theta, gamma = WeightScheme.first_k(k), float(rng.uniform(0.0, 0.95)) / (ell + alpha)
     else:
         theta, gamma = WeightScheme.last_only(k), float(rng.uniform(0.0, 0.95)) / (k * ell + alpha)
-    return alpha, gamma, theta, tb.kappa_bound(mu, ell, alpha, gamma, theta)
+    return alpha, gamma, theta
 
 
 def theorem1_client_gap(
@@ -387,14 +392,10 @@ def theorem1_client_gap(
     is bit-identical to that client computed alone. If any gap is NaN, so is
     the result.
     """
-    updates = _deterministic_updates(
-        np.stack([client.a_matrix for client in pop.clients]),
-        np.stack([client.center for client in pop.clients]),
-        x, alpha, gamma, theta,
-    )
+    updates = _deterministic_updates(pop.matrices, pop.centers, x, alpha, gamma, theta)
     gaps = [
-        np.linalg.norm(update - qa @ (x - client.center))
-        for client, update, qa in zip(pop.clients, updates, qw._surrogate_hessians(pop, alpha, gamma, theta))
+        np.linalg.norm(update - qa @ (x - center))
+        for center, update, qa in zip(pop.centers, updates, qw._surrogate_hessians(pop, alpha, gamma, theta))
     ]
     return float(np.max(gaps))  # np.max, unlike max(), keeps a NaN
 
@@ -522,7 +523,7 @@ def check_lemma2_condition_bound(rng, trial):
 def check_lemma34_kappa_bounds(rng, trial):
     """kappa_exact <= phi/psi closed-form bound for the two weight families."""
     pop = random_population(rng, max_dim=12, max_clients=6)
-    alpha, gamma, theta, _ = _family_instance(rng, pop.bounds.mu, pop.bounds.ell, (0.0, 0.5, 2.0))
+    alpha, gamma, theta = _family_instance(rng, pop.bounds.ell, (0.0, 0.5, 2.0))
     report = tb.kappa_exact(pop, alpha, gamma, theta)
     return (report.kappa_exact - report.kappa_bound) / max(report.kappa_bound, 1.0), 1
 
@@ -534,9 +535,9 @@ def check_lemma34_tightness(rng, trial):
     ell = mu * float(rng.uniform(1.0, 20.0))
     client = ClientModel(a_matrix=np.diag([ell, mu]), center=np.zeros(2))
     pop = Population.uniform([client], bounds=SpectrumBounds(mu, ell, 0.0))
-    alpha, gamma, theta, bound = _family_instance(rng, mu, ell, (0.0, 0.5, 2.0))
-    report = tb.kappa_exact(pop, alpha, gamma, theta)
-    return abs(report.kappa_exact - bound), 1
+    alpha, gamma, theta = _family_instance(rng, ell, (0.0, 0.5, 2.0))
+    report = tb.kappa_exact(pop, alpha, gamma, theta)  # its kappa_bound is the phi/psi bound at (mu, ell)
+    return abs(report.kappa_exact - report.kappa_bound), 1
 
 
 @suite("lemma5_distance", tag=0x51, threshold=1e-9, trials=500)
@@ -555,7 +556,8 @@ def check_lemma5_distance(rng, trial):
 def check_theorem4_distance(rng, trial):
     """Minimizer distance obeys 8C (sqrt(k0)-sqrt(k))/(sqrt(k0)+sqrt(k))."""
     pop = random_population(rng, max_dim=10, max_clients=8, min_dim=2)
-    alpha, gamma, theta, kappa = _family_instance(rng, pop.bounds.mu, pop.bounds.ell, (0.0, 0.5))
+    alpha, gamma, theta = _family_instance(rng, pop.bounds.ell, (0.0, 0.5))
+    kappa = tb.kappa_bound(pop.bounds.mu, pop.bounds.ell, alpha, gamma, theta)
     bound = tb.distance_bound_from_kappa(kappa, pop.bounds.kappa0, pop.bounds.c_radius)
     return qw.minimizer_distance(pop, alpha, gamma, theta) - bound, 1
 
@@ -564,7 +566,8 @@ def check_theorem4_distance(rng, trial):
 def check_lemma6_distortion_condition(rng, trial):
     """cond(Q_i) <= kappa0 / kappa for both families under their preconditions."""
     pop = random_population(rng, max_dim=10, max_clients=6, min_dim=2)
-    alpha, gamma, theta, kappa = _family_instance(rng, pop.bounds.mu, pop.bounds.ell, (0.0, 0.5))
+    alpha, gamma, theta = _family_instance(rng, pop.bounds.ell, (0.0, 0.5))
+    kappa = tb.kappa_bound(pop.bounds.mu, pop.bounds.ell, alpha, gamma, theta)
     q_eigs = tb.scheme_q_eigenvalues(pop.spectra, alpha, gamma, theta)
     conditions = q_eigs.max(axis=1) / q_eigs.min(axis=1)
     return float(conditions.max()) - pop.bounds.kappa0 / kappa, pop.n_clients

@@ -10,6 +10,8 @@ from local_update_lab import SpectrumBounds, save_population
 from local_update_lab import bounds
 from local_update_lab.bounds import tightness_population
 from local_update_lab.cli import main
+from local_update_lab.frontier import SweepSpec, default_k_grid, frontier_csv, sweep
+from local_update_lab.quadratics import load_population
 from local_update_lab.matrices import keyed_rng
 from local_update_lab.verify import SUITES, CheckResult, random_population
 
@@ -78,6 +80,39 @@ class TestFrontierCommand:
         assert "gamma" in capsys.readouterr().err
 
 
+class TestFrontierOnPopulation:
+    """`lul frontier --kappa-source exact_spectral --population FILE` sweeps that population's kappa_exact."""
+
+    ARGV = ["frontier", "--mu", "1", "--ell", "10", "--points", "8", "--optimizers", "plain,heavy_ball"]
+
+    def test_matches_the_library_sweep(self, tmp_path):
+        pop = random_population(keyed_rng(4, 1), min_dim=3, max_dim=5)
+        save_population(pop, tmp_path / "pop.txt")
+        out = tmp_path / "f.csv"
+        assert run_cli(self.ARGV + ["--kappa-source", "exact_spectral", "--population", str(tmp_path / "pop.txt"),
+                                    "--out", str(out)]) == 0
+        spec = SweepSpec(family="fedavg_theta", vary="K", grid=default_k_grid(10**6, 8), mu=1.0, ell=10.0,
+                         gamma=0.05, optimizers=("plain", "heavy_ball"), kappa_source="exact_spectral",
+                         population=load_population(tmp_path / "pop.txt"))
+        assert out.read_text() == frontier_csv(sweep(spec))
+        assert ",exact_spectral," in out.read_text()
+
+    @pytest.mark.parametrize("extra, message", [
+        (["--kappa-source", "exact_spectral"], "error: --kappa-source exact_spectral and --population go together\n"),
+        (["--population", "pop.txt"], "error: --kappa-source exact_spectral and --population go together\n"),
+    ])
+    def test_flags_go_together(self, extra, message, capsys):
+        assert run_cli(self.ARGV + extra) == 2
+        assert capsys.readouterr().err == message
+
+    def test_bounds_must_match(self, tmp_path, capsys):
+        save_population(random_population(keyed_rng(4, 1), min_dim=3, max_dim=5), tmp_path / "pop.txt")
+        argv = ["frontier", "--mu", "1", "--ell", "20", "--kappa-source", "exact_spectral",
+                "--population", str(tmp_path / "pop.txt")]
+        assert run_cli(argv) == 2
+        assert "differ from the sweep's mu=1.0, ell=20.0" in capsys.readouterr().err
+
+
 class TestSkippedPointsNote:
     """CSV and SVG frontiers name their skipped grid points on stderr; JSON lists them itself."""
 
@@ -107,7 +142,9 @@ class TestSkippedPointsNote:
         lines = capsys.readouterr().err.splitlines()
         assert lines[0] == "note: 8 of 10 grid points skipped:"
         assert lines[1] == "  K=22: kappa 71420.9 exceeds kappa0 10"
-        assert "nonpositive distorted eigenvalue" in lines[-1]
+        # the last-gradient map underflows at K = 1e6; its extremes, taken in
+        # log space, still give the true reason
+        assert lines[-1] == "  K=1000000: kappa inf exceeds kappa0 10"
         assert out.read_text().count("\n") == 3  # header and the two admitted points
 
 
@@ -178,6 +215,13 @@ class TestSimulateCommand:
                         "--x0", "1e300,0,0,0", "--out", str(tmp_path / "t.csv")])
         assert code == 3
         assert capsys.readouterr().err == "error: iterate norm inf exceeded divergence threshold at round 0\n"
+
+    @pytest.mark.parametrize("k", ["0", "-2"])
+    def test_maml_scheme_needs_k_at_least_1(self, k, tmp_path, capsys):
+        code = run_cli(["simulate", "--gamma", "0.01", "--theta", "maml2k1", "--k", k,
+                        "--out", str(tmp_path / "t.csv")])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: k must be >= 1, got {k}\n"
 
     def test_json_format(self, tmp_path):
         out = tmp_path / "traj.json"

@@ -76,6 +76,9 @@ def test_weight_scheme(coefficients, message):
         (WeightScheme.first_k, 0, "k must be >= 1, got 0"),
         (WeightScheme.last_only, 0, "k must be >= 1, got 0"),
         (WeightScheme.maml_equivalent, -1, "k must be >= 1, got -1"),
+        # the caller's k is checked, not 2k+1: no silent last_only(1), no "got -3"
+        (WeightScheme.maml_equivalent, 0, "k must be >= 1, got 0"),
+        (WeightScheme.maml_equivalent, -2, "k must be >= 1, got -2"),
         (WeightScheme.first_k, 2.5, "k must be an integer, got 2.5"),
         (WeightScheme.first_k, "3", "k must be an integer, got '3'"),
         (WeightScheme.last_only, NAN, "k must be an integer, got nan"),
