@@ -27,10 +27,11 @@ import numpy as np
 
 from . import quadratics as qw
 from .errors import ConditioningError, InvalidInputError
+from .matrices import SPD_LAMBDA_MIN, SpectrumBounds, check_c_radius, check_integer, check_symmetric, real_array
 # eigh stays bound here although the weighted-family check decomposes its
 # whole Y stack with np.linalg.eigh: perfbench traces matrices.eigh in every
 # module namespace that binds it, and its tests look it up in this one.
-from .matrices import SPD_LAMBDA_MIN, SpectrumBounds, check_symmetric, eigh, real_array  # noqa: F401
+from .matrices import eigh  # noqa: F401
 from .quadratics import Population, WeightScheme
 
 # Summation is exact and cheap up to this K; beyond it the geometric closed
@@ -38,6 +39,9 @@ from .quadratics import Population, WeightScheme
 _PHI_SUMMATION_MAX_K = 64
 
 OPTIMIZER_KINDS = ("plain", "nesterov", "heavy_ball")
+
+# A weighted pair commutes when ||X Y - Y X|| <= _COMMUTE_TOL (1 + ||X|| ||Y||).
+_COMMUTE_TOL = 1e-9
 
 
 def _geometric_sums(xi: np.ndarray, k: int) -> np.ndarray:
@@ -61,7 +65,7 @@ def _geometric_sums(xi: np.ndarray, k: int) -> np.ndarray:
 
 def phi(lam: float, alpha: float, gamma: float, k: int) -> float:
     """sum_{j=1}^{K} (1 - gamma (lam + alpha))^(j-1) lam."""
-    if k < 1:
+    if check_integer(k, "k") < 1:
         raise InvalidInputError(f"k must be >= 1, got {k}")
     xi = 1.0 - gamma * (lam + alpha)
     return float(_geometric_sums(xi, k)) * lam
@@ -69,7 +73,7 @@ def phi(lam: float, alpha: float, gamma: float, k: int) -> float:
 
 def psi(lam: float, alpha: float, gamma: float, k: int) -> float:
     """(1 - gamma (lam + alpha))^(K-1) lam."""
-    if k < 1:
+    if check_integer(k, "k") < 1:
         raise InvalidInputError(f"k must be >= 1, got {k}")
     xi = 1.0 - gamma * (lam + alpha)
     return xi ** (k - 1) * lam
@@ -128,14 +132,6 @@ def scheme_q_eigenvalues(
     return np.polynomial.polynomial.polyval(xi, theta.coefficients[:k])
 
 
-def scheme_qa_eigenvalues(
-    lams: np.ndarray, alpha: float, gamma: float, theta: WeightScheme
-) -> np.ndarray:
-    """Eigenvalues of the distorted Hessian Q A at matrix eigenvalues lams."""
-    lams = np.atleast_1d(np.asarray(lams, dtype=float))
-    return scheme_q_eigenvalues(lams, alpha, gamma, theta) * lams
-
-
 @dataclass(frozen=True)
 class KappaReport:
     """Exact condition number of the surrogate plus the family bound.
@@ -164,7 +160,8 @@ def kappa_exact(
     their ratio, inf once that overflows, and l_tilde and mu_tilde may read 0.
     """
     qw.require_contractive(pop.bounds, alpha, gamma)
-    mapped = scheme_qa_eigenvalues(pop.spectra, alpha, gamma, theta)
+    # the eigenvalues q(lam) lam of each client's distorted Hessian Q_i A_i
+    mapped = scheme_q_eigenvalues(pop.spectra, alpha, gamma, theta) * pop.spectra
     if np.any(mapped <= 0.0):
         log_extremes = _log_expected_extremes(pop, alpha, gamma, theta)
         if log_extremes is None:
@@ -268,6 +265,7 @@ def distance_bound(
     qw.require_contractive(pop.bounds, alpha, gamma)
     if c_radius is None:
         c_radius = pop.bounds.c_radius
+    check_c_radius(c_radius)
     q_eigs = scheme_q_eigenvalues(pop.spectra, alpha, gamma, theta)
     b, a = float(q_eigs.max()), float(q_eigs.min())
     constant = 2.0 if pop.dim == 1 else 8.0
@@ -282,8 +280,7 @@ def distance_bound_from_kappa(kappa: float, kappa0: float, c_radius: float) -> f
     families under its precondition; the identity with delta_from_kappa makes
     the bound 8 C times the suboptimality.
     """
-    if c_radius < 0.0:
-        raise InvalidInputError(f"c_radius must be nonnegative, got {c_radius}")
+    check_c_radius(c_radius)
     return 8.0 * c_radius * delta_from_kappa(kappa, kappa0)
 
 
@@ -374,7 +371,7 @@ def _clean_stacks(xs, ys) -> tuple[np.ndarray, np.ndarray] | None:
     return (x_stack, y_stack) if clean else None
 
 
-def _validate_weighted_family(xs, ys, commute_tol: float = 1e-9):
+def _validate_weighted_family(xs, ys):
     """Validated X and Y stacks, (n, d, d) each.
 
     A family of finite, exactly symmetric matrices of one shape is checked on
@@ -403,7 +400,7 @@ def _validate_weighted_family(xs, ys, commute_tol: float = 1e-9):
     lam_mins = np.linalg.eigh(y_stack)[0][:, 0]
     norms = _spectral_norms(np.concatenate([x_stack @ y_stack - y_stack @ x_stack, x_stack, y_stack]))
     commutators, x_norms, y_norms = norms.reshape(3, n_valid)
-    bad = (lam_mins <= SPD_LAMBDA_MIN) | (commutators > commute_tol * (1.0 + x_norms * y_norms))
+    bad = (lam_mins <= SPD_LAMBDA_MIN) | (commutators > _COMMUTE_TOL * (1.0 + x_norms * y_norms))
     if bad.any():
         i = int(bad.argmax())
         if lam_mins[i] <= SPD_LAMBDA_MIN:

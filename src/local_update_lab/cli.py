@@ -281,8 +281,7 @@ def cmd_simulate(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _population_file_checks(path: str) -> list[dict]:
-    pop = qw.load_population(path)
+def _population_file_checks(pop: Population) -> list[dict]:
     alpha, gamma = 0.0, 0.5 / pop.bounds.ell
     theta = WeightScheme.first_k(5)
     worst = theorem1_client_gap(pop, np.ones(pop.dim), alpha, gamma, theta)
@@ -307,10 +306,12 @@ def _failure_line(result: CheckResult, seed: int) -> str:
 
 def cmd_verify(args) -> int:
     seed = _resolve_seed(args.seed)
+    # a missing or malformed file fails before the suites run
+    pop = None if args.population is None else qw.load_population(args.population)
     results = run_suites(only=args.only, seed=seed, trials=args.trials)
     report = checks_report(seed, results)
-    if args.population is not None:
-        report["checks"].extend(_population_file_checks(args.population))
+    if pop is not None:
+        report["checks"].extend(_population_file_checks(pop))
         report["all_pass"] = bool(all(c["pass"] for c in report["checks"]))
     _emit(_json_dumps(report), args.out)
     for result in results:

@@ -32,7 +32,7 @@ import numpy as np
 
 from . import quadratics as qw
 from .errors import DivergenceError, InvalidInputError
-from .matrices import check_integer, eigh, euclidean_norm, keyed_rng
+from .matrices import check_integer, check_vector, eigh, euclidean_norm, keyed_rng
 from .quadratics import ClientModel, Population, WeightScheme
 
 DIVERGENCE_THRESHOLD = 1e12
@@ -256,7 +256,7 @@ def client_update(
     stochastic mode (requires an example set, B <= example count, and an rng)
     is an unbiased estimate of it.
     """
-    x = np.asarray(x, dtype=float)
+    x = check_vector(x, client.dim, "x")
     if cfg.mode == "deterministic":
         return _deterministic_updates(
             client.a_matrix[None], client.center[None], x, cfg.alpha, cfg.gamma, cfg.theta
@@ -288,11 +288,11 @@ def client_update_maml(
     proximal anchor as frozen. On quadratics this equals the client update
     under the theta_{2K+1} scheme: (I - gamma (A + alpha I))^{2K} A (x - c).
     """
-    if k < 1:
+    if check_integer(k, "k") < 1:
         raise InvalidInputError(f"k must be >= 1, got {k}")
     if not (gamma >= 0.0 and alpha >= 0.0):
         raise InvalidInputError("alpha and gamma must be nonnegative")
-    x = np.asarray(x, dtype=float)
+    x = check_vector(x, client.dim, "x")
     a = client.a_matrix
     c = client.center
     xk = x.copy()
@@ -378,7 +378,7 @@ def server_round(
     """
     if state is None:
         state = OptState()
-    x = np.asarray(x, dtype=float)
+    x = check_vector(x, pop.dim, "x")
     t = state.round_index
     if cfg.mode == "deterministic":
         if cfg.clients_per_round is not None and cfg.clients_per_round != pop.n_clients:
@@ -416,9 +416,7 @@ def run(
     pop: Population, x0: np.ndarray, cfg: RunConfig, opt: ServerOptSpec
 ) -> Trajectory:
     """Run cfg.rounds communication rounds from x0; deterministic given seed."""
-    x = np.asarray(x0, dtype=float)
-    if x.shape != (pop.dim,):
-        raise InvalidInputError(f"x0 has shape {x.shape}, expected ({pop.dim},)")
+    x = check_vector(x0, pop.dim, "x0")
     iterates = [x]
     gradients = []
     state = OptState()

@@ -19,7 +19,7 @@ from . import bounds as tb
 from . import quadratics as qw
 from .engine import RunConfig, auto_tune, round_operator
 from .errors import ConditioningError, InvalidInputError
-from .matrices import SpectrumBounds, child_seed, eigh, random_spd_with_spectrum, spectral_radius
+from .matrices import SpectrumBounds, child_seed, eigh, random_spd_with_spectrum, real_array, spectral_radius
 from .quadratics import ClientModel, Population, WeightScheme
 
 FAMILIES = ("fedavg_theta", "maml_theta")
@@ -47,12 +47,12 @@ def default_k_grid(k_max: int = 10**6, points: int = 60) -> np.ndarray:
     return np.unique(np.round(raw).astype(int))
 
 
-def default_gamma_grid(gamma_max: float, points: int = 60, decades: float = 6.0) -> np.ndarray:
-    """Logarithmic gamma grid ending at gamma_max, spanning the given decades."""
+def default_gamma_grid(gamma_max: float, points: int = 60) -> np.ndarray:
+    """Logarithmic gamma grid ending at gamma_max, spanning six decades."""
     if not gamma_max > 0.0:
         raise InvalidInputError(f"gamma_max must be positive, got {gamma_max}")
     _check_points(points)
-    return np.logspace(np.log10(gamma_max) - decades, np.log10(gamma_max), points)
+    return np.logspace(np.log10(gamma_max) - 6.0, np.log10(gamma_max), points)
 
 
 @dataclass(frozen=True)
@@ -95,19 +95,22 @@ class SweepSpec:
             raise InvalidInputError(
                 f"unknown kappa source {self.kappa_source!r}, expected one of {KAPPA_SOURCES}"
             )
-        grid = np.atleast_1d(np.asarray(self.grid))
+        grid = np.atleast_1d(real_array(self.grid, "grid"))
+        if grid.ndim != 1:
+            raise InvalidInputError(f"grid must be one-dimensional, got shape {grid.shape}")
         if grid.size == 0:
             raise InvalidInputError("grid must be nonempty")
         if not np.all(np.isfinite(grid)):
             raise InvalidInputError("grid contains non-finite values")
-        if np.any(np.diff(grid.astype(float)) <= 0.0):
+        if np.any(np.diff(grid) <= 0.0):
             raise InvalidInputError("grid must be strictly increasing")
         if self.vary == "K":
-            grid = grid.astype(int)
             if grid[0] < 1:
                 raise InvalidInputError("K grid must start at K >= 1")
-        else:
-            grid = grid.astype(float)
+            fractional = grid[grid != np.floor(grid)]
+            if fractional.size:
+                raise InvalidInputError(f"K grid must hold integers, got {float(fractional[0])!r}")
+            grid = grid.astype(int)
         SpectrumBounds(mu=self.mu, ell=self.ell)  # 0 < mu <= ell < inf, or InvalidInputError
         if self.population is not None and (
             self.population.bounds.mu != self.mu or self.population.bounds.ell != self.ell
@@ -289,7 +292,7 @@ def simulated_maml_sweep(
         SweepSpec(
             family="maml_theta",
             vary="K",
-            grid=np.atleast_1d(np.asarray(k_grid, dtype=int)),
+            grid=k_grid,
             mu=mu,
             ell=ell,
             alpha=alpha,
@@ -388,21 +391,24 @@ def empirical_rate_crosscheck(
     gamma: float,
     theta: WeightScheme,
     optimizer_kind: str,
-) -> tuple[float, float]:
-    """(rho_measured, rho_predicted) for an auto-tuned deterministic round.
+) -> tuple[float, float, float]:
+    """(rho_measured, rho_tuned, rho_predicted) for an auto-tuned deterministic round.
 
-    rho_measured is the spectral radius of the engine's round operator, with
-    the optimizer tuned on the measured surrogate Hessian H; it equals the
-    Table-style rate at cond(H) to about sqrt(eps). rho_predicted is the
-    Table-style rate at kappa_exact >= cond(H), so it bounds rho_measured.
+    The optimizer is tuned on the measured surrogate Hessian H. rho_measured
+    is the spectral radius of the engine's round operator, and rho_tuned the
+    Table-style rate at cond(H): Theorem 3 says they are equal, which eig
+    resolves to about sqrt(eps) (tuned momentum operators have double
+    eigenvalues). rho_predicted is the rate at kappa_exact >= cond(H), so it
+    bounds both.
     """
     report = tb.kappa_exact(pop, alpha, gamma, theta)
     dec = eigh(qw.surrogate_hessian(pop, alpha, gamma, theta))
     opt = auto_tune(optimizer_kind, dec.lambda_max, dec.lambda_min)
     cfg = RunConfig(alpha=alpha, gamma=gamma, theta=theta, rounds=1)
     rho_measured = spectral_radius(round_operator(pop, cfg, opt))
+    rho_tuned = tb.rho_from_kappa(dec.lambda_max / dec.lambda_min, optimizer_kind)
     rho_predicted = tb.rho_from_kappa(report.kappa_exact, optimizer_kind)
-    return float(rho_measured), float(rho_predicted)
+    return float(rho_measured), float(rho_tuned), float(rho_predicted)
 
 
 # ---------------------------------------------------------------------------

@@ -81,17 +81,33 @@ def symmetrize(a: np.ndarray) -> np.ndarray:
 
 
 def real_array(value, name: str, copy: bool = False) -> np.ndarray:
-    """value as a float64 array, rejecting complex input before the cast.
+    """value as a float64 array, rejecting complex and non-numeric input before the cast.
 
     A cast from complex to float drops the imaginary part with only a
-    ComplexWarning, so every validated input goes through here instead.
+    ComplexWarning, and one from strings turns "3" into 3.0, so every
+    validated input goes through here instead; a ragged nested sequence, a
+    string or an object that is no number raises InvalidInputError.
     copy=True returns an array the caller owns, never one sharing memory
     with value.
     """
-    array = np.asarray(value)
-    if array.dtype.kind == "c":
+    try:
+        array = np.asarray(value)
+        kind = array.dtype.kind
+        if kind in "biufO":  # an object array casts when its entries are numbers
+            return array.astype(float, copy=copy)
+    except (TypeError, ValueError):  # a ragged nested sequence, or an entry that is no number
+        kind = None
+    if kind == "c":
         raise InvalidInputError(f"{name} has complex entries")
-    return array.astype(float, copy=copy)
+    raise InvalidInputError(f"{name} must be an array of real numbers")
+
+
+def check_vector(x, dim: int, name: str) -> np.ndarray:
+    """x as a float64 vector of length dim (see real_array), or DimensionMismatchError."""
+    x = real_array(x, name)
+    if x.shape != (dim,):
+        raise DimensionMismatchError(f"{name} has shape {x.shape}, expected ({dim},)")
+    return x
 
 
 def euclidean_norm(x: np.ndarray) -> float:
@@ -108,6 +124,12 @@ def check_integer(value, name: str) -> int:
         return operator.index(value)
     except TypeError:
         raise InvalidInputError(f"{name} must be an integer, got {value!r}") from None
+
+
+def check_c_radius(c_radius: float) -> None:
+    """Raise InvalidInputError unless c_radius >= 0; a NaN fails the comparison."""
+    if not c_radius >= 0.0:
+        raise InvalidInputError(f"c_radius must be nonnegative, got {c_radius}")
 
 
 def check_symmetric(a: np.ndarray, name: str = "matrix", copy: bool = False) -> np.ndarray:
@@ -140,10 +162,6 @@ class EigenDecomposition:
     def lambda_max(self) -> float:
         return float(self.eigenvalues[-1])
 
-    def reconstruct(self) -> np.ndarray:
-        v = self.eigenvectors
-        return symmetrize((v * self.eigenvalues) @ v.T)
-
 
 def eigh(a: np.ndarray) -> EigenDecomposition:
     """Symmetric eigendecomposition with ascending eigenvalues."""
@@ -172,8 +190,7 @@ class SpectrumBounds:
             raise InvalidInputError(f"need 0 < mu <= ell, got mu={self.mu}, ell={self.ell}")
         if not math.isfinite(self.ell):
             raise InvalidInputError(f"mu and ell must be finite, got mu={self.mu}, ell={self.ell}")
-        if not self.c_radius >= 0.0:
-            raise InvalidInputError(f"c_radius must be nonnegative, got {self.c_radius}")
+        check_c_radius(self.c_radius)
 
     @property
     def kappa0(self) -> float:
@@ -190,7 +207,7 @@ def random_spd_with_spectrum(dim: int, bounds: SpectrumBounds, seed: int) -> np.
     draw (numerically flat spectrum of G) falls back to A = mu * I, as does
     mu == ell.
     """
-    if dim < 1:
+    if check_integer(dim, "dim") < 1:
         raise InvalidInputError(f"dim must be >= 1, got {dim}")
     mu, ell = bounds.mu, bounds.ell
     if mu == ell:

@@ -18,15 +18,14 @@ Hessians/gradients/minimizers, and measures the gap between the surrogate
 and empirical optima. Everything is immutable after construction and all
 operations are pure.
 
-The functions here are the matrix route to the surrogate: one stacked Horner
-kernel evaluates the clients' Q_i with one batched matmul per step over
-their stacked (n, d, d) matrices (O(K n d^3) flops, in cache-sized batches
-of clients), and surrogate_hessian/gradient/minimizer sum its Q_i A_i over
-the clients in index order, bit-identical to evaluating each client alone;
-distortion_matrix is its one-client view. The eigenvalue route
-(bounds.scheme_q_eigenvalues, kappa_exact, distance_bound) starts from the
-client spectra a Population stores at construction; the verification suites
-compare the two.
+The functions here are the matrix route to the surrogate: the Horner kernel
+distortion_matrix evaluates the clients' Q_i with one batched matmul per
+step over their stacked (n, d, d) matrices (O(K n d^3) flops, in cache-sized
+batches of clients), and surrogate_hessian/gradient/minimizer sum its Q_i
+A_i over the clients in index order, bit-identical to evaluating each client
+alone. The eigenvalue route (bounds.scheme_q_eigenvalues, kappa_exact,
+distance_bound) starts from the client spectra a Population stores at
+construction; the verification suites compare the two.
 
 A Population remembers one surrogate system: the sums E_i[Q_i A_i] and
 E_i[Q_i A_i c_i] at the (alpha, gamma, theta) it was last asked about, one
@@ -556,21 +555,26 @@ def require_contractive(bounds: SpectrumBounds, alpha: float, gamma: float) -> N
         )
 
 
-def _distortion_stack(
-    a_stack: np.ndarray, alpha: float, gamma: float, theta: WeightScheme
-) -> np.ndarray:
-    """Symmetrised distortion matrices of clients stacked as (n, d, d) matrices.
+def distortion_matrix(a, alpha: float, gamma: float, theta: WeightScheme) -> np.ndarray:
+    """Distortion matrix Q = sum_k theta_k (I - gamma (A + alpha I))^(k-1), symmetrised.
 
-    One Horner step is one matmul over the whole stack, which runs the same
-    matrix product per client, so every slice is bit-identical to that
-    client's polynomial evaluated alone.
+    The Horner kernel of the matrix route, O(K d^3) per client. a is one
+    (d, d) client matrix or an (n, d, d) stack of them, and the result has
+    its shape. One Horner step is one matmul over the whole stack, which runs
+    the same matrix product per client, so every slice of a stacked call is
+    bit-identical to that client's matrix passed alone. Q is an exact
+    polynomial in A, hence commutes with it. Accepts any gamma >= 0; positive
+    definiteness needs gamma < (ell + alpha)^-1.
     """
+    a = mat.real_array(a, "a")
+    if a.ndim not in (2, 3) or a.shape[-1] != a.shape[-2] or a.size == 0:
+        raise DimensionMismatchError(f"a must be a (d, d) matrix or an (n, d, d) stack, got shape {a.shape}")
     if not (gamma >= 0.0 and alpha >= 0.0):
         raise InvalidInputError("alpha and gamma must be nonnegative")
     coeffs = theta.coefficients[: theta.size]
-    eye = np.eye(a_stack.shape[-1])
-    m = (1.0 - gamma * alpha) * eye - gamma * a_stack
-    q = np.broadcast_to(coeffs[-1] * eye, a_stack.shape)
+    eye = np.eye(a.shape[-1])
+    m = (1.0 - gamma * alpha) * eye - gamma * a
+    q = np.broadcast_to(coeffs[-1] * eye, a.shape)
     for k in range(len(coeffs) - 2, -1, -1):
         q = q @ m
         if coeffs[k] != 0.0:
@@ -585,20 +589,8 @@ def _surrogate_hessians(
     step = max(1, _HORNER_BATCH_ENTRIES // pop.dim**2)
     for i in range(0, pop.n_clients, step):
         a_stack = pop.matrices[i : i + step]
-        qa = _distortion_stack(a_stack, alpha, gamma, theta) @ a_stack
+        qa = distortion_matrix(a_stack, alpha, gamma, theta) @ a_stack
         yield from 0.5 * (qa + qa.swapaxes(-1, -2))
-
-
-def distortion_matrix(
-    client: ClientModel, alpha: float, gamma: float, theta: WeightScheme
-) -> np.ndarray:
-    """Distortion matrix Q_i = sum_k theta_k (I - gamma (A_i + alpha I))^(k-1).
-
-    The one-client view of the stacked Horner kernel, O(K d^3); exact
-    polynomial in A_i, hence commutes with A_i. Accepts any gamma >= 0;
-    positive definiteness of the result needs gamma < (ell + alpha)^-1.
-    """
-    return _distortion_stack(client.a_matrix[None], alpha, gamma, theta)[0]
 
 
 def _surrogate_sums(
@@ -637,7 +629,7 @@ def surrogate_gradient(
     pop: Population, x: np.ndarray, alpha: float, gamma: float, theta: WeightScheme
 ) -> np.ndarray:
     """Gradient of the surrogate loss: E_i[Q_i A_i (x - c_i)]."""
-    x = np.asarray(x, dtype=float)
+    x = mat.check_vector(x, pop.dim, "x")
     g = np.zeros(pop.dim)
     for weight, center, qa in zip(pop.weights, pop.centers, _surrogate_hessians(pop, alpha, gamma, theta)):
         g += weight * (qa @ (x - center))

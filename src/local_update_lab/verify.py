@@ -29,13 +29,14 @@ from .engine import (
     _deterministic_updates,
     _stochastic_client_updates,
     auto_tune,
+    auto_tune_for,
     client_update,
     client_update_maml,
-    round_operator,
     run,
 )
 from .errors import InvalidInputError
-from .matrices import SpectrumBounds, eigh, keyed_rng, spectral_radius
+from .frontier import empirical_rate_crosscheck
+from .matrices import SpectrumBounds, eigh, keyed_rng
 from .quadratics import ClientModel, Population, QuadraticExample, WeightScheme
 
 SCHEMA_VERSION = 1
@@ -75,6 +76,32 @@ def _client_spectrum(
     return lams
 
 
+def _draw_clients(
+    rng: np.random.Generator, n: int, dim: int, mu: float, ell: float, c_radius: float, pin_extremes: bool
+) -> tuple[np.ndarray, np.ndarray]:
+    """n clients' matrices (n, dim, dim) and centers (n, dim), spectra inside [mu, ell].
+
+    Each client's numbers are drawn in turn (eigenbasis Gaussian, spectrum,
+    center); the eigenbases then come from one stacked QR, and every matrix
+    is bit-identical to one drawn alone.
+    """
+    centers = np.empty((n, dim))
+    if dim == 1:
+        matrices = np.empty((n, 1, 1))
+        for a, center in zip(matrices, centers):
+            a[0, 0] = ell if pin_extremes else rng.uniform(mu, ell)
+            center[:] = _center_in_ball(rng, dim, c_radius)
+        return matrices, centers
+    gaussians, spectra = np.empty((n, dim, dim)), np.empty((n, dim))
+    for gaussian, spectrum, center in zip(gaussians, spectra, centers):
+        gaussian[:] = rng.standard_normal((dim, dim))
+        spectrum[:] = _client_spectrum(rng, dim, mu, ell, pin_extremes)
+        center[:] = _center_in_ball(rng, dim, c_radius)
+    q, r = np.linalg.qr(gaussians)
+    bases = q * np.sign(np.diagonal(r, axis1=-2, axis2=-1))[:, None, :]
+    return _symmetric_from_eigenpairs(bases, spectra), centers
+
+
 def random_client(
     rng: np.random.Generator,
     dim: int,
@@ -84,13 +111,8 @@ def random_client(
     pin_extremes: bool = False,
 ) -> ClientModel:
     """Random client with spectrum inside [mu, ell] and center inside the C-ball."""
-    if dim == 1:
-        lams = np.array([ell if pin_extremes else rng.uniform(mu, ell)])
-        a = lams.reshape(1, 1)
-    else:
-        basis = random_orthonormal(rng, dim)
-        a = _symmetric_from_eigenpairs(basis, _client_spectrum(rng, dim, mu, ell, pin_extremes))
-    return ClientModel(a_matrix=a, center=_center_in_ball(rng, dim, c_radius))
+    matrices, centers = _draw_clients(rng, 1, dim, mu, ell, c_radius, pin_extremes)
+    return ClientModel(a_matrix=matrices[0], center=centers[0])
 
 
 def random_population(
@@ -107,8 +129,8 @@ def random_population(
 ) -> Population:
     """Population of random_client draws, bit-identical to drawing them one by one.
 
-    Each client's numbers are drawn in random_client's stream order; the
-    eigenbases then come from one stacked QR, and the stacked draws go to
+    The dimension and the client count are drawn first, then the clients
+    (see _draw_clients), then the weights; the stacked draws go to
     Population.from_stacks. Ranges that admit no dimension or no client are
     rejected before anything is drawn.
     """
@@ -120,21 +142,7 @@ def random_population(
     bounds = SpectrumBounds(mu, ell, c_radius)
     dim = int(rng.integers(min_dim, max_dim + 1))
     n = int(rng.integers(min_clients, max_clients + 1))
-    centers = np.empty((n, dim))
-    if dim == 1:
-        matrices = np.empty((n, 1, 1))
-        for a, center in zip(matrices, centers):
-            a[0, 0] = ell if pin_extremes else rng.uniform(mu, ell)
-            center[:] = _center_in_ball(rng, dim, c_radius)
-    else:
-        gaussians, spectra = np.empty((n, dim, dim)), np.empty((n, dim))
-        for gaussian, spectrum, center in zip(gaussians, spectra, centers):
-            gaussian[:] = rng.standard_normal((dim, dim))
-            spectrum[:] = _client_spectrum(rng, dim, mu, ell, pin_extremes)
-            center[:] = _center_in_ball(rng, dim, c_radius)
-        q, r = np.linalg.qr(gaussians)
-        bases = q * np.sign(np.diagonal(r, axis1=-2, axis2=-1))[:, None, :]
-        matrices = _symmetric_from_eigenpairs(bases, spectra)
+    matrices, centers = _draw_clients(rng, n, dim, mu, ell, c_radius, pin_extremes)
     if uniform_weights:
         weights = np.full(n, 1.0 / n)
     else:
@@ -143,8 +151,8 @@ def random_population(
     return Population.from_stacks(matrices, centers, weights, bounds)
 
 
-def rate_check_population(rng: np.random.Generator, mu: float = 1.0, ell: float = 10.0) -> Population:
-    """Heterogeneous population for momentum rate checks.
+def rate_check_population(rng: np.random.Generator) -> Population:
+    """Heterogeneous population for momentum rate checks: spectra in [1, 10], centers in the unit ball.
 
     Clients mix random eigenbases with per-client extremes pinned at (mu,
     ell), so the exact condition number E[max]/E[min] sits strictly above the
@@ -153,16 +161,7 @@ def rate_check_population(rng: np.random.Generator, mu: float = 1.0, ell: float 
     cond(H), and that rate stays below the rate at kappa_exact.
     """
     return random_population(
-        rng,
-        min_dim=3,
-        max_dim=10,
-        min_clients=4,
-        max_clients=8,
-        mu=mu,
-        ell=ell,
-        c_radius=1.0,
-        pin_extremes=True,
-        uniform_weights=True,
+        rng, min_dim=3, max_dim=10, min_clients=4, max_clients=8, pin_extremes=True, uniform_weights=True
     )
 
 
@@ -463,24 +462,21 @@ def check_theorem2_maml(rng, trial):
 def check_theorem3_rates(rng, trial):
     """The engine's tuned round contracts at the rate of Theorem 3.
 
-    Each server optimizer is auto-tuned on the surrogate Hessian H. The
-    spectral radius of the engine's round operator must equal
-    rho_from_kappa(cond H) within 1e-6 (tuned momentum operators have double
-    eigenvalues, which eig resolves to about sqrt(eps)), and that rate must
-    not exceed rho_from_kappa(kappa_exact).
+    Each server optimizer is auto-tuned on the surrogate Hessian H
+    (frontier.empirical_rate_crosscheck). The spectral radius of the
+    engine's round operator must equal rho_from_kappa(cond H) within 1e-6
+    (tuned momentum operators have double eigenvalues, which eig resolves to
+    about sqrt(eps)), and that rate must not exceed
+    rho_from_kappa(kappa_exact).
     """
     pop = rate_check_population(rng)
     alpha = float(rng.choice([0.0, 0.5]))
     gamma = float(rng.uniform(0.2, 0.8)) / (pop.bounds.ell + alpha)
     theta = WeightScheme.first_k(int(rng.integers(2, 21)))
-    report = tb.kappa_exact(pop, alpha, gamma, theta)
-    dec = eigh(qw.surrogate_hessian(pop, alpha, gamma, theta))
-    cfg = RunConfig(alpha=alpha, gamma=gamma, theta=theta, rounds=1)
     violations = []
     for kind in ("plain", "heavy_ball", "nesterov"):
-        tuned = tb.rho_from_kappa(dec.lambda_max / dec.lambda_min, kind)
-        measured = spectral_radius(round_operator(pop, cfg, auto_tune(kind, dec.lambda_max, dec.lambda_min)))
-        violations += [abs(measured - tuned) - 1e-6, tuned - tb.rho_from_kappa(report.kappa_exact, kind)]
+        measured, tuned, predicted = empirical_rate_crosscheck(pop, alpha, gamma, theta, kind)
+        violations += [abs(measured - tuned) - 1e-6, tuned - predicted]
     return float(np.max(violations)), 1  # np.max, unlike max(), keeps a NaN
 
 
@@ -599,8 +595,7 @@ def check_corollary1(rng, trial):
     gamma = float(rng.uniform(0.1, 0.9)) / (pop.bounds.ell + alpha)
     kappa = tb.kappa_bound(pop.bounds.mu, pop.bounds.ell, alpha, gamma, theta)
     rho = tb.rho_from_kappa(kappa, "plain")
-    dec = eigh(qw.surrogate_hessian(pop, alpha, gamma, theta))
-    opt = auto_tune("plain", dec.lambda_max, dec.lambda_min)
+    opt = auto_tune_for(pop, alpha, gamma, theta, "plain")
     x_star_surr = qw.surrogate_minimizer(pop, alpha, gamma, theta)
     x_star = qw.empirical_minimizer(pop)
     x0 = rng.uniform(-3.0, 3.0, size=pop.dim)

@@ -358,7 +358,7 @@ class TestEigenvalueRoute:
             mapped = scheme_q_eigenvalues(pop.spectra, alpha, gamma, theta)
             assert mapped.shape == (pop.n_clients, pop.dim)
             for row, client in zip(mapped, pop.clients):
-                q = distortion_matrix(client, alpha, gamma, theta)
+                q = distortion_matrix(client.a_matrix, alpha, gamma, theta)
                 spectrum = eigh(q).eigenvalues
                 np.testing.assert_allclose(
                     spectrum, np.sort(row), rtol=1e-9, atol=1e-12 * np.abs(spectrum).max()

@@ -177,8 +177,8 @@ class TestSimulateCommand:
         from local_update_lab import quadratics
 
         calls = []
-        kernel = quadratics._distortion_stack
-        monkeypatch.setattr(quadratics, "_distortion_stack", lambda *args: calls.append(1) or kernel(*args))
+        kernel = quadratics.distortion_matrix
+        monkeypatch.setattr(quadratics, "distortion_matrix", lambda *args: calls.append(1) or kernel(*args))
         code = run_cli(["simulate", "--gamma", "0.02", "--theta", "first-k", "--k", "6", "--dim", "4",
                         "--n-clients", "3", "--format", fmt, "--out", str(tmp_path / f"traj.{fmt}")])
         assert code == 0
@@ -293,6 +293,19 @@ class TestVerifyCommand:
                         "--population", str(pop_file)])
         assert code == 2
         assert "line 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("content", [None, "not a population\n"], ids=["missing", "malformed"])
+    def test_bad_population_fails_before_the_suites(self, content, tmp_path, monkeypatch, capsys):
+        from local_update_lab import cli
+
+        pop_file = tmp_path / "pop.txt"
+        if content is not None:
+            pop_file.write_text(content)
+        monkeypatch.setattr(cli, "run_suites", lambda *args, **kwargs: pytest.fail("suites ran"))
+        out = tmp_path / "r.json"
+        assert run_cli(["verify", "--population", str(pop_file), "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not out.exists()
 
 
 class TestMadCheckCommand:

@@ -312,7 +312,7 @@ class TestClientUpdateMaml:
             alpha = float(rng.choice([0.0, 0.5]))
             gamma = float(rng.uniform(0.0, 0.9)) / (pop.bounds.ell + alpha)
             x = rng.uniform(-2.0, 2.0, size=dim)
-            q = distortion_matrix(client, alpha, gamma, WeightScheme.maml_equivalent(k))
+            q = distortion_matrix(client.a_matrix, alpha, gamma, WeightScheme.maml_equivalent(k))
             expected = q @ client.a_matrix @ (x - client.center)
             got = client_update_maml(client, x, k, gamma, alpha)
             assert np.linalg.norm(got - expected) <= 1e-10

@@ -19,7 +19,7 @@ from local_update_lab import (
     surrogate_minimizer,
 )
 from local_update_lab import quadratics as qw
-from local_update_lab.bounds import kappa_exact, scheme_q_eigenvalues, scheme_qa_eigenvalues
+from local_update_lab.bounds import kappa_exact, scheme_q_eigenvalues
 from local_update_lab.errors import (
     ConditioningError,
     DimensionMismatchError,
@@ -354,26 +354,26 @@ class TestDistortionMatrix:
         theta = WeightScheme.first_k(3)
         for alpha, gamma in ((np.nan, 0.1), (0.0, np.nan)):
             with pytest.raises(InvalidInputError, match="alpha and gamma must be nonnegative"):
-                distortion_matrix(client, alpha, gamma, theta)
+                distortion_matrix(client.a_matrix, alpha, gamma, theta)
 
     def test_theta1_is_identity(self):
         client = scalar_client(4.0, 0.0)
         for alpha, gamma in [(0.0, 0.0), (0.5, 0.1), (3.0, 0.05)]:
             np.testing.assert_array_equal(
-                distortion_matrix(client, alpha, gamma, WeightScheme.single()), np.eye(1)
+                distortion_matrix(client.a_matrix, alpha, gamma, WeightScheme.single()), np.eye(1)
             )
 
     @pytest.mark.parametrize("k", [1, 2, 3, 5, 10])
     def test_scalar_last_only_geometric(self, k):
         # A = 4, gamma = 1/8: (1 - gamma A)^(K-1) = (1/2)^(K-1)
         client = scalar_client(4.0, 0.0)
-        q = distortion_matrix(client, 0.0, 0.125, WeightScheme.last_only(k))
+        q = distortion_matrix(client.a_matrix, 0.0, 0.125, WeightScheme.last_only(k))
         assert q[0, 0] == pytest.approx(0.5 ** (k - 1), abs=1e-15)
 
     def test_scalar_first_k_sum(self):
         # A = 2, gamma = 0.1: 1 + 0.8 + 0.64 = 2.44
         client = scalar_client(2.0, 0.0)
-        q = distortion_matrix(client, 0.0, 0.1, WeightScheme.first_k(3))
+        q = distortion_matrix(client.a_matrix, 0.0, 0.1, WeightScheme.first_k(3))
         assert q[0, 0] == pytest.approx(2.44, abs=1e-15)
 
     def test_commutes_with_client_matrix(self):
@@ -383,7 +383,7 @@ class TestDistortionMatrix:
             theta = random_theta(keyed_rng(12, trial), k_max=12)
             gamma = 0.9 / pop.bounds.ell
             for client in pop.clients:
-                q = distortion_matrix(client, 0.0, gamma, theta)
+                q = distortion_matrix(client.a_matrix, 0.0, gamma, theta)
                 a = client.a_matrix
                 assert np.linalg.norm(q @ a - a @ q, 2) <= 1e-10
 
@@ -398,7 +398,7 @@ class TestDistortionMatrix:
             gamma = 0.9 / (pop.bounds.ell + alpha)
             for client in pop.clients:
                 lams = eigh(client.a_matrix).eigenvalues
-                q = distortion_matrix(client, alpha, gamma, theta)
+                q = distortion_matrix(client.a_matrix, alpha, gamma, theta)
                 qa = 0.5 * (q @ client.a_matrix + client.a_matrix @ q)
                 np.testing.assert_allclose(
                     np.sort(eigh(q).eigenvalues),
@@ -407,7 +407,7 @@ class TestDistortionMatrix:
                 )
                 np.testing.assert_allclose(
                     np.sort(eigh(qa).eigenvalues),
-                    np.sort(scheme_qa_eigenvalues(lams, alpha, gamma, theta)),
+                    np.sort(scheme_q_eigenvalues(lams, alpha, gamma, theta) * lams),
                     atol=1e-9,
                 )
 
@@ -418,7 +418,7 @@ class TestDistortionMatrix:
             theta = random_theta(keyed_rng(16, trial), k_max=20)
             gamma = float(rng.uniform(0.0, 0.99)) / pop.bounds.ell
             for client in pop.clients:
-                q = distortion_matrix(client, 0.0, gamma, theta)
+                q = distortion_matrix(client.a_matrix, 0.0, gamma, theta)
                 assert eigh(q).lambda_min > 0.0
 
 
@@ -562,13 +562,13 @@ class TestSurrogateMemo:
     @staticmethod
     def counted_kernel(monkeypatch):
         calls = []
-        kernel = qw._distortion_stack
+        kernel = qw.distortion_matrix
 
         def counting(*args):
             calls.append(args[1:3])
             return kernel(*args)
 
-        monkeypatch.setattr(qw, "_distortion_stack", counting)
+        monkeypatch.setattr(qw, "distortion_matrix", counting)
         return calls
 
     def test_one_kernel_run_per_key(self, monkeypatch):
@@ -742,6 +742,6 @@ def test_distortion_matches_eigen_map_scalar(lam, gamma_frac, k):
     client = scalar_client(lam, 0.0)
     gamma = gamma_frac / lam
     for theta in (WeightScheme.first_k(k), WeightScheme.last_only(k)):
-        q = distortion_matrix(client, 0.0, gamma, theta)[0, 0]
+        q = distortion_matrix(client.a_matrix, 0.0, gamma, theta)[0, 0]
         mapped = scheme_q_eigenvalues(np.array([lam]), 0.0, gamma, theta)[0]
         assert q == pytest.approx(mapped, rel=1e-11, abs=1e-13)

@@ -29,12 +29,12 @@ from local_update_lab.verify import (
 # ---------------------------------------------------------------------------
 
 
-def ref_distortion_matrix(client, alpha, gamma, theta):
+def ref_distortion_matrix(a, alpha, gamma, theta):
     if not (gamma >= 0.0 and alpha >= 0.0):
         raise InvalidInputError("alpha and gamma must be nonnegative")
     coeffs = theta.coefficients[: theta.size]
-    d = client.dim
-    m = (1.0 - gamma * alpha) * np.eye(d) - gamma * client.a_matrix
+    d = a.shape[0]
+    m = (1.0 - gamma * alpha) * np.eye(d) - gamma * a
     q = coeffs[-1] * np.eye(d)
     for k in range(len(coeffs) - 2, -1, -1):
         q = q @ m
@@ -44,7 +44,7 @@ def ref_distortion_matrix(client, alpha, gamma, theta):
 
 
 def ref_client_surrogate_hessian(client, alpha, gamma, theta):
-    return symmetrize(ref_distortion_matrix(client, alpha, gamma, theta) @ client.a_matrix)
+    return symmetrize(ref_distortion_matrix(client.a_matrix, alpha, gamma, theta) @ client.a_matrix)
 
 
 def ref_surrogate_hessian(pop, alpha, gamma, theta):
@@ -186,8 +186,8 @@ def population(rng, dim, n, zero_weights):
 
 def assert_routes_equal(pop, x, alpha, gamma, theta):
     for client in pop.clients:
-        assert np.array_equal(qw.distortion_matrix(client, alpha, gamma, theta),
-                              ref_distortion_matrix(client, alpha, gamma, theta))
+        assert np.array_equal(qw.distortion_matrix(client.a_matrix, alpha, gamma, theta),
+                              ref_distortion_matrix(client.a_matrix, alpha, gamma, theta))
     assert np.array_equal(qw.surrogate_hessian(pop, alpha, gamma, theta),
                           ref_surrogate_hessian(pop, alpha, gamma, theta))
     assert np.array_equal(qw.surrogate_gradient(pop, x, alpha, gamma, theta),
@@ -251,7 +251,7 @@ def test_kernel_rejects_negative_rates_like_the_reference():
     client = ClientModel(a_matrix=np.eye(2), center=np.zeros(2))
     for alpha, gamma in ((-1.0, 0.1), (0.0, float("nan"))):
         with pytest.raises(InvalidInputError):
-            qw.distortion_matrix(client, alpha, gamma, WeightScheme.first_k(2))
+            qw.distortion_matrix(client.a_matrix, alpha, gamma, WeightScheme.first_k(2))
         with pytest.raises(InvalidInputError):
             qw.surrogate_hessian(Population.uniform([client]), alpha, gamma, WeightScheme.first_k(2))
 

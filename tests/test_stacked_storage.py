@@ -310,7 +310,7 @@ def test_last_only_kappa_in_log_space_when_the_map_underflows():
     pop = Population.uniform([ClientModel(a_matrix=np.diag([1.0, 1.01]), center=np.zeros(2))])
     gamma, k = 0.05, 20000
     theta = WeightScheme.last_only(k)
-    assert (tb.scheme_qa_eigenvalues(pop.spectra, 0.0, gamma, theta) == 0.0).all()
+    assert (tb.scheme_q_eigenvalues(pop.spectra, 0.0, gamma, theta) * pop.spectra == 0.0).all()
     report = tb.kappa_exact(pop, 0.0, gamma, theta)
     log_ratio = (k - 1) * (np.log(1 - gamma * 1.0) - np.log(1 - gamma * 1.01)) - np.log(1.01)
     assert report.kappa_exact == pytest.approx(np.exp(log_ratio), rel=1e-9)
@@ -325,7 +325,7 @@ def test_log_space_extremes_follow_the_weights():
     pop = Population(clients=clients, weights=np.array([0.25, 0.75]), bounds=SpectrumBounds(1.0, 10.0, 0.0))
     gamma, k = 0.099, 400
     theta = WeightScheme.last_only(k)
-    mapped = tb.scheme_qa_eigenvalues(pop.spectra, 0.0, gamma, theta)
+    mapped = tb.scheme_q_eigenvalues(pop.spectra, 0.0, gamma, theta) * pop.spectra
     assert mapped[0].min() > 0.0 and (mapped[1] == 0.0).all()
     report = tb.kappa_exact(pop, 0.0, gamma, theta)
     assert report.l_tilde == pytest.approx(0.25 * mapped[0].max(), rel=1e-12)

@@ -4,7 +4,9 @@ The constructors on the verification suites' path (DiscreteDistribution,
 WeightScheme, QuadraticExample, ClientModel, Population and the
 matrix-weighted family check) run their checks on as few numpy calls as they
 can; these cases pin the checks' order and wording, so a faster check still
-names the same first problem in the same words.
+names the same first problem in the same words. The last cases pin the
+library errors that bad points, counts, grids and radii get in place of a
+raw numpy exception.
 """
 
 import numpy as np
@@ -13,12 +15,25 @@ import pytest
 from local_update_lab.bounds import (
     DiscreteDistribution,
     _validate_weighted_family,
+    distance_bound,
+    distance_bound_from_kappa,
     matrix_weighted_discrepancy,
     matrix_weighted_mean,
+    phi,
+    psi,
 )
+from local_update_lab.engine import RunConfig, auto_tune, client_update, client_update_maml, server_round
 from local_update_lab.errors import DimensionMismatchError, InvalidInputError
-from local_update_lab.matrices import SpectrumBounds, check_symmetric
-from local_update_lab.quadratics import ClientModel, Population, QuadraticExample, WeightScheme
+from local_update_lab.frontier import SweepSpec, simulated_maml_sweep
+from local_update_lab.matrices import SpectrumBounds, check_symmetric, random_spd_with_spectrum
+from local_update_lab.quadratics import (
+    ClientModel,
+    Population,
+    QuadraticExample,
+    WeightScheme,
+    distortion_matrix,
+    surrogate_gradient,
+)
 
 NAN, INF = float("nan"), float("inf")
 ASYMMETRIC = np.array([[1.0, 2.0], [0.0, 1.0]])
@@ -288,3 +303,66 @@ COMPLEX_EYE = (1.0 + 1.0j) * np.eye(2)
 def test_complex_input_is_rejected_before_any_cast(build, message):
     """A cast to float would drop the imaginary part with only a ComplexWarning."""
     assert_rejects(build, InvalidInputError, message)
+
+
+def _bad_input_population():
+    clients = (_client([1.0, 2.0, 3.0], [0.1, 0.2, 0.3]), _client([2.0, 4.0, 8.0], [0.0, 0.5, 0.0]))
+    return Population.uniform(clients)
+
+
+def _bad_input_config():
+    return RunConfig(alpha=0.0, gamma=0.01, theta=WeightScheme.first_k(3), rounds=1)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "build, error, message",
+    [
+        # a point of the wrong dimension, checked once per call
+        (lambda: server_round(_bad_input_population(), np.ones(2), _bad_input_config(),
+                              auto_tune("plain", 10.0, 1.0)),
+         DimensionMismatchError, "x has shape (2,), expected (3,)"),
+        (lambda: client_update(_bad_input_population().clients[0], np.ones(2), _bad_input_config()),
+         DimensionMismatchError, "x has shape (2,), expected (3,)"),
+        (lambda: client_update_maml(_bad_input_population().clients[0], np.ones(2), 2, 0.01),
+         DimensionMismatchError, "x has shape (2,), expected (3,)"),
+        (lambda: surrogate_gradient(_bad_input_population(), np.ones(2), 0.0, 0.01, WeightScheme.first_k(3)),
+         DimensionMismatchError, "x has shape (2,), expected (3,)"),
+        # strings and ragged sequences are no arrays of real numbers
+        (lambda: WeightScheme(["a"]), InvalidInputError, "coefficients must be an array of real numbers"),
+        (lambda: WeightScheme([[1.0], [1.0, 2.0]]), InvalidInputError,
+         "coefficients must be an array of real numbers"),
+        (lambda: ClientModel(a_matrix=[["a"]], center=[0.0]), InvalidInputError,
+         "a_matrix must be an array of real numbers"),
+        (lambda: Population.from_stacks(np.eye(2)[None], np.zeros((1, 2)), ["x"]), InvalidInputError,
+         "weights must be an array of real numbers"),
+        (lambda: DiscreteDistribution(["a"], [1.0]), InvalidInputError, "values must be an array of real numbers"),
+        # the Horner kernel takes a client's matrix, or a stack of them
+        (lambda: distortion_matrix(_bad_input_population().clients[0], 0.0, 0.01, WeightScheme.first_k(2)),
+         InvalidInputError, "a must be an array of real numbers"),
+        (lambda: distortion_matrix(np.ones((2, 3)), 0.0, 0.01, WeightScheme.first_k(2)), DimensionMismatchError,
+         "a must be a (d, d) matrix or an (n, d, d) stack, got shape (2, 3)"),
+        # integer counts
+        (lambda: phi(2.0, 0.0, 0.1, 2.5), InvalidInputError, "k must be an integer, got 2.5"),
+        (lambda: psi(2.0, 0.0, 0.1, 2.5), InvalidInputError, "k must be an integer, got 2.5"),
+        (lambda: client_update_maml(_bad_input_population().clients[0], np.ones(3), 2.5, 0.01),
+         InvalidInputError, "k must be an integer, got 2.5"),
+        (lambda: random_spd_with_spectrum(2.5, SpectrumBounds(1.0, 10.0), 0), InvalidInputError,
+         "dim must be an integer, got 2.5"),
+        # K grids: no silent truncation, one dimension
+        (lambda: SweepSpec(family="fedavg_theta", vary="K", grid=[1.5, 2.5], mu=1.0, ell=10.0, gamma=0.01),
+         InvalidInputError, "K grid must hold integers, got 1.5"),
+        (lambda: SweepSpec(family="fedavg_theta", vary="K", grid=[[1, 2]], mu=1.0, ell=10.0, gamma=0.01),
+         InvalidInputError, "grid must be one-dimensional, got shape (1, 2)"),
+        (lambda: simulated_maml_sweep(3, 1.0, 10.0, 0.0, 0.01, [1, 2.5], 0), InvalidInputError,
+         "K grid must hold integers, got 2.5"),
+        (lambda: simulated_maml_sweep(3, 1.0, 10.0, 0.0, 0.01, [[1, 2]], 0), InvalidInputError,
+         "grid must be one-dimensional, got shape (1, 2)"),
+        # one radius check for both distance bounds
+        (lambda: distance_bound(_bad_input_population(), 0.0, 0.01, WeightScheme.first_k(3), c_radius=-1.0),
+         InvalidInputError, "c_radius must be nonnegative, got -1.0"),
+        (lambda: distance_bound_from_kappa(2.0, 10.0, NAN), InvalidInputError, "c_radius must be nonnegative, got nan"),
+    ],
+)
+def test_bad_numeric_input(build, error, message):
+    assert_rejects(build, error, message)

@@ -16,7 +16,7 @@ from local_update_lab import (
     distortion_matrix,
     surrogate_gradient,
 )
-from local_update_lab import errors, quadratics, verify
+from local_update_lab import errors, frontier, quadratics, verify
 from local_update_lab.bounds import scheme_q_eigenvalues
 from local_update_lab.cli import main
 from local_update_lab.errors import InvalidInputError
@@ -148,13 +148,13 @@ class TestNanViolation:
         assert math.isnan(theorem1_client_gap(pop, x, alpha, gamma, theta))
 
     def test_theorem3_keeps_nan_of_one_optimizer(self, monkeypatch):
-        operator = verify.round_operator
+        operator = frontier.round_operator
 
         def nan_for_nesterov(pop, cfg, opt):
             m = operator(pop, cfg, opt)
             return np.full_like(m, np.nan) if opt.kind == "nesterov" else m
 
-        monkeypatch.setattr(verify, "round_operator", nan_for_nesterov)
+        monkeypatch.setattr(frontier, "round_operator", nan_for_nesterov)
         assert math.isnan(check_theorem3_rates(0, trials=1).max_violation)
 
 
@@ -195,7 +195,7 @@ def test_horner_distortion_agrees_with_eigenvalue_map(seed):
         alpha, gamma, theta = random_admissible_params(rng, pop.bounds.ell, k_max=30)
         mapped = np.sort(scheme_q_eigenvalues(pop.spectra, alpha, gamma, theta), axis=1)
         for client, q in zip(pop.clients, mapped):
-            horner = np.sort(np.linalg.eigvalsh(distortion_matrix(client, alpha, gamma, theta)))
+            horner = np.sort(np.linalg.eigvalsh(distortion_matrix(client.a_matrix, alpha, gamma, theta)))
             assert np.max(np.abs(horner - q)) <= 1e-12 * np.max(np.abs(q))
 
 
