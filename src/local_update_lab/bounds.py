@@ -27,7 +27,7 @@ import numpy as np
 
 from . import quadratics as qw
 from .errors import ConditioningError, InvalidInputError
-from .matrices import SPD_LAMBDA_MIN, SpectrumBounds, check_c_radius, check_integer, check_symmetric, real_array
+from .matrices import SPD_LAMBDA_MIN, SpectrumBounds, check_c_radius, check_count, check_symmetric, real_array
 # eigh stays bound here although the weighted-family check decomposes its
 # whole Y stack with np.linalg.eigh: perfbench traces matrices.eigh in every
 # module namespace that binds it, and its tests look it up in this one.
@@ -65,16 +65,14 @@ def _geometric_sums(xi: np.ndarray, k: int) -> np.ndarray:
 
 def phi(lam: float, alpha: float, gamma: float, k: int) -> float:
     """sum_{j=1}^{K} (1 - gamma (lam + alpha))^(j-1) lam."""
-    if check_integer(k, "k") < 1:
-        raise InvalidInputError(f"k must be >= 1, got {k}")
+    check_count(k, "k")
     xi = 1.0 - gamma * (lam + alpha)
     return float(_geometric_sums(xi, k)) * lam
 
 
 def psi(lam: float, alpha: float, gamma: float, k: int) -> float:
     """(1 - gamma (lam + alpha))^(K-1) lam."""
-    if check_integer(k, "k") < 1:
-        raise InvalidInputError(f"k must be >= 1, got {k}")
+    check_count(k, "k")
     xi = 1.0 - gamma * (lam + alpha)
     return xi ** (k - 1) * lam
 
@@ -254,23 +252,20 @@ def distance_bound(
     alpha: float,
     gamma: float,
     theta: WeightScheme,
-    c_radius: float | None = None,
 ) -> float:
     """Spectral bound on the surrogate-to-empirical minimizer distance.
 
     With b the largest and a the smallest distortion eigenvalue across
     clients, the bound is const * C * (sqrt(b) - sqrt(a)) / (sqrt(b) + sqrt(a))
-    with const = 2 in dimension one and 8 otherwise.
+    with C the population's c_radius and const = 2 in dimension one and 8
+    otherwise.
     """
     qw.require_contractive(pop.bounds, alpha, gamma)
-    if c_radius is None:
-        c_radius = pop.bounds.c_radius
-    check_c_radius(c_radius)
     q_eigs = scheme_q_eigenvalues(pop.spectra, alpha, gamma, theta)
     b, a = float(q_eigs.max()), float(q_eigs.min())
     constant = 2.0 if pop.dim == 1 else 8.0
     sb, sa = np.sqrt(b), np.sqrt(a)
-    return float(constant * c_radius * (sb - sa) / (sb + sa))
+    return float(constant * pop.bounds.c_radius * (sb - sa) / (sb + sa))
 
 
 def distance_bound_from_kappa(kappa: float, kappa0: float, c_radius: float) -> float:
@@ -470,8 +465,7 @@ def tightness_case_b2(k: int, p: float) -> tuple[float, float]:
     As k grows and p approaches 1, both values approach 2 (with C = 1),
     showing the one-dimensional bound is tight.
     """
-    if k < 1:
-        raise InvalidInputError(f"k must be >= 1, got {k}")
+    check_count(k, "k")
     pop = tightness_population(p)
     theta = WeightScheme.last_only(k)
     measured = qw.minimizer_distance(pop, 0.0, 0.125, theta)

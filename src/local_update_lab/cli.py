@@ -35,7 +35,7 @@ from .engine import (
     export_trajectory_csv,
     run,
 )
-from .errors import ConditioningError, InvalidInputError, LocalUpdateError, PopulationFormatError
+from .errors import InvalidInputError, LocalUpdateError, PopulationFormatError
 from .frontier import (
     Frontier,
     SweepSpec,
@@ -98,9 +98,7 @@ def _theta_from_flags(name: str, k: int) -> WeightScheme:
         return WeightScheme.first_k(k)
     if name == "k-only":
         return WeightScheme.last_only(k)
-    if name == "maml2k1":
-        return WeightScheme.maml_equivalent(k)
-    raise InvalidInputError(f"unknown theta scheme {name!r}, expected one of {_THETA_CHOICES}")
+    return WeightScheme.maml_equivalent(k)  # maml2k1
 
 
 def _render_frontier(frontier: Frontier, fmt: str, title: str, out: str | None) -> None:
@@ -108,10 +106,8 @@ def _render_frontier(frontier: Frontier, fmt: str, title: str, out: str | None) 
         _emit(frontier_csv(frontier), out)
     elif fmt == "json":
         _emit(_json_dumps(frontier_json_payload(frontier)), out)
-    elif fmt == "svg":
+    else:  # svg
         _emit(frontier_svg(frontier, title=title), out)
-    else:
-        raise InvalidInputError(f"unsupported format {fmt!r}")
     if fmt != "json" and frontier.skipped:
         # JSON lists these in skipped[]; CSV and SVG have no place for them
         spec = frontier.spec
@@ -258,7 +254,7 @@ def cmd_simulate(args) -> int:
     traj = run(pop, x0, cfg, opt)
     if args.format == "csv":
         _emit(export_trajectory_csv(traj, pop, args.alpha, args.gamma, theta), args.out)
-    elif args.format == "json":
+    else:  # json
         x_surr = qw.surrogate_minimizer(pop, args.alpha, args.gamma, theta)
         x_emp = qw.empirical_minimizer(pop)
         payload = {
@@ -271,8 +267,6 @@ def cmd_simulate(args) -> int:
             "dist_to_empirical_opt": np.linalg.norm(traj.iterates - x_emp, axis=1).tolist(),
         }
         _emit(_json_dumps(payload), args.out)
-    else:
-        raise InvalidInputError(f"unsupported format {args.format!r} for simulate")
     return EXIT_OK
 
 
@@ -325,7 +319,7 @@ def cmd_mad_check(args) -> int:
     report = run_checks(only="mad_scalar,mad_matrix", seed=seed, trials=args.trials)
     if args.format == "json":
         _emit(_json_dumps(report), args.out)
-    elif args.format == "csv":
+    else:  # csv
         lines = ["name,instances,max_violation,threshold,pass"]
         for c in report["checks"]:
             violation = "" if c["max_violation"] is None else format(c["max_violation"], ".17g")
@@ -334,8 +328,6 @@ def cmd_mad_check(args) -> int:
                 f"{format(c['threshold'], '.17g')},{str(c['pass']).lower()}"
             )
         _emit("\n".join(lines) + "\n", args.out)
-    else:
-        raise InvalidInputError(f"unsupported format {args.format!r} for mad-check")
     return EXIT_OK if report["all_pass"] else EXIT_VERIFY_FAILED
 
 
@@ -363,14 +355,12 @@ def cmd_tightness(args) -> int:
         client = qw.ClientModel(a_matrix=np.diag([ell, mu]), center=np.zeros(2))
         pop = Population.uniform([client], bounds=SpectrumBounds(mu, ell, 0.0))
         schemes = {"first_k": WeightScheme.first_k(k), "last_only": WeightScheme.last_only(k)}
-        qw.require_contractive(pop.bounds, alpha, gamma)
         rows = {}
         for name, theta in schemes.items():
-            try:
-                bound = tb.kappa_bound(mu, ell, alpha, gamma, theta)
-            except ConditioningError:  # psi outside gamma < 1/(K ell + alpha): no row
+            report = tb.kappa_exact(pop, alpha, gamma, theta)
+            exact, bound = report.kappa_exact, report.kappa_bound
+            if bound is None:  # psi outside gamma < 1/(K ell + alpha): no row
                 continue
-            exact = tb.kappa_exact(pop, alpha, gamma, theta).kappa_exact
             rows[name] = {"kappa_exact": exact, "kappa_bound": bound, "gap": abs(exact - bound)}
         payload = {
             "schema_version": 1,
@@ -382,10 +372,7 @@ def cmd_tightness(args) -> int:
             "k": k,
             "schemes": rows,
         }
-    if args.format == "json":
-        _emit(_json_dumps(payload), args.out)
-    else:
-        raise InvalidInputError(f"unsupported format {args.format!r} for tightness")
+    _emit(_json_dumps(payload), args.out)  # json, the one --format choice
     return EXIT_OK
 
 

@@ -17,8 +17,8 @@ client at a time, with mini-batch gradients.
 The kernels read the stacks the data lives in and copy nothing per round: a
 deterministic round steps the population's read-only (n, d, d) matrix and
 (n, d) center stacks, and a mini-batch draw gathers its examples from the
-client's (m, d, d) and (m, d) example stacks, one indexing operation per
-block of local steps. The proximal term alpha (x_k - x) is computed only
+client's (m, d, d) and (m, d) example stacks, one indexing operation for
+all K local steps. The proximal term alpha (x_k - x) is computed only
 when alpha > 0; adding its zero would change nothing but the sign of an
 exactly-zero gradient component.
 """
@@ -31,23 +31,16 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import quadratics as qw
+from .bounds import OPTIMIZER_KINDS
 from .errors import DivergenceError, InvalidInputError
-from .matrices import check_integer, check_vector, eigh, euclidean_norm, keyed_rng
+from .matrices import check_count, check_rates, check_vector, eigh, euclidean_norm, keyed_rng
 from .quadratics import ClientModel, Population, WeightScheme
 
 DIVERGENCE_THRESHOLD = 1e12
 
-SERVER_OPT_KINDS = ("plain", "nesterov", "heavy_ball")
-
 # Stream-domain tags for child RNGs.
 _DOMAIN_SAMPLING = 0x01
 _DOMAIN_CLIENT = 0x02
-
-# A mini-batch draw gathers the example matrices of at most this many matrix
-# entries at once (512 kB): all K steps of an engine round's draw in one
-# indexing operation, and a bounded block of steps for the exact expectation's
-# thousands of batch sequences.
-_GATHER_BLOCK_ENTRIES = 65536
 
 
 @dataclass(frozen=True)
@@ -75,38 +68,35 @@ class RunConfig:
     batch_size: int | None = None
 
     def __post_init__(self):
-        if not (self.alpha >= 0.0 and self.gamma >= 0.0):
-            raise InvalidInputError("alpha and gamma must be nonnegative")
+        check_rates(self.alpha, self.gamma)
         if not (self.alpha < np.inf and self.gamma < np.inf):
             raise InvalidInputError("alpha and gamma must be finite")
-        if check_integer(self.rounds, "rounds") < 1:
-            raise InvalidInputError(f"rounds must be >= 1, got {self.rounds}")
+        check_count(self.rounds, "rounds")
         if self.mode not in ("deterministic", "stochastic"):
             raise InvalidInputError(f"unknown mode {self.mode!r}")
         if self.mode == "stochastic":
             for name in ("clients_per_round", "batch_size"):
                 value = getattr(self, name)
-                if value is None or check_integer(value, name) < 1:
+                if value is None:
                     raise InvalidInputError(f"stochastic mode needs {name} >= 1")
+                check_count(value, name)
 
 
 @dataclass(frozen=True)
 class ServerOptSpec:
     """Server optimizer: kind, step size eta, momentum beta.
 
-    plain ignores momentum (normalised to 0). auto_tuned records that the
-    hyperparameters came from auto_tune.
+    plain ignores momentum (normalised to 0).
     """
 
     kind: str
     step: float
     momentum: float = 0.0
-    auto_tuned: bool = False
 
     def __post_init__(self):
-        if self.kind not in SERVER_OPT_KINDS:
+        if self.kind not in OPTIMIZER_KINDS:
             raise InvalidInputError(
-                f"unknown server optimizer {self.kind!r}, expected one of {SERVER_OPT_KINDS}"
+                f"unknown server optimizer {self.kind!r}, expected one of {OPTIMIZER_KINDS}"
             )
         if not (0.0 < self.step < np.inf):
             raise InvalidInputError(f"step must be positive and finite, got {self.step}")
@@ -212,26 +202,20 @@ def _stochastic_client_updates(
     draw path and the exact expectation of the verification suites share this
     code, so they are the same algorithm by construction.
 
-    The batches of a block of steps are gathered in one indexing operation,
+    The batches of all K steps are gathered in one indexing operation,
     step-major, so each step reads a contiguous (n_sims, B, d, d) slice laid
     out as a gather of that step alone: the result is bit-identical to one
     gather per step.
     """
-    b_stack, c_stack = client.example_arrays()
     n_sims, k_steps, batch = batch_indices.shape
     if k_steps != theta.size:
         raise InvalidInputError("batch_indices second axis must equal K(theta)")
     steps = batch_indices.swapaxes(0, 1)  # (K, n_sims, B)
-    block = max(1, _GATHER_BLOCK_ENTRIES // (n_sims * batch * b_stack[0].size))
-    b_block = c_block = None
+    b_steps, c_steps = client.example_matrices[steps], client.example_centers[steps]
 
     def loss_gradient(k, xk):
-        nonlocal b_block, c_block
-        j = k % block
-        if j == 0:
-            b_block, c_block = b_stack[steps[k : k + block]], c_stack[steps[k : k + block]]
-        diff = xk[:, None, :] - c_block[j]  # (n_sims, B, d)
-        return np.einsum("sbij,sbj->si", b_block[j], diff) / batch
+        diff = xk[:, None, :] - c_steps[k]  # (n_sims, B, d)
+        return np.einsum("sbij,sbj->si", b_steps[k], diff) / batch
 
     return _local_steps(x, n_sims, alpha, gamma, theta, loss_gradient)
 
@@ -288,10 +272,8 @@ def client_update_maml(
     proximal anchor as frozen. On quadratics this equals the client update
     under the theta_{2K+1} scheme: (I - gamma (A + alpha I))^{2K} A (x - c).
     """
-    if check_integer(k, "k") < 1:
-        raise InvalidInputError(f"k must be >= 1, got {k}")
-    if not (gamma >= 0.0 and alpha >= 0.0):
-        raise InvalidInputError("alpha and gamma must be nonnegative")
+    check_count(k, "k")
+    check_rates(alpha, gamma)
     x = check_vector(x, client.dim, "x")
     a = client.a_matrix
     c = client.center
@@ -321,16 +303,16 @@ def auto_tune(opt_kind: str, l_tilde: float, mu_tilde: float) -> ServerOptSpec:
         )
     kappa = l_tilde / mu_tilde
     if opt_kind == "plain":
-        return ServerOptSpec(kind="plain", step=2.0 / (l_tilde + mu_tilde), auto_tuned=True)
+        return ServerOptSpec(kind="plain", step=2.0 / (l_tilde + mu_tilde))
     if opt_kind == "heavy_ball":
         eta = 4.0 / (np.sqrt(l_tilde) + np.sqrt(mu_tilde)) ** 2
         beta = ((np.sqrt(kappa) - 1.0) / (np.sqrt(kappa) + 1.0)) ** 2
-        return ServerOptSpec(kind="heavy_ball", step=float(eta), momentum=float(beta), auto_tuned=True)
+        return ServerOptSpec(kind="heavy_ball", step=float(eta), momentum=float(beta))
     if opt_kind == "nesterov":
         eta = 4.0 / (3.0 * l_tilde + mu_tilde)
         root = np.sqrt(3.0 * kappa + 1.0)
         beta = (root - 2.0) / (root + 2.0)
-        return ServerOptSpec(kind="nesterov", step=float(eta), momentum=float(beta), auto_tuned=True)
+        return ServerOptSpec(kind="nesterov", step=float(eta), momentum=float(beta))
     raise InvalidInputError(f"unknown server optimizer {opt_kind!r}")
 
 

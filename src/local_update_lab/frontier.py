@@ -19,7 +19,9 @@ from . import bounds as tb
 from . import quadratics as qw
 from .engine import RunConfig, auto_tune, round_operator
 from .errors import ConditioningError, InvalidInputError
-from .matrices import SpectrumBounds, child_seed, eigh, random_spd_with_spectrum, real_array, spectral_radius
+from .matrices import (
+    SpectrumBounds, check_count, child_seed, eigh, random_spd_with_spectrum, real_array, spectral_radius,
+)
 from .quadratics import ClientModel, Population, WeightScheme
 
 FAMILIES = ("fedavg_theta", "maml_theta")
@@ -33,16 +35,11 @@ _FAMILY_SCHEMES = {
 }
 
 
-def _check_points(points: int) -> None:
-    if points < 1:
-        raise InvalidInputError(f"points must be >= 1, got {points}")
-
-
 def default_k_grid(k_max: int = 10**6, points: int = 60) -> np.ndarray:
     """Logarithmic integer grid 1..k_max without duplicates."""
     if k_max < 1:
         raise InvalidInputError(f"k_max must be >= 1, got {k_max}")
-    _check_points(points)
+    check_count(points, "points")
     raw = np.logspace(0.0, np.log10(k_max), points)
     return np.unique(np.round(raw).astype(int))
 
@@ -51,7 +48,7 @@ def default_gamma_grid(gamma_max: float, points: int = 60) -> np.ndarray:
     """Logarithmic gamma grid ending at gamma_max, spanning six decades."""
     if not gamma_max > 0.0:
         raise InvalidInputError(f"gamma_max must be positive, got {gamma_max}")
-    _check_points(points)
+    check_count(points, "points")
     return np.logspace(np.log10(gamma_max) - 6.0, np.log10(gamma_max), points)
 
 
@@ -386,29 +383,28 @@ def symmetry_measure(frontier: Frontier) -> float:
 
 
 def empirical_rate_crosscheck(
-    pop: Population,
-    alpha: float,
-    gamma: float,
-    theta: WeightScheme,
-    optimizer_kind: str,
-) -> tuple[float, float, float]:
-    """(rho_measured, rho_tuned, rho_predicted) for an auto-tuned deterministic round.
+    pop: Population, alpha: float, gamma: float, theta: WeightScheme
+) -> dict[str, tuple[float, float, float]]:
+    """{kind: (rho_measured, rho_tuned, rho_predicted)} for each auto-tuned server optimizer.
 
-    The optimizer is tuned on the measured surrogate Hessian H. rho_measured
-    is the spectral radius of the engine's round operator, and rho_tuned the
-    Table-style rate at cond(H): Theorem 3 says they are equal, which eig
-    resolves to about sqrt(eps) (tuned momentum operators have double
-    eigenvalues). rho_predicted is the rate at kappa_exact >= cond(H), so it
-    bounds both.
+    Every optimizer of bounds.OPTIMIZER_KINDS is tuned on the measured
+    surrogate Hessian H, whose eigh and kappa_exact are computed once for
+    all three. rho_measured is the spectral radius of the engine's
+    deterministic round operator, and rho_tuned the Table-style rate at
+    cond(H): Theorem 3 says they are equal, which eig resolves to about
+    sqrt(eps) (tuned momentum operators have double eigenvalues).
+    rho_predicted is the rate at kappa_exact >= cond(H), so it bounds both.
     """
-    report = tb.kappa_exact(pop, alpha, gamma, theta)
+    kappa = tb.kappa_exact(pop, alpha, gamma, theta).kappa_exact
     dec = eigh(qw.surrogate_hessian(pop, alpha, gamma, theta))
-    opt = auto_tune(optimizer_kind, dec.lambda_max, dec.lambda_min)
     cfg = RunConfig(alpha=alpha, gamma=gamma, theta=theta, rounds=1)
-    rho_measured = spectral_radius(round_operator(pop, cfg, opt))
-    rho_tuned = tb.rho_from_kappa(dec.lambda_max / dec.lambda_min, optimizer_kind)
-    rho_predicted = tb.rho_from_kappa(report.kappa_exact, optimizer_kind)
-    return float(rho_measured), float(rho_tuned), float(rho_predicted)
+    rates = {}
+    for kind in tb.OPTIMIZER_KINDS:
+        opt = auto_tune(kind, dec.lambda_max, dec.lambda_min)
+        rho_measured = spectral_radius(round_operator(pop, cfg, opt))
+        rho_tuned = tb.rho_from_kappa(dec.lambda_max / dec.lambda_min, kind)
+        rates[kind] = (float(rho_measured), float(rho_tuned), float(tb.rho_from_kappa(kappa, kind)))
+    return rates
 
 
 # ---------------------------------------------------------------------------

@@ -126,6 +126,20 @@ def check_integer(value, name: str) -> int:
         raise InvalidInputError(f"{name} must be an integer, got {value!r}") from None
 
 
+def check_count(value, name: str) -> int:
+    """value as a Python int >= 1 (see check_integer), or InvalidInputError."""
+    count = check_integer(value, name)
+    if count < 1:
+        raise InvalidInputError(f"{name} must be >= 1, got {count}")
+    return count
+
+
+def check_rates(alpha: float, gamma: float) -> None:
+    """Raise InvalidInputError unless alpha >= 0 and gamma >= 0; a NaN fails the comparison."""
+    if not (alpha >= 0.0 and gamma >= 0.0):
+        raise InvalidInputError(f"alpha and gamma must be nonnegative, got alpha={alpha}, gamma={gamma}")
+
+
 def check_c_radius(c_radius: float) -> None:
     """Raise InvalidInputError unless c_radius >= 0; a NaN fails the comparison."""
     if not c_radius >= 0.0:
@@ -207,8 +221,7 @@ def random_spd_with_spectrum(dim: int, bounds: SpectrumBounds, seed: int) -> np.
     draw (numerically flat spectrum of G) falls back to A = mu * I, as does
     mu == ell.
     """
-    if check_integer(dim, "dim") < 1:
-        raise InvalidInputError(f"dim must be >= 1, got {dim}")
+    check_count(dim, "dim")
     mu, ell = bounds.mu, bounds.ell
     if mu == ell:
         return mu * np.eye(dim)

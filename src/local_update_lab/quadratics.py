@@ -120,9 +120,7 @@ class WeightScheme:
 
     @classmethod
     def _named(cls, kind: str, k: int) -> "WeightScheme":
-        k = mat.check_integer(k, "k")
-        if k < 1:
-            raise InvalidInputError(f"k must be >= 1, got {k}")
+        k = mat.check_count(k, "k")
         if k == 1:
             kind = "last_only"  # one positive coefficient, as __init__ classifies it
         scheme = cls.__new__(cls)
@@ -148,9 +146,7 @@ class WeightScheme:
     @classmethod
     def maml_equivalent(cls, k: int) -> "WeightScheme":
         """Theta_{2K+1}: the scheme matching a K-step MAML client, K >= 1."""
-        k = mat.check_integer(k, "k")
-        if k < 1:
-            raise InvalidInputError(f"k must be >= 1, got {k}")
+        k = mat.check_count(k, "k")
         return cls.last_only(2 * k + 1)
 
     @property
@@ -344,12 +340,6 @@ class ClientModel:
     @property
     def dim(self) -> int:
         return self.a_matrix.shape[0]
-
-    def example_arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        """The read-only (n_examples, d, d) matrix and (n_examples, d) center stacks."""
-        if self.examples is None:
-            raise InvalidInputError("client has no example set")
-        return self.example_matrices, self.example_centers
 
 
 def _client_view(a_matrix: np.ndarray, center: np.ndarray, source: ClientModel | None) -> ClientModel:
@@ -547,8 +537,7 @@ def require_contractive(bounds: SpectrumBounds, alpha: float, gamma: float) -> N
 
     Both comparisons are written so that a NaN alpha or gamma fails them.
     """
-    if not (gamma >= 0.0 and alpha >= 0.0):
-        raise InvalidInputError(f"alpha and gamma must be nonnegative, got alpha={alpha}, gamma={gamma}")
+    mat.check_rates(alpha, gamma)
     if not gamma * (bounds.ell + alpha) < 1.0:
         raise ConditioningError(
             f"need gamma < 1/(ell + alpha) = {1.0 / (bounds.ell + alpha):.6g}, got gamma={gamma}"
@@ -569,8 +558,7 @@ def distortion_matrix(a, alpha: float, gamma: float, theta: WeightScheme) -> np.
     a = mat.real_array(a, "a")
     if a.ndim not in (2, 3) or a.shape[-1] != a.shape[-2] or a.size == 0:
         raise DimensionMismatchError(f"a must be a (d, d) matrix or an (n, d, d) stack, got shape {a.shape}")
-    if not (gamma >= 0.0 and alpha >= 0.0):
-        raise InvalidInputError("alpha and gamma must be nonnegative")
+    mat.check_rates(alpha, gamma)
     coeffs = theta.coefficients[: theta.size]
     eye = np.eye(a.shape[-1])
     m = (1.0 - gamma * alpha) * eye - gamma * a

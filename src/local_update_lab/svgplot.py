@@ -1,8 +1,8 @@
 """Hand-emitted SVG plots (no plotting dependency).
 
-Enough for frontier polylines on the unit square and trajectory distance
-curves: axes, 0.1-spaced ticks with grid lines, one polyline per series, and
-a legend. Output is plain markup with fixed numeric formatting, so identical
+Enough for frontier polylines on the unit square: axes labelled rho and
+delta, 0.1-spaced ticks with grid lines, one polyline per series, and a
+legend. Output is plain markup with fixed numeric formatting, so identical
 inputs give byte-identical files.
 """
 
@@ -19,21 +19,15 @@ def _esc(text: str) -> str:
     return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
 
 
-def unit_square_plot(
-    series: list[tuple[str, np.ndarray]],
-    x_label: str = "rho",
-    y_label: str = "delta",
-    title: str = "",
-    size: int = 480,
-    margin: int = 56,
-) -> str:
+def unit_square_plot(series: list[tuple[str, np.ndarray]], title: str = "") -> str:
     """SVG of polylines in [0, 1]^2 with 0.1 ticks and a legend.
 
     series is a list of (label, points) with points an (n, 2) array of
-    (x, y) values inside the unit square.
+    (rho, delta) values inside the unit square.
     """
     if not series:
         raise InvalidInputError("need at least one series")
+    size, margin = 480, 56  # pixels: the image's side, and the space around the plotting area
     span = size - 2 * margin
 
     def sx(x: float) -> float:
@@ -86,12 +80,12 @@ def unit_square_plot(
     )
     out.append(
         f'<text x="{sx(0.5):.2f}" y="{size - margin / 4:.2f}" text-anchor="middle" '
-        f'font-family="sans-serif" font-size="12">{_esc(x_label)}</text>'
+        'font-family="sans-serif" font-size="12">rho</text>'
     )
     out.append(
         f'<text x="{margin / 4:.2f}" y="{sy(0.5):.2f}" text-anchor="middle" '
         f'font-family="sans-serif" font-size="12" '
-        f'transform="rotate(-90 {margin / 4:.2f} {sy(0.5):.2f})">{_esc(y_label)}</text>'
+        f'transform="rotate(-90 {margin / 4:.2f} {sy(0.5):.2f})">delta</text>'
     )
     # series
     for index, (label, points) in enumerate(series):
@@ -132,4 +126,4 @@ def frontier_svg(frontier, title: str = "") -> str:
         pts = frontier.coordinates(kind)
         if pts.shape[0]:
             series.append((kind, pts))
-    return unit_square_plot(series, x_label="rho", y_label="delta", title=title)
+    return unit_square_plot(series, title=title)

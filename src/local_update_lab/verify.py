@@ -36,7 +36,7 @@ from .engine import (
 )
 from .errors import InvalidInputError
 from .frontier import empirical_rate_crosscheck
-from .matrices import SpectrumBounds, eigh, keyed_rng
+from .matrices import SpectrumBounds, check_count, check_integer, eigh, keyed_rng
 from .quadratics import ClientModel, Population, QuadraticExample, WeightScheme
 
 SCHEMA_VERSION = 1
@@ -132,8 +132,11 @@ def random_population(
     The dimension and the client count are drawn first, then the clients
     (see _draw_clients), then the weights; the stacked draws go to
     Population.from_stacks. Ranges that admit no dimension or no client are
-    rejected before anything is drawn.
+    rejected before anything is drawn. The four counts must be integers.
     """
+    for value, name in ((min_dim, "min_dim"), (max_dim, "max_dim"), (min_clients, "min_clients"),
+                        (max_clients, "max_clients")):
+        check_integer(value, name)
     if min_dim < 1 or min_clients < 1 or max_dim < min_dim or max_clients < min_clients:
         raise InvalidInputError(
             "random_population needs 1 <= min_dim <= max_dim and 1 <= min_clients <= max_clients, "
@@ -462,11 +465,11 @@ def check_theorem2_maml(rng, trial):
 def check_theorem3_rates(rng, trial):
     """The engine's tuned round contracts at the rate of Theorem 3.
 
-    Each server optimizer is auto-tuned on the surrogate Hessian H
-    (frontier.empirical_rate_crosscheck). The spectral radius of the
-    engine's round operator must equal rho_from_kappa(cond H) within 1e-6
-    (tuned momentum operators have double eigenvalues, which eig resolves to
-    about sqrt(eps)), and that rate must not exceed
+    Each server optimizer is auto-tuned on the surrogate Hessian H, all
+    three in one frontier.empirical_rate_crosscheck call. The spectral
+    radius of the engine's round operator must equal rho_from_kappa(cond H)
+    within 1e-6 (tuned momentum operators have double eigenvalues, which
+    eig resolves to about sqrt(eps)), and that rate must not exceed
     rho_from_kappa(kappa_exact).
     """
     pop = rate_check_population(rng)
@@ -474,8 +477,7 @@ def check_theorem3_rates(rng, trial):
     gamma = float(rng.uniform(0.2, 0.8)) / (pop.bounds.ell + alpha)
     theta = WeightScheme.first_k(int(rng.integers(2, 21)))
     violations = []
-    for kind in ("plain", "heavy_ball", "nesterov"):
-        measured, tuned, predicted = empirical_rate_crosscheck(pop, alpha, gamma, theta, kind)
+    for measured, tuned, predicted in empirical_rate_crosscheck(pop, alpha, gamma, theta).values():
         violations += [abs(measured - tuned) - 1e-6, tuned - predicted]
     return float(np.max(violations)), 1  # np.max, unlike max(), keeps a NaN
 
@@ -690,8 +692,8 @@ def run_suites(
     Everything runs in this process without fork, with one CPU, or when no
     selected suite has more than one trial.
     """
-    if trials is not None and trials < 1:
-        raise InvalidInputError(f"trials must be >= 1, got {trials}")
+    if trials is not None:
+        check_count(trials, "trials")
     checks = [(name, SUITES[name]) for name in select_suites(only)]
 
     def whole(check) -> CheckResult:

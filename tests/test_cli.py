@@ -1,5 +1,6 @@
 """CLI behavior: output formats, determinism, exit codes, seed resolution."""
 
+import argparse
 import json
 import xml.etree.ElementTree as ET
 
@@ -9,7 +10,7 @@ import pytest
 from local_update_lab import SpectrumBounds, save_population
 from local_update_lab import bounds
 from local_update_lab.bounds import tightness_population
-from local_update_lab.cli import main
+from local_update_lab.cli import build_parser, main
 from local_update_lab.frontier import SweepSpec, default_k_grid, frontier_csv, sweep
 from local_update_lab.quadratics import load_population
 from local_update_lab.matrices import keyed_rng
@@ -374,6 +375,39 @@ class TestUsageErrors:
         ])
         assert code == 2
         assert "error" in capsys.readouterr().err
+
+
+# A tiny run of every command with a --format or --theta flag, before that flag.
+TINY_RUNS = {
+    "frontier": ["frontier", "--mu", "1", "--ell", "10", "--k-max", "10", "--points", "3"],
+    "maml-sim": ["maml-sim", "--dim", "2", "--mu", "1", "--ell", "10", "--gamma", "0.01", "--k-max", "10",
+                 "--points", "3"],
+    "simulate": ["simulate", "--dim", "2", "--n-clients", "2", "--gamma", "0.01", "--theta", "first-k",
+                 "--k", "2", "--rounds", "3"],
+    "mad-check": ["mad-check", "--trials", "5"],
+    "tightness": ["tightness", "--family", "b2", "--k", "5"],
+}
+
+
+def flag_choices(flag):
+    """(command, value) for every argparse choice of flag, in every command that has it."""
+    commands = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    return [
+        (command, value)
+        for command, parser in commands.choices.items()
+        for action in parser._actions
+        if flag in action.option_strings
+        for value in action.choices
+    ]
+
+
+@pytest.mark.parametrize(
+    "flag, command, value", [(flag, *choice) for flag in ("--format", "--theta") for choice in flag_choices(flag)]
+)
+def test_every_choice_is_handled(flag, command, value, tmp_path, capsys):
+    # argparse admits only these values, so the commands need no fallback for any other
+    assert main(TINY_RUNS[command] + [flag, value, "--out", str(tmp_path / "out")]) == 0
+    assert "error" not in capsys.readouterr().err
 
 
 class TestBadInput:

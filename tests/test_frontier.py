@@ -429,7 +429,7 @@ class TestEmpiricalRateCrosscheck:
         # gamma = 0: the surrogate Hessian is diag(10, 1) itself
         client = ClientModel(a_matrix=np.diag([10.0, 1.0]), center=np.zeros(2))
         pop = Population.uniform([client], bounds=SpectrumBounds(1.0, 10.0, 0.0))
-        measured, _, predicted = empirical_rate_crosscheck(pop, 0.0, 0.0, WeightScheme.single(), "plain")
+        measured, _, predicted = empirical_rate_crosscheck(pop, 0.0, 0.0, WeightScheme.single())["plain"]
         assert predicted == pytest.approx(9.0 / 11.0, abs=1e-15)
         assert measured == pytest.approx(predicted, abs=1e-12)
 
@@ -437,14 +437,16 @@ class TestEmpiricalRateCrosscheck:
         client = ClientModel(a_matrix=np.diag([10.0, 1.0]), center=np.zeros(2))
         pop = Population.uniform([client], bounds=SpectrumBounds(1.0, 10.0, 0.0))
         theta = WeightScheme.first_k(3)
+        rates = empirical_rate_crosscheck(pop, 0.0, 0.05, theta)
+        assert list(rates) == ["plain", "nesterov", "heavy_ball"]
         for kind, tol in (("plain", 1e-12), ("heavy_ball", 1e-6), ("nesterov", 1e-6)):
-            measured, _, predicted = empirical_rate_crosscheck(pop, 0.0, 0.05, theta, kind)
+            measured, _, predicted = rates[kind]
             assert measured == pytest.approx(predicted, abs=tol)
 
     def test_heavy_ball_rate_bounded(self):
         pop = rate_check_population(keyed_rng(70, 0))
         theta = WeightScheme.first_k(5)
-        measured, _, predicted = empirical_rate_crosscheck(pop, 0.0, 0.4 / pop.bounds.ell, theta, "heavy_ball")
+        measured, _, predicted = empirical_rate_crosscheck(pop, 0.0, 0.4 / pop.bounds.ell, theta)["heavy_ball"]
         assert measured <= predicted + 1e-6
 
     def test_two_client_heavy_ball_instance(self):
@@ -457,7 +459,7 @@ class TestEmpiricalRateCrosscheck:
         )
         theta = WeightScheme.first_k(int(rng.integers(2, 15)))
         gamma = float(rng.uniform(0.2, 0.8)) / pop.bounds.ell
-        measured, _, predicted = empirical_rate_crosscheck(pop, 0.0, gamma, theta, "heavy_ball")
+        measured, _, predicted = empirical_rate_crosscheck(pop, 0.0, gamma, theta)["heavy_ball"]
         assert measured <= predicted + 1e-6
 
 

@@ -3,7 +3,7 @@
 A Population stores its client matrices and centers as (n, d, d) and (n, d)
 stacks and its clients are views of them; a client with examples stores them
 as (m, d, d) and (m, d) stacks with its examples as views. The K-step kernel
-gathers a draw's mini-batches for a block of steps at once and skips the
+gathers a draw's mini-batches for all K steps at once and skips the
 proximal term at alpha = 0; the reference kernel below is the per-step-gather
 loop it replaced, and every comparison is bit for bit.
 """
@@ -102,8 +102,7 @@ def test_a_population_holds_one_copy_of_its_matrices():
 
 def test_examples_are_read_only_views_of_the_client_stacks():
     client = random_client_with_examples(keyed_rng(7, 1), dim=3)
-    b_stack, c_stack = client.example_arrays()
-    assert b_stack is client.example_matrices and c_stack is client.example_centers
+    b_stack, c_stack = client.example_matrices, client.example_centers
     assert b_stack.shape == (len(client.examples), 3, 3) and c_stack.shape == (len(client.examples), 3)
     assert not b_stack.flags.writeable and not c_stack.flags.writeable
     for j, example in enumerate(client.examples):
@@ -255,20 +254,15 @@ def test_stochastic_kernel_matches_the_per_step_gather_loop(seed, alpha):
     assert same_bits(got, want, alpha)
 
 
-@pytest.mark.parametrize("entries", [1, 40, 100])
 @pytest.mark.parametrize("alpha", [0.0, 2.0])
-def test_blocked_gather_crosses_block_boundaries_bit_for_bit(entries, alpha, monkeypatch):
-    # a budget of 1 entry gathers one step at a time; 40 and 100 entries cut
-    # the 13 steps into blocks of 2 and of 6 steps (2 draws, batch 2, d = 2)
+def test_one_gather_of_all_steps_matches_the_per_step_gather_loop(alpha):
+    # 13 steps, 2 draws, batch 2, d = 2: every step reads its slice of the one gather
     client = random_client_with_examples(keyed_rng(8, 1), dim=2)
     theta = WeightScheme.first_k(13)
     idx = engine._draw_batch_indices(keyed_rng(8, 2), len(client.examples), 2, 13, 2)
     x = np.array([0.7, -1.1])
-    unblocked = engine._stochastic_client_updates(client, x, alpha, 0.05, theta, idx)
-    monkeypatch.setattr(engine, "_GATHER_BLOCK_ENTRIES", entries)
-    blocked = engine._stochastic_client_updates(client, x, alpha, 0.05, theta, idx)
-    assert blocked.tobytes() == unblocked.tobytes()
-    assert same_bits(blocked, ref_stochastic_client_updates(client, x, alpha, 0.05, theta, idx), alpha)
+    got = engine._stochastic_client_updates(client, x, alpha, 0.05, theta, idx)
+    assert same_bits(got, ref_stochastic_client_updates(client, x, alpha, 0.05, theta, idx), alpha)
 
 
 @pytest.mark.parametrize("seed", range(20))

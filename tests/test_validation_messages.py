@@ -5,8 +5,8 @@ WeightScheme, QuadraticExample, ClientModel, Population and the
 matrix-weighted family check) run their checks on as few numpy calls as they
 can; these cases pin the checks' order and wording, so a faster check still
 names the same first problem in the same words. The last cases pin the
-library errors that bad points, counts, grids and radii get in place of a
-raw numpy exception.
+library errors that bad points, counts, rates, grids and radii get in
+place of a raw numpy exception or a second wording.
 """
 
 import numpy as np
@@ -15,7 +15,6 @@ import pytest
 from local_update_lab.bounds import (
     DiscreteDistribution,
     _validate_weighted_family,
-    distance_bound,
     distance_bound_from_kappa,
     matrix_weighted_discrepancy,
     matrix_weighted_mean,
@@ -24,8 +23,8 @@ from local_update_lab.bounds import (
 )
 from local_update_lab.engine import RunConfig, auto_tune, client_update, client_update_maml, server_round
 from local_update_lab.errors import DimensionMismatchError, InvalidInputError
-from local_update_lab.frontier import SweepSpec, simulated_maml_sweep
-from local_update_lab.matrices import SpectrumBounds, check_symmetric, random_spd_with_spectrum
+from local_update_lab.frontier import SweepSpec, default_gamma_grid, default_k_grid, simulated_maml_sweep
+from local_update_lab.matrices import SpectrumBounds, check_symmetric, keyed_rng, random_spd_with_spectrum
 from local_update_lab.quadratics import (
     ClientModel,
     Population,
@@ -34,6 +33,7 @@ from local_update_lab.quadratics import (
     distortion_matrix,
     surrogate_gradient,
 )
+from local_update_lab.verify import random_population, run_checks
 
 NAN, INF = float("nan"), float("inf")
 ASYMMETRIC = np.array([[1.0, 2.0], [0.0, 1.0]])
@@ -349,6 +349,18 @@ def _bad_input_config():
          InvalidInputError, "k must be an integer, got 2.5"),
         (lambda: random_spd_with_spectrum(2.5, SpectrumBounds(1.0, 10.0), 0), InvalidInputError,
          "dim must be an integer, got 2.5"),
+        (lambda: default_k_grid(1000, 2.5), InvalidInputError, "points must be an integer, got 2.5"),
+        (lambda: default_gamma_grid(0.1, 2.5), InvalidInputError, "points must be an integer, got 2.5"),
+        (lambda: run_checks(trials=2.5), InvalidInputError, "trials must be an integer, got 2.5"),
+        (lambda: random_population(keyed_rng(0, 1), max_dim=2.5), InvalidInputError,
+         "max_dim must be an integer, got 2.5"),
+        # one rule, in one wording, for negative or NaN rates
+        (lambda: RunConfig(alpha=-1.0, gamma=0.01, theta=WeightScheme.single(), rounds=1), InvalidInputError,
+         "alpha and gamma must be nonnegative, got alpha=-1.0, gamma=0.01"),
+        (lambda: client_update_maml(_bad_input_population().clients[0], np.ones(3), 2, NAN), InvalidInputError,
+         "alpha and gamma must be nonnegative, got alpha=0.0, gamma=nan"),
+        (lambda: distortion_matrix(np.eye(2), -1.0, 0.01, WeightScheme.first_k(2)), InvalidInputError,
+         "alpha and gamma must be nonnegative, got alpha=-1.0, gamma=0.01"),
         # K grids: no silent truncation, one dimension
         (lambda: SweepSpec(family="fedavg_theta", vary="K", grid=[1.5, 2.5], mu=1.0, ell=10.0, gamma=0.01),
          InvalidInputError, "K grid must hold integers, got 1.5"),
@@ -358,9 +370,7 @@ def _bad_input_config():
          "K grid must hold integers, got 2.5"),
         (lambda: simulated_maml_sweep(3, 1.0, 10.0, 0.0, 0.01, [[1, 2]], 0), InvalidInputError,
          "grid must be one-dimensional, got shape (1, 2)"),
-        # one radius check for both distance bounds
-        (lambda: distance_bound(_bad_input_population(), 0.0, 0.01, WeightScheme.first_k(3), c_radius=-1.0),
-         InvalidInputError, "c_radius must be nonnegative, got -1.0"),
+        # a radius check for the distance bound from kappa
         (lambda: distance_bound_from_kappa(2.0, 10.0, NAN), InvalidInputError, "c_radius must be nonnegative, got nan"),
     ],
 )

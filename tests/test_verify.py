@@ -16,7 +16,7 @@ from local_update_lab import (
     distortion_matrix,
     surrogate_gradient,
 )
-from local_update_lab import errors, frontier, quadratics, verify
+from local_update_lab import bounds, cli, engine, errors, frontier, matrices, quadratics, verify
 from local_update_lab.bounds import scheme_q_eigenvalues
 from local_update_lab.cli import main
 from local_update_lab.errors import InvalidInputError
@@ -171,6 +171,24 @@ def test_formerly_failing_seeds_pass(seed):
     # on seed 2374950348 (a Monte-Carlo false alarm at 4.95 standard errors)
     report = run_checks(only="theorem1_stochastic,lemma1", seed=seed)
     assert report["all_pass"], report["checks"]
+
+
+def test_theorem3_trial_decomposes_the_surrogate_once(monkeypatch):
+    # one kappa_exact (one spectral map) and one eigh of H serve all three optimizers
+    calls = {"eigh": 0, "scheme_q_eigenvalues": 0}
+
+    def counted(name, function):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return function(*args, **kwargs)
+        return wrapper
+
+    eigh = counted("eigh", matrices.eigh)
+    for module in (matrices, bounds, engine, frontier, verify, cli):  # every module that binds eigh
+        monkeypatch.setattr(module, "eigh", eigh)
+    monkeypatch.setattr(bounds, "scheme_q_eigenvalues", counted("scheme_q_eigenvalues", scheme_q_eigenvalues))
+    assert check_theorem3_rates(0, trials=1).passed
+    assert calls == {"eigh": 1, "scheme_q_eigenvalues": 1}
 
 
 @pytest.mark.parametrize("seed", [5, 97, 107])
