@@ -406,17 +406,6 @@ def _validate_weighted_family(xs, ys):
     return x_stack, y_stack
 
 
-def matrix_weighted_mean(xs, ys) -> np.ndarray:
-    """Matrix-weighted mean (sum_i X_i Y_i) (sum_i Y_i)^-1.
-
-    Requires each (X_i, Y_i) pair to commute and the Y_i to be symmetric
-    positive definite. If a I <= X_i <= b I for all i, the result has all
-    eigenvalues in [a, b].
-    """
-    xs, ys = _validate_weighted_family(xs, ys)
-    return np.sum(xs @ ys, axis=0) @ np.linalg.inv(np.sum(ys, axis=0))
-
-
 def matrix_weighted_discrepancy(xs, ys) -> float:
     """Normalised matrix-weighted discrepancy of X with respect to Y.
 

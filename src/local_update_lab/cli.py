@@ -136,9 +136,9 @@ def cmd_frontier(args) -> int:
         if args.gamma_min is None:
             grid = default_gamma_grid(gamma_max, args.points)
         else:
-            if not (args.gamma_min > 0.0 and gamma_max > 0.0 and args.points >= 1):
+            if not (0.0 < args.gamma_min < np.inf and 0.0 < gamma_max < np.inf and args.points >= 1):
                 raise InvalidInputError(
-                    "need --gamma-min > 0, --gamma-max > 0 and --points >= 1, got "
+                    "need finite --gamma-min > 0, finite --gamma-max > 0 and --points >= 1, got "
                     f"{args.gamma_min}, {gamma_max} and {args.points}"
                 )
             grid = np.logspace(np.log10(args.gamma_min), np.log10(gamma_max), args.points)
@@ -149,8 +149,6 @@ def cmd_frontier(args) -> int:
             grid = np.array(sorted(float(v) for v in args.alphas.split(",")))
         except ValueError as exc:
             raise InvalidInputError(f"bad --alphas value: {exc}") from exc
-    if (args.kappa_source == "exact_spectral") != (args.population is not None):
-        raise InvalidInputError("--kappa-source exact_spectral and --population go together")
     population = None if args.population is None else qw.load_population(args.population)
     # the varied axis's fixed field keeps SweepSpec's default
     spec = SweepSpec(
@@ -158,7 +156,8 @@ def cmd_frontier(args) -> int:
         alpha=0.0 if args.vary == "alpha" else args.alpha,
         gamma=None if args.vary == "gamma" else gamma,
         k=None if args.vary == "K" else args.k,
-        optimizers=optimizers, kappa_source=args.kappa_source, population=population, seed=seed,
+        optimizers=optimizers, kappa_source="closed_form" if population is None else "exact_spectral",
+        population=population, seed=seed,
     )
     frontier = sweep(spec)
     title = f"frontier {args.family} mu={args.mu:g} ell={args.ell:g} vary {args.vary}"
@@ -409,11 +408,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--points", type=int, default=60, help="grid size (default 60)")
     p.add_argument("--optimizers", type=str, default="plain",
                    help="comma subset of plain,nesterov,heavy_ball")
-    p.add_argument("--kappa-source", choices=("closed_form", "exact_spectral"), default="closed_form",
-                   help="condition number source: the phi/psi closed form, or kappa_exact of the "
-                   "--population file (random matrices: use maml-sim)")
     p.add_argument("--population", type=str, default=None,
-                   help="population file for --kappa-source exact_spectral; its bounds must equal --mu/--ell")
+                   help="population file whose kappa_exact replaces the phi/psi closed form "
+                   "(random matrices: use maml-sim); its bounds must equal --mu/--ell")
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--format", choices=("csv", "json", "svg"), default="csv")
     p.add_argument("--out", type=str, default=None, help="output path (default stdout)")

@@ -37,8 +37,8 @@ _FAMILY_SCHEMES = {
 
 def default_k_grid(k_max: int = 10**6, points: int = 60) -> np.ndarray:
     """Logarithmic integer grid 1..k_max without duplicates."""
-    if k_max < 1:
-        raise InvalidInputError(f"k_max must be >= 1, got {k_max}")
+    if not 1 <= k_max <= 2**53:  # float64 holds every integer up to 2**53
+        raise InvalidInputError(f"k_max must lie in [1, 2**53], got {k_max}")
     check_count(points, "points")
     raw = np.logspace(0.0, np.log10(k_max), points)
     return np.unique(np.round(raw).astype(int))
@@ -46,8 +46,8 @@ def default_k_grid(k_max: int = 10**6, points: int = 60) -> np.ndarray:
 
 def default_gamma_grid(gamma_max: float, points: int = 60) -> np.ndarray:
     """Logarithmic gamma grid ending at gamma_max, spanning six decades."""
-    if not gamma_max > 0.0:
-        raise InvalidInputError(f"gamma_max must be positive, got {gamma_max}")
+    if not 0.0 < gamma_max < np.inf:
+        raise InvalidInputError(f"gamma_max must be finite and positive, got {gamma_max}")
     check_count(points, "points")
     return np.logspace(np.log10(gamma_max) - 6.0, np.log10(gamma_max), points)
 
@@ -63,10 +63,13 @@ class SweepSpec:
     - kappa_source="exact_spectral" with a population: kappa_exact of that
       population at every grid point; its bounds must equal (mu, ell), which
       also fix kappa0 = ell / mu;
-    - kappa_source="exact_spectral" without a population: kappa_exact of a
-      fresh one-client population per grid point, a dim x dim random matrix
-      with spectrum exactly spanning [mu, ell] drawn from
+    - kappa_source="exact_spectral" with a dim: kappa_exact of a fresh
+      one-client population per grid point, a dim x dim random matrix with
+      spectrum exactly spanning [mu, ell] drawn from
       child_seed(seed, grid index).
+
+    A population or a dim that the source would not read is an error, as is
+    an optimizer listed twice.
     """
 
     family: str
@@ -116,10 +119,16 @@ class SweepSpec:
                 f"population bounds mu={self.population.bounds.mu}, ell={self.population.bounds.ell} "
                 f"differ from the sweep's mu={self.mu}, ell={self.ell}"
             )
-        if self.kappa_source == "exact_spectral" and self.population is None and self.dim is None:
-            raise InvalidInputError("exact_spectral sweeps need a population or a dim")
+        given = [name for name in ("population", "dim") if getattr(self, name) is not None]
+        if self.kappa_source == "closed_form" and given:
+            raise InvalidInputError(f"closed_form sweeps take no {' and no '.join(given)}")
+        if self.kappa_source == "exact_spectral" and len(given) != 1:
+            raise InvalidInputError("exact_spectral sweeps need a population or a dim, not both")
         if not self.optimizers or any(o not in tb.OPTIMIZER_KINDS for o in self.optimizers):
             raise InvalidInputError(f"optimizers must be a nonempty subset of {tb.OPTIMIZER_KINDS}")
+        repeated = [o for i, o in enumerate(self.optimizers) if o in self.optimizers[:i]]
+        if repeated:
+            raise InvalidInputError(f"optimizer {repeated[0]!r} is listed more than once")
         if self.vary != "gamma" and self.gamma is None:
             raise InvalidInputError("fixed gamma required unless gamma is the vary axis")
         if self.vary != "K" and self.k is None:
@@ -170,12 +179,8 @@ class Frontier:
     def series(self, optimizer: str) -> list[FrontierPoint]:
         return [p for p in self.points if p.optimizer == optimizer]
 
-    def coordinates(self, optimizer: str | None = None) -> np.ndarray:
+    def coordinates(self, optimizer: str) -> np.ndarray:
         """(n, 2) array of (rho, delta) pairs for one optimizer series."""
-        if optimizer is None:
-            if len(self.spec.optimizers) != 1:
-                raise InvalidInputError("frontier has several optimizer series; name one")
-            optimizer = self.spec.optimizers[0]
         pts = self.series(optimizer)
         return np.array([[p.rho, p.delta] for p in pts]).reshape(len(pts), 2)
 
@@ -300,86 +305,6 @@ def simulated_maml_sweep(
             seed=seed,
         )
     )
-
-
-# ---------------------------------------------------------------------------
-# Polyline geometry
-# ---------------------------------------------------------------------------
-
-
-def _point_segment_distance(p: np.ndarray, a: np.ndarray, b: np.ndarray) -> float:
-    ab = b - a
-    denom = float(ab @ ab)
-    if denom == 0.0:
-        return float(np.linalg.norm(p - a))
-    t = float(np.clip((p - a) @ ab / denom, 0.0, 1.0))
-    return float(np.linalg.norm(p - (a + t * ab)))
-
-
-def point_to_polyline(p: np.ndarray, polyline: np.ndarray) -> float:
-    """Distance from a point to a polyline given as an (n, 2) vertex array."""
-    polyline = np.asarray(polyline, dtype=float)
-    if polyline.ndim != 2 or polyline.shape[0] == 0:
-        raise InvalidInputError("polyline must be a nonempty (n, 2) array")
-    if polyline.shape[0] == 1:
-        return float(np.linalg.norm(p - polyline[0]))
-    return min(
-        _point_segment_distance(p, polyline[i], polyline[i + 1])
-        for i in range(polyline.shape[0] - 1)
-    )
-
-
-def polyline_hausdorff(a: np.ndarray, b: np.ndarray) -> float:
-    """Symmetric Hausdorff distance between two polylines (vertex-sampled)."""
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    d_ab = max(point_to_polyline(p, b) for p in a)
-    d_ba = max(point_to_polyline(p, a) for p in b)
-    return max(d_ab, d_ba)
-
-
-@dataclass(frozen=True)
-class SubsetReport:
-    """Result of checking one frontier against another's polyline."""
-
-    max_distance: float
-    tol: float
-    passed: bool
-    n_points: int
-
-
-def frontier_subset_check(inner: Frontier, outer: Frontier, tol: float = 0.01) -> SubsetReport:
-    """Check every inner point lies within tol of the outer polyline.
-
-    Both frontiers must be single-optimizer with the same optimizer and the
-    same (mu, ell); alpha/gamma/K may differ (that is the point).
-    """
-    if len(inner.spec.optimizers) != 1 or len(outer.spec.optimizers) != 1:
-        raise InvalidInputError("subset check needs single-optimizer frontiers")
-    if inner.spec.optimizers != outer.spec.optimizers:
-        raise InvalidInputError("subset check needs matching optimizers")
-    if (inner.spec.mu, inner.spec.ell) != (outer.spec.mu, outer.spec.ell):
-        raise InvalidInputError("subset check needs matching (mu, ell)")
-    inner_pts = inner.coordinates()
-    outer_pts = outer.coordinates()
-    max_distance = max(point_to_polyline(p, outer_pts) for p in inner_pts)
-    return SubsetReport(
-        max_distance=float(max_distance),
-        tol=float(tol),
-        passed=bool(max_distance <= tol),
-        n_points=len(inner_pts),
-    )
-
-
-def symmetry_measure(frontier: Frontier) -> float:
-    """Hausdorff distance between a frontier and its reflection across rho = delta.
-
-    Diagnostic only (the reflection symmetry of tuned heavy-ball frontiers is
-    an open conjecture); never used as a gate.
-    """
-    pts = frontier.coordinates()
-    reflected = pts[:, ::-1]
-    return polyline_hausdorff(pts, reflected)
 
 
 def empirical_rate_crosscheck(

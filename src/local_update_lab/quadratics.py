@@ -703,10 +703,6 @@ def _population_lines(pop: Population):
         yield "c " + " ".join(_fmt(v) for v in center)
 
 
-def dumps_population(pop: Population) -> str:
-    return "".join(line + "\n" for line in _population_lines(pop))
-
-
 def save_population(pop: Population, path) -> None:
     """Write the population file line by line, never holding the whole text."""
     with open(path, "w", encoding="utf-8") as handle:
@@ -740,85 +736,76 @@ def _parse_floats(line_number: int, tokens: list[str], expected: int, what: str)
         raise PopulationFormatError(line_number, f"bad number in {what}: {exc}") from exc
 
 
-def loads_population(text: str) -> Population:
-    """Parse the population text format; errors name the offending line."""
-    return _parse_population(text.splitlines())
-
-
-def _parse_population(lines) -> Population:
-    reader = _LineReader(lines)
-    line_number, tokens = reader.next_content()
-    if " ".join(tokens) != _HEADER:
-        raise PopulationFormatError(line_number, f"expected header '{_HEADER}'")
-
-    line_number, tokens = reader.next_content()
-    if len(tokens) != 2 or tokens[0] != "dim":
-        raise PopulationFormatError(line_number, "expected 'dim <d>'")
-    try:
-        dim = int(tokens[1])
-    except ValueError as exc:
-        raise PopulationFormatError(line_number, f"bad dimension: {tokens[1]}") from exc
-    if dim < 1:
-        raise PopulationFormatError(line_number, f"dimension must be >= 1, got {dim}")
-
-    line_number, tokens = reader.next_content()
-    if len(tokens) != 7 or tokens[0] != "bounds" or tokens[1] != "mu" or tokens[3] != "ell" or tokens[5] != "c_radius":
-        raise PopulationFormatError(line_number, "expected 'bounds mu <v> ell <v> c_radius <v>'")
-    values = _parse_floats(line_number, [tokens[2], tokens[4], tokens[6]], 3, "bounds")
-    try:
-        bounds = SpectrumBounds(mu=values[0], ell=values[1], c_radius=values[2])
-    except InvalidInputError as exc:
-        raise PopulationFormatError(line_number, str(exc)) from exc
-
-    line_number, tokens = reader.next_content()
-    if len(tokens) != 2 or tokens[0] != "clients":
-        raise PopulationFormatError(line_number, "expected 'clients <n>'")
-    try:
-        n_clients = int(tokens[1])
-    except ValueError as exc:
-        raise PopulationFormatError(line_number, f"bad client count: {tokens[1]}") from exc
-    if n_clients < 1:
-        raise PopulationFormatError(line_number, f"client count must be >= 1, got {n_clients}")
-
-    # The clients are parsed straight into the stacks the population keeps,
-    # so loading holds no per-client copy of the matrices.
-    try:
-        matrices, centers, weights = np.empty((n_clients, dim, dim)), np.empty((n_clients, dim)), np.empty(n_clients)
-    except (MemoryError, ValueError) as exc:
-        raise PopulationFormatError(line_number, f"{n_clients} clients of dimension {dim} do not fit in memory") from exc
-    n_tril = dim * (dim + 1) // 2
-    lower = np.tril_indices(dim)  # row-major lower triangle, as _population_lines writes it
-    for i, (a, center) in enumerate(zip(matrices, centers)):
+def load_population(path) -> Population:
+    """Read a population file line by line; errors name the offending line."""
+    with open(path, "r", encoding="utf-8") as handle:
+        # splitlines() on each line keeps str.splitlines()'s line boundaries
+        # (form feeds and other separators a text file does not split on).
+        reader = _LineReader(part for raw in handle for part in raw.splitlines())
         line_number, tokens = reader.next_content()
-        if len(tokens) != 3 or tokens[0] != "client" or tokens[1] != "weight":
-            raise PopulationFormatError(line_number, "expected 'client weight <w>'")
-        weights[i] = _parse_floats(line_number, [tokens[2]], 1, "weight")[0]
+        if " ".join(tokens) != _HEADER:
+            raise PopulationFormatError(line_number, f"expected header '{_HEADER}'")
 
         line_number, tokens = reader.next_content()
-        if tokens[0] != "a":
-            raise PopulationFormatError(line_number, "expected 'a <lower triangle>'")
-        tril = _parse_floats(line_number, tokens[1:], n_tril, "matrix lower triangle")
-        a[lower] = tril
-        a[lower[::-1]] = tril
+        if len(tokens) != 2 or tokens[0] != "dim":
+            raise PopulationFormatError(line_number, "expected 'dim <d>'")
+        try:
+            dim = int(tokens[1])
+        except ValueError as exc:
+            raise PopulationFormatError(line_number, f"bad dimension: {tokens[1]}") from exc
+        if dim < 1:
+            raise PopulationFormatError(line_number, f"dimension must be >= 1, got {dim}")
 
         line_number, tokens = reader.next_content()
-        if tokens[0] != "c":
-            raise PopulationFormatError(line_number, "expected 'c <center>'")
-        center[:] = _parse_floats(line_number, tokens[1:], dim, "center")
-        # the client's checks, at the line that completes it; the stacks are symmetric by construction
-        for values, name in ((tril, "a_matrix"), (center, "center")):
-            if not np.isfinite(values).all():
-                raise PopulationFormatError(line_number, f"{name} contains non-finite entries")
+        if len(tokens) != 7 or tokens[0] != "bounds" or tokens[1] != "mu" or tokens[3] != "ell" or tokens[5] != "c_radius":
+            raise PopulationFormatError(line_number, "expected 'bounds mu <v> ell <v> c_radius <v>'")
+        values = _parse_floats(line_number, [tokens[2], tokens[4], tokens[6]], 3, "bounds")
+        try:
+            bounds = SpectrumBounds(mu=values[0], ell=values[1], c_radius=values[2])
+        except InvalidInputError as exc:
+            raise PopulationFormatError(line_number, str(exc)) from exc
+
+        line_number, tokens = reader.next_content()
+        if len(tokens) != 2 or tokens[0] != "clients":
+            raise PopulationFormatError(line_number, "expected 'clients <n>'")
+        try:
+            n_clients = int(tokens[1])
+        except ValueError as exc:
+            raise PopulationFormatError(line_number, f"bad client count: {tokens[1]}") from exc
+        if n_clients < 1:
+            raise PopulationFormatError(line_number, f"client count must be >= 1, got {n_clients}")
+
+        # The clients are parsed straight into the stacks the population keeps,
+        # so loading holds no per-client copy of the matrices.
+        try:
+            matrices, centers, weights = np.empty((n_clients, dim, dim)), np.empty((n_clients, dim)), np.empty(n_clients)
+        except (MemoryError, ValueError) as exc:
+            raise PopulationFormatError(line_number, f"{n_clients} clients of dimension {dim} do not fit in memory") from exc
+        n_tril = dim * (dim + 1) // 2
+        lower = np.tril_indices(dim)  # row-major lower triangle, as _population_lines writes it
+        for i, (a, center) in enumerate(zip(matrices, centers)):
+            line_number, tokens = reader.next_content()
+            if len(tokens) != 3 or tokens[0] != "client" or tokens[1] != "weight":
+                raise PopulationFormatError(line_number, "expected 'client weight <w>'")
+            weights[i] = _parse_floats(line_number, [tokens[2]], 1, "weight")[0]
+
+            line_number, tokens = reader.next_content()
+            if tokens[0] != "a":
+                raise PopulationFormatError(line_number, "expected 'a <lower triangle>'")
+            tril = _parse_floats(line_number, tokens[1:], n_tril, "matrix lower triangle")
+            a[lower] = tril
+            a[lower[::-1]] = tril
+
+            line_number, tokens = reader.next_content()
+            if tokens[0] != "c":
+                raise PopulationFormatError(line_number, "expected 'c <center>'")
+            center[:] = _parse_floats(line_number, tokens[1:], dim, "center")
+            # the client's checks, at the line that completes it; the stacks are symmetric by construction
+            for values, name in ((tril, "a_matrix"), (center, "center")):
+                if not np.isfinite(values).all():
+                    raise PopulationFormatError(line_number, f"{name} contains non-finite entries")
 
     try:
         return Population(None, weights, bounds, _stacks=(matrices, centers))
     except (InvalidInputError, DimensionMismatchError) as exc:
         raise PopulationFormatError(line_number, str(exc)) from exc
-
-
-def load_population(path) -> Population:
-    """Read a population file line by line; line numbers match loads_population."""
-    with open(path, "r", encoding="utf-8") as handle:
-        # splitlines() on each line keeps str.splitlines()'s line boundaries
-        # (form feeds and other separators a text file does not split on).
-        return _parse_population(part for raw in handle for part in raw.splitlines())

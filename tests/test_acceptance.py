@@ -42,8 +42,6 @@ from local_update_lab.frontier import (
     SweepSpec,
     default_gamma_grid,
     default_k_grid,
-    frontier_subset_check,
-    polyline_hausdorff,
     simulated_maml_sweep,
     sweep,
 )
@@ -57,6 +55,7 @@ from local_update_lab.verify import (
     check_theorem2_maml,
     check_theorem3_rates,
 )
+from polylines import farthest_vertex, polyline_hausdorff
 
 SEED = 20240801
 
@@ -208,7 +207,7 @@ def test_criterion_8_frontier_shapes():
         grid=default_gamma_grid(0.2 * (1.0 - 1e-9), 120),
         mu=1.0, ell=5.0, k=100,
     ))
-    hausdorff = polyline_hausdorff(k_front.coordinates(), g_front.coordinates())
+    hausdorff = polyline_hausdorff(k_front.coordinates("plain"), g_front.coordinates("plain"))
     a_ok = hausdorff <= 0.02
     details.append(f"(a) K-sweep vs gamma-sweep Hausdorff {hausdorff:.4f} <= 0.02")
 
@@ -237,7 +236,7 @@ def test_criterion_8_frontier_shapes():
             family="fedavg_theta", vary="K", grid=default_k_grid(10**6, 60),
             mu=1.0, ell=10.0, alpha=alpha, gamma=0.5 / (10.0 + alpha),
         ))
-        c_worst = max(c_worst, frontier_subset_check(inner, base, tol=0.01).max_distance)
+        c_worst = max(c_worst, farthest_vertex(inner.coordinates("plain"), base.coordinates("plain")))
     c_ok = c_worst <= 0.01
     details.append(f"(c) proximal frontiers within {c_worst:.4f} <= 0.01 of alpha=0")
 

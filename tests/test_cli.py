@@ -82,7 +82,7 @@ class TestFrontierCommand:
 
 
 class TestFrontierOnPopulation:
-    """`lul frontier --kappa-source exact_spectral --population FILE` sweeps that population's kappa_exact."""
+    """`lul frontier --population FILE` sweeps that population's kappa_exact."""
 
     ARGV = ["frontier", "--mu", "1", "--ell", "10", "--points", "8", "--optimizers", "plain,heavy_ball"]
 
@@ -90,26 +90,16 @@ class TestFrontierOnPopulation:
         pop = random_population(keyed_rng(4, 1), min_dim=3, max_dim=5)
         save_population(pop, tmp_path / "pop.txt")
         out = tmp_path / "f.csv"
-        assert run_cli(self.ARGV + ["--kappa-source", "exact_spectral", "--population", str(tmp_path / "pop.txt"),
-                                    "--out", str(out)]) == 0
+        assert run_cli(self.ARGV + ["--population", str(tmp_path / "pop.txt"), "--out", str(out)]) == 0
         spec = SweepSpec(family="fedavg_theta", vary="K", grid=default_k_grid(10**6, 8), mu=1.0, ell=10.0,
                          gamma=0.05, optimizers=("plain", "heavy_ball"), kappa_source="exact_spectral",
                          population=load_population(tmp_path / "pop.txt"))
         assert out.read_text() == frontier_csv(sweep(spec))
         assert ",exact_spectral," in out.read_text()
 
-    @pytest.mark.parametrize("extra, message", [
-        (["--kappa-source", "exact_spectral"], "error: --kappa-source exact_spectral and --population go together\n"),
-        (["--population", "pop.txt"], "error: --kappa-source exact_spectral and --population go together\n"),
-    ])
-    def test_flags_go_together(self, extra, message, capsys):
-        assert run_cli(self.ARGV + extra) == 2
-        assert capsys.readouterr().err == message
-
     def test_bounds_must_match(self, tmp_path, capsys):
         save_population(random_population(keyed_rng(4, 1), min_dim=3, max_dim=5), tmp_path / "pop.txt")
-        argv = ["frontier", "--mu", "1", "--ell", "20", "--kappa-source", "exact_spectral",
-                "--population", str(tmp_path / "pop.txt")]
+        argv = ["frontier", "--mu", "1", "--ell", "20", "--population", str(tmp_path / "pop.txt")]
         assert run_cli(argv) == 2
         assert "differ from the sweep's mu=1.0, ell=20.0" in capsys.readouterr().err
 
@@ -430,6 +420,11 @@ class TestBadInput:
             ["frontier", "--mu", "1", "--ell", "10", "--vary", "gamma", "--points", "-1"],
             ["frontier", "--mu", "1", "--ell", "10", "--vary", "gamma", "--gamma-min", "1e-4",
              "--points", "-1"],
+            ["frontier", "--mu", "1", "--ell", "10", "--vary", "gamma", "--gamma-max", "inf"],
+            ["frontier", "--mu", "1", "--ell", "10", "--vary", "gamma", "--gamma-min", "1e-4", "--gamma-max", "inf"],
+            ["frontier", "--mu", "1", "--ell", "10", "--vary", "gamma", "--gamma-min", "inf"],
+            ["frontier", "--mu", "1", "--ell", "10", "--points", "3", "--k-max", "10", "--optimizers", "plain,plain"],
+            ["frontier", "--mu", "1", "--ell", "10", "--points", "3", "--k-max", "10000000000000000000000"],
             ["simulate", "--gamma", "0.01", "--theta", "one", "--x0", "1,2"],
             ["simulate", "--gamma", "0.01", "--theta", "one", "--x0", "1,nan,0,0"],
             ["simulate", "--gamma", "0.01", "--theta", "one", "--x0", "inf,0,0,0"],
@@ -450,6 +445,18 @@ class TestBadInput:
         assert code == 2
         assert len(err.splitlines()) == 1 and err.startswith("error: ")
         assert not out.exists()
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("argv, message", [
+        (["--vary", "gamma", "--gamma-max", "inf"], "error: gamma_max must be finite and positive, got inf\n"),
+        (["--vary", "gamma", "--gamma-min", "inf"],
+         "error: need finite --gamma-min > 0, finite --gamma-max > 0 and --points >= 1, got inf, "),
+        (["--points", "3", "--k-max", "10", "--optimizers", "plain,nesterov,plain"],
+         "error: optimizer 'plain' is listed more than once\n"),
+    ])
+    def test_bad_grid_or_optimizer_is_named(self, argv, message, capsys):
+        assert run_cli(["frontier", "--mu", "1", "--ell", "10"] + argv) == 2
+        assert capsys.readouterr().err.startswith(message)
 
     def test_infinite_ell_is_named(self, capsys):
         assert run_cli(["frontier", "--mu", "1", "--ell", "inf"]) == 2

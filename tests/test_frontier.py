@@ -1,6 +1,7 @@
-"""Frontier sweeps, polyline diagnostics, and the empirical rate crosscheck."""
+"""Frontier sweeps, their shape, and the empirical rate crosscheck."""
 
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -28,15 +29,12 @@ from local_update_lab.frontier import (
     empirical_rate_crosscheck,
     frontier_csv,
     frontier_json_payload,
-    frontier_subset_check,
-    point_to_polyline,
-    polyline_hausdorff,
     simulated_maml_sweep,
     sweep,
-    symmetry_measure,
 )
 from local_update_lab.matrices import child_seed, keyed_rng
 from local_update_lab.verify import random_population, rate_check_population
+from polylines import farthest_vertex, point_to_polyline, polyline_hausdorff
 
 
 def fedavg_spec(mu=1.0, ell=10.0, gamma=0.05, points=40, optimizers=("plain",), **kw):
@@ -58,6 +56,20 @@ class TestGrids:
         assert grid[-1] == pytest.approx(0.1)
         assert np.all(np.diff(grid) > 0)
 
+    @pytest.mark.parametrize("k_max", [float("nan"), float("inf"), 0, -3, 1e300, 10**22])
+    def test_k_grid_rejects_bad_k_max(self, k_max):
+        with pytest.raises(InvalidInputError, match=re.escape(f"k_max must lie in [1, 2**53], got {k_max}")):
+            default_k_grid(k_max, 3)
+
+    def test_k_grid_reaches_2_to_the_53(self):
+        # the grid's float end point is rounded, not cast out of int64 range
+        assert 2**53 - 100 < default_k_grid(2**53, 3)[-1] <= 2**53
+
+    @pytest.mark.parametrize("gamma_max", [float("nan"), float("inf"), 0.0, -0.1])
+    def test_gamma_grid_rejects_bad_gamma_max(self, gamma_max):
+        with pytest.raises(InvalidInputError, match=re.escape(f"gamma_max must be finite and positive, got {gamma_max}")):
+            default_gamma_grid(gamma_max, 3)
+
 
 class TestSweepSpecValidation:
     def test_unknown_family(self):
@@ -76,6 +88,25 @@ class TestSweepSpecValidation:
                 family="maml_theta", vary="K", grid=np.array([1, 2]), mu=1.0, ell=10.0,
                 gamma=0.01, kappa_source="exact_spectral",
             )
+
+    @pytest.mark.parametrize("source, with_population, dim, message", [
+        ("closed_form", True, None, "closed_form sweeps take no population"),
+        ("closed_form", False, 3, "closed_form sweeps take no dim"),
+        ("exact_spectral", True, 3, "exact_spectral sweeps need a population or a dim, not both"),
+    ])
+    def test_unread_kappa_source_input_rejected(self, source, with_population, dim, message):
+        # the source would ignore this input; a closed_form spec holding a
+        # population returned closed-form points without a word
+        pop = random_population(keyed_rng(1, 1), min_dim=3, max_dim=3) if with_population else None
+        with pytest.raises(InvalidInputError, match=message):
+            SweepSpec(family="fedavg_theta", vary="K", grid=np.array([1, 2]), mu=1.0, ell=10.0,
+                      gamma=0.01, kappa_source=source, population=pop, dim=dim)
+
+    @pytest.mark.parametrize("optimizers", [("plain", "plain"), ("heavy_ball", "plain", "heavy_ball")])
+    def test_repeated_optimizer(self, optimizers):
+        repeated = optimizers[-1]
+        with pytest.raises(InvalidInputError, match=f"optimizer '{repeated}' is listed more than once"):
+            fedavg_spec(points=3, optimizers=optimizers)
 
     def test_nonfinite_grid(self):
         with pytest.raises(InvalidInputError, match="non-finite"):
@@ -367,10 +398,8 @@ class TestPolylineGeometry:
 
 class TestSubsetCheck:
     def test_frontier_against_itself(self):
-        frontier = sweep(fedavg_spec(points=25))
-        report = frontier_subset_check(frontier, frontier, tol=0.01)
-        assert report.max_distance == 0.0
-        assert report.passed
+        pts = sweep(fedavg_spec(points=25)).coordinates("plain")
+        assert farthest_vertex(pts, pts) == 0.0
 
     def test_single_point_distance(self):
         frontier = sweep(fedavg_spec(points=25))
@@ -378,10 +407,9 @@ class TestSubsetCheck:
             family="fedavg_theta", vary="K", grid=np.array([1]),
             mu=1.0, ell=10.0, gamma=0.05,
         )
-        single = sweep(single_spec)
-        report = frontier_subset_check(single, frontier, tol=0.01)
-        assert report.n_points == 1
-        assert report.max_distance <= 1e-12  # K=1 point lies on the curve
+        single = sweep(single_spec).coordinates("plain")
+        assert len(single) == 1
+        assert farthest_vertex(single, frontier.coordinates("plain")) <= 1e-12  # K=1 point lies on the curve
 
     def test_proximal_frontier_is_subset(self):
         base = sweep(fedavg_spec(gamma=0.5 / 10.0, points=300))
@@ -392,14 +420,14 @@ class TestSubsetCheck:
                     mu=1.0, ell=10.0, alpha=alpha, gamma=0.5 / (10.0 + alpha),
                 )
             )
-            report = frontier_subset_check(inner, base, tol=0.01)
-            assert report.passed, f"alpha={alpha}: {report.max_distance}"
+            distance = farthest_vertex(inner.coordinates("plain"), base.coordinates("plain"))
+            assert distance <= 0.01, f"alpha={alpha}: {distance}"
 
-    def test_requires_matching_specs(self):
-        a = sweep(fedavg_spec(points=10))
-        b = sweep(fedavg_spec(points=10, ell=5.0, gamma=0.05))
-        with pytest.raises(InvalidInputError, match="matching"):
-            frontier_subset_check(a, b)
+
+def symmetry_measure(frontier: Frontier, optimizer: str) -> float:
+    """Hausdorff distance between a frontier and its reflection across rho = delta."""
+    pts = frontier.coordinates(optimizer)
+    return polyline_hausdorff(pts, pts[:, ::-1])
 
 
 class TestSymmetryMeasure:
@@ -414,14 +442,14 @@ class TestSymmetryMeasure:
             for i, v in enumerate(np.linspace(0.0, 1.0, 5))
         )
         frontier = Frontier(points=pts, spec=spec)
-        assert symmetry_measure(frontier) == 0.0
+        assert symmetry_measure(frontier, "plain") == 0.0
 
     def test_heavy_ball_more_symmetric_than_plain(self):
         heavy = sweep(fedavg_spec(points=120, optimizers=("heavy_ball",)))
         plain = sweep(fedavg_spec(points=120, optimizers=("plain",)))
-        assert symmetry_measure(heavy) < symmetry_measure(plain)
+        assert symmetry_measure(heavy, "heavy_ball") < symmetry_measure(plain, "plain")
         # recorded diagnostic: tuned heavy-ball frontiers look mirror-symmetric
-        assert symmetry_measure(heavy) < 0.01
+        assert symmetry_measure(heavy, "heavy_ball") < 0.01
 
 
 class TestEmpiricalRateCrosscheck:

@@ -28,9 +28,7 @@ from local_update_lab.errors import (
 )
 from local_update_lab.matrices import keyed_rng
 from local_update_lab.quadratics import (
-    dumps_population,
     load_population,
-    loads_population,
     save_population,
 )
 from local_update_lab.verify import random_population, random_theta
@@ -320,7 +318,7 @@ class TestClientAndPopulation:
         with pytest.raises(InvalidInputError):
             Population(clients=(), weights=np.array([]), bounds=SpectrumBounds(1.0, 2.0))
 
-    def test_equality_is_by_value_and_never_raises(self):
+    def test_equality_is_by_value_and_never_raises(self, tmp_path):
         example = QuadraticExample(b_matrix=np.diag([2.0, 3.0]), center=np.array([1.0, 0.0]))
         other_example = QuadraticExample(b_matrix=np.diag([2.0, 3.0]), center=np.array([0.0, 1.0]))
         client = ClientModel.from_examples([example, other_example])
@@ -345,7 +343,7 @@ class TestClientAndPopulation:
         for left, right, equal in cases:
             assert (left == right) is equal and (right == left) is equal
             assert (left != right) is (not equal)
-        assert loads_population(dumps_population(pop)) == pop
+        assert load_text(saved_text(pop, tmp_path), tmp_path) == pop
 
 
 class TestDistortionMatrix:
@@ -627,11 +625,22 @@ class TestSurrogateMemo:
         assert repr(pop) == repr(scalar_pair_population())
 
 
+def saved_text(pop, tmp_path) -> str:
+    save_population(pop, tmp_path / "saved.txt")
+    return (tmp_path / "saved.txt").read_text(encoding="utf-8")
+
+
+def load_text(text: str, tmp_path):
+    path = tmp_path / "pop.txt"
+    path.write_bytes(text.encode("utf-8"))
+    return load_population(path)
+
+
 class TestSerialization:
-    def test_round_trip_bit_exact(self):
+    def test_round_trip_bit_exact(self, tmp_path):
         pop = random_population(keyed_rng(21, 0), max_dim=5, max_clients=4, min_dim=2)
-        text = dumps_population(pop)
-        back = loads_population(text)
+        text = saved_text(pop, tmp_path)
+        back = load_text(text, tmp_path)
         assert back.dim == pop.dim
         assert back.n_clients == pop.n_clients
         np.testing.assert_array_equal(back.weights, pop.weights)
@@ -639,73 +648,71 @@ class TestSerialization:
         for c1, c2 in zip(pop.clients, back.clients):
             np.testing.assert_array_equal(c1.a_matrix, c2.a_matrix)
             np.testing.assert_array_equal(c1.center, c2.center)
-        assert dumps_population(back) == text
+        assert saved_text(back, tmp_path) == text
 
-    def test_parse_error_names_line(self):
+    def test_parse_error_names_line(self, tmp_path):
         pop = scalar_pair_population()
-        lines = dumps_population(pop).splitlines()
+        lines = saved_text(pop, tmp_path).splitlines()
         lines[4] = "client weigth 0.5"  # typo on line 5
         with pytest.raises(PopulationFormatError) as err:
-            loads_population("\n".join(lines))
+            load_text("\n".join(lines), tmp_path)
         assert "line 5" in str(err.value)
         assert err.value.line_number == 5
 
-    def test_bad_number_reported(self):
+    def test_bad_number_reported(self, tmp_path):
         text = "lul-population v1\ndim 1\nbounds mu 1 ell 2 c_radius 0\nclients 1\nclient weight 1\na nope\nc 0\n"
         with pytest.raises(PopulationFormatError) as err:
-            loads_population(text)
+            load_text(text, tmp_path)
         assert err.value.line_number == 6
 
-    def test_comments_and_blank_lines(self):
+    def test_comments_and_blank_lines(self, tmp_path):
         pop = scalar_pair_population()
-        text = "# header comment\n\n" + dumps_population(pop).replace(
+        text = "# header comment\n\n" + saved_text(pop, tmp_path).replace(
             "clients 2", "clients 2  # two scalar clients"
         )
-        back = loads_population(text)
+        back = load_text(text, tmp_path)
         assert back.n_clients == 2
 
-    def test_truncated_file(self):
+    def test_truncated_file(self, tmp_path):
         text = "lul-population v1\ndim 2\n"
         with pytest.raises(PopulationFormatError):
-            loads_population(text)
+            load_text(text, tmp_path)
 
     def test_format_is_pinned(self, tmp_path):
         expected = (
             "lul-population v1\ndim 1\nbounds mu 1 ell 4 c_radius 1\nclients 2\n"
             "client weight 0.5\na 4\nc 1\nclient weight 0.5\na 1\nc -1\n"
         )
-        pop = scalar_pair_population()
-        assert dumps_population(pop) == expected
-        save_population(pop, tmp_path / "pop.txt")
+        save_population(scalar_pair_population(), tmp_path / "pop.txt")
         assert (tmp_path / "pop.txt").read_bytes() == expected.encode("utf-8")
 
     @pytest.mark.parametrize(
-        "edit",
+        "edit, message",
         [
-            lambda text: text.replace("client weight", "client weigth", 1),
-            lambda text: text.replace("\na ", "\na nope ", 1),
-            lambda text: text.replace("\nc ", "\nc 1 ", 1),
-            lambda text: text.replace("clients 2", "clients 3"),
-            lambda text: text.replace("mu 1 ell 4", "mu 5 ell 4"),
-            lambda text: text.replace("\n", "\r\n").replace("c -1", "c -1 2"),
-            lambda text: text.replace("dim 1\n", "dim 1\x0c\n\x0c\n# x\n").replace("a 4", "a 4 4"),
-            lambda text: text.replace("\n", "\n\n  # comment\n").replace("c -1", "c x"),
-            lambda text: text[: text.index("client weight")],
+            (lambda text: text.replace("client weight", "client weigth", 1),
+             "line 5: expected 'client weight <w>'"),
+            (lambda text: text.replace("\na ", "\na nope ", 1),
+             "line 6: expected 1 values for matrix lower triangle, got 2"),
+            (lambda text: text.replace("\nc ", "\nc 1 ", 1), "line 7: expected 1 values for center, got 2"),
+            (lambda text: text.replace("clients 2", "clients 3"), "line 10: unexpected end of file"),
+            (lambda text: text.replace("mu 1 ell 4", "mu 5 ell 4"), "line 3: need 0 < mu <= ell, got mu=5.0, ell=4.0"),
+            (lambda text: text.replace("\n", "\r\n").replace("c -1", "c -1 2"),
+             "line 10: expected 1 values for center, got 2"),
+            # a form feed ends a line, as in str.splitlines
+            (lambda text: text.replace("dim 1\n", "dim 1\x0c\n\x0c\n# x\n").replace("a 4", "a 4 4"),
+             "line 10: expected 1 values for matrix lower triangle, got 2"),
+            (lambda text: text.replace("\n", "\n\n  # comment\n").replace("c -1", "c x"),
+             "line 28: bad number in center: could not convert string to float: 'x'"),
+            (lambda text: text[: text.index("client weight")], "line 4: unexpected end of file"),
         ],
     )
-    def test_file_errors_match_text_errors(self, edit, tmp_path):
-        # load_population reads the file line by line; every error must name
-        # the same line with the same message as parsing the whole text
-        path = tmp_path / "pop.txt"
-        path.write_bytes(edit(dumps_population(scalar_pair_population())).encode("utf-8"))
-        with open(path, encoding="utf-8") as handle:
-            text = handle.read()
-        with pytest.raises(PopulationFormatError) as from_text:
-            loads_population(text)
-        with pytest.raises(PopulationFormatError) as from_file:
-            load_population(path)
-        assert from_file.value.line_number == from_text.value.line_number
-        assert str(from_file.value) == str(from_text.value)
+    def test_file_errors_name_the_line(self, edit, message, tmp_path):
+        # load_population reads the file line by line; every error names the
+        # line that str.splitlines() would number
+        with pytest.raises(PopulationFormatError) as caught:
+            load_text(edit(saved_text(scalar_pair_population(), tmp_path)), tmp_path)
+        assert str(caught.value) == message
+        assert caught.value.line_number == int(message.split(":")[0].removeprefix("line "))
 
     def test_files_stream_line_by_line(self, tmp_path):
         # neither direction holds the whole file text: peak allocation stays
@@ -727,8 +734,7 @@ class TestSerialization:
         size = path.stat().st_size
         assert save_peak < size / 2
         assert load_peak - kept < size / 2
-        assert path.read_bytes() == dumps_population(pop).encode("utf-8")
-        assert dumps_population(back) == dumps_population(pop)
+        assert saved_text(back, tmp_path) == path.read_text(encoding="utf-8")
 
 
 @given(

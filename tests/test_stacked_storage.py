@@ -23,7 +23,6 @@ from local_update_lab.quadratics import (
     Population,
     WeightScheme,
     load_population,
-    loads_population,
     save_population,
 )
 from local_update_lab.verify import random_client_with_examples, random_population
@@ -176,12 +175,13 @@ def test_clients_or_stacks_not_both():
     ("a", "nan", "line 7: a_matrix contains non-finite entries"),
     ("c", "inf", "line 7: center contains non-finite entries"),
 ])
-def test_loader_names_the_line_of_a_non_finite_client(line, value, message):
+def test_loader_names_the_line_of_a_non_finite_client(line, value, message, tmp_path):
     text = ("lul-population v1\ndim 1\nbounds mu 1 ell 4 c_radius 1\nclients 2\n"
             "client weight 0.5\na 4\nc 1\nclient weight 0.5\na 1\nc -1\n")
     text = text.replace(f"\n{line} {'4' if line == 'a' else '1'}\n", f"\n{line} {value}\n", 1)
+    (tmp_path / "pop.txt").write_text(text, encoding="utf-8")
     with pytest.raises(PopulationFormatError) as caught:
-        loads_population(text)
+        load_population(tmp_path / "pop.txt")
     assert str(caught.value) == message
 
 

@@ -17,7 +17,6 @@ from local_update_lab.bounds import (
     _validate_weighted_family,
     distance_bound_from_kappa,
     matrix_weighted_discrepancy,
-    matrix_weighted_mean,
     phi,
     psi,
 )
@@ -256,7 +255,7 @@ def _commuting(lams):
          InvalidInputError, "weight Y[1] is not positive definite (lambda_min=-1.000e+00)"),
     ],
 )
-@pytest.mark.parametrize("check", [_validate_weighted_family, matrix_weighted_mean, matrix_weighted_discrepancy])
+@pytest.mark.parametrize("check", [_validate_weighted_family, matrix_weighted_discrepancy])
 def test_weighted_family(check, xs, ys, error, message):
     assert_rejects(lambda: check(xs, ys), error, message)
 
@@ -295,7 +294,7 @@ COMPLEX_EYE = (1.0 + 1.0j) * np.eye(2)
         (lambda: WeightScheme([1.0, 1.0j]), "coefficients has complex entries"),
         (lambda: Population(clients=(_client([1.0, 2.0]),) * 2, weights=[0.5 + 0.5j, 0.5], bounds=BOUNDS),
          "weights has complex entries"),
-        (lambda: matrix_weighted_mean([np.eye(2), COMPLEX_EYE], [np.eye(2)] * 2), "X[1] has complex entries"),
+        (lambda: matrix_weighted_discrepancy([np.eye(2), COMPLEX_EYE], [np.eye(2)] * 2), "X[1] has complex entries"),
         (lambda: matrix_weighted_discrepancy([np.eye(2)] * 2, [np.eye(2), COMPLEX_EYE]),
          "Y[1] has complex entries"),
     ],
