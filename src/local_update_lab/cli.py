@@ -7,9 +7,9 @@ Subcommands:
   maml-sim   simulated last-gradient frontiers on random matrices
   simulate   deterministic full-participation trajectories (CSV/JSON)
   verify     run the analytic verification suites (JSON report)
-  mad-check  mean-absolute-deviation suites only (JSON/CSV)
+  mad-check  verify on the mean-absolute-deviation suites only (JSON/CSV)
   tightness  the scalar distance construction (b2) and the diagonal
-             condition-number equalities (b3)
+             condition-number equalities (b3) (JSON)
 
 Every command is deterministic given its flags and seed: rerunning writes
 byte-identical output. The seed defaults to the LUL_SEED environment
@@ -33,6 +33,7 @@ from .engine import (
     ServerOptSpec,
     auto_tune,
     export_trajectory_csv,
+    optimum_distances,
     run,
 )
 from .errors import InvalidInputError, LocalUpdateError, PopulationFormatError
@@ -54,7 +55,6 @@ from .verify import (
     CheckResult,
     checks_report,
     random_population,
-    run_checks,
     run_suites,
     theorem1_client_gap,
 )
@@ -101,6 +101,15 @@ def _theta_from_flags(name: str, k: int) -> WeightScheme:
     return WeightScheme.maml_equivalent(k)  # maml2k1
 
 
+def _k_grid(args) -> np.ndarray:
+    """The logarithmic K grid of --k-max and --points, from --k-min on."""
+    grid = default_k_grid(args.k_max, args.points)
+    grid = grid[grid >= args.k_min]
+    if grid.size == 0:
+        raise InvalidInputError(f"--k-min {args.k_min} and --k-max {args.k_max} leave the K grid empty")
+    return grid
+
+
 def _render_frontier(frontier: Frontier, fmt: str, title: str, out: str | None) -> None:
     if fmt == "csv":
         _emit(frontier_csv(frontier), out)
@@ -127,8 +136,7 @@ def cmd_frontier(args) -> int:
     optimizers = tuple(args.optimizers.split(","))
     family = {"first-k": "fedavg_theta", "k-only": "maml_theta"}[args.family]
     if args.vary == "K":
-        grid = default_k_grid(args.k_max, args.points)
-        grid = grid[grid >= args.k_min]
+        grid = _k_grid(args)
     elif args.vary == "gamma":
         gamma_max = args.gamma_max
         if gamma_max is None:
@@ -142,6 +150,11 @@ def cmd_frontier(args) -> int:
                     f"{args.gamma_min}, {gamma_max} and {args.points}"
                 )
             grid = np.logspace(np.log10(args.gamma_min), np.log10(gamma_max), args.points)
+            if np.any(np.diff(grid) <= 0.0):
+                default = "" if args.gamma_max is not None else "default "
+                raise InvalidInputError(
+                    f"--gamma-min {args.gamma_min} must lie below the {default}--gamma-max {gamma_max:.12g}"
+                )
     else:  # alpha
         if not args.alphas:
             raise InvalidInputError("--vary alpha needs --alphas with a comma-separated list")
@@ -149,6 +162,9 @@ def cmd_frontier(args) -> int:
             grid = np.array(sorted(float(v) for v in args.alphas.split(",")))
         except ValueError as exc:
             raise InvalidInputError(f"bad --alphas value: {exc}") from exc
+        repeated = grid[1:][grid[1:] == grid[:-1]]
+        if repeated.size:
+            raise InvalidInputError(f"--alphas lists {repeated[0]:.12g} more than once")
     population = None if args.population is None else qw.load_population(args.population)
     # the varied axis's fixed field keeps SweepSpec's default
     spec = SweepSpec(
@@ -172,8 +188,7 @@ def cmd_frontier(args) -> int:
 
 def cmd_maml_sim(args) -> int:
     seed = _resolve_seed(args.seed)
-    grid = default_k_grid(args.k_max, args.points)
-    grid = grid[grid >= args.k_min]
+    grid = _k_grid(args)
     frontier = simulated_maml_sweep(
         dim=args.dim, mu=args.mu, ell=args.ell, alpha=args.alpha, gamma=args.gamma,
         k_grid=grid, seed=seed, optimizer=args.optimizer,
@@ -222,6 +237,8 @@ def _auto_rounds(rho: float, d0: float, kind: str) -> int:
 
 def cmd_simulate(args) -> int:
     seed = _resolve_seed(args.seed)
+    if args.beta != 0.0 and (args.eta is None or args.optimizer == "plain"):
+        raise InvalidInputError(f"--beta {args.beta} needs --eta and --optimizer heavy_ball or nesterov")
     pop = _simulate_population(args, seed)
     theta = _theta_from_flags(args.theta, args.k)
     qw.require_contractive(pop.bounds, args.alpha, args.gamma)
@@ -253,17 +270,16 @@ def cmd_simulate(args) -> int:
     traj = run(pop, x0, cfg, opt)
     if args.format == "csv":
         _emit(export_trajectory_csv(traj, pop, args.alpha, args.gamma, theta), args.out)
-    else:  # json
-        x_surr = qw.surrogate_minimizer(pop, args.alpha, args.gamma, theta)
-        x_emp = qw.empirical_minimizer(pop)
+    else:  # json, the same distances as the CSV
+        to_surrogate, to_empirical = optimum_distances(traj, pop, args.alpha, args.gamma, theta)
         payload = {
             "schema_version": 1,
             "rounds": traj.rounds,
             "dim": pop.dim,
             "optimizer": {"kind": opt.kind, "step": opt.step, "momentum": opt.momentum},
             "iterates": traj.iterates.tolist(),
-            "dist_to_surrogate_opt": np.linalg.norm(traj.iterates - x_surr, axis=1).tolist(),
-            "dist_to_empirical_opt": np.linalg.norm(traj.iterates - x_emp, axis=1).tolist(),
+            "dist_to_surrogate_opt": to_surrogate,
+            "dist_to_empirical_opt": to_empirical,
         }
         _emit(_json_dumps(payload), args.out)
     return EXIT_OK
@@ -274,15 +290,15 @@ def cmd_simulate(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _population_file_checks(pop: Population) -> list[dict]:
+def _population_file_checks(pop: Population) -> list[CheckResult]:
     alpha, gamma = 0.0, 0.5 / pop.bounds.ell
     theta = WeightScheme.first_k(5)
     worst = theorem1_client_gap(pop, np.ones(pop.dim), alpha, gamma, theta)
     measured = qw.minimizer_distance(pop, alpha, gamma, theta)
     bound = tb.distance_bound(pop, alpha, gamma, theta)
     return [
-        CheckResult("population_theorem1", pop.n_clients, worst, 1e-9).as_dict(),
-        CheckResult("population_lemma5", 1, measured - bound, 1e-9).as_dict(),
+        CheckResult("population_theorem1", pop.n_clients, worst, 1e-9),
+        CheckResult("population_lemma5", 1, measured - bound, 1e-9),
     ]
 
 
@@ -297,37 +313,35 @@ def _failure_line(result: CheckResult, seed: int) -> str:
     )
 
 
-def cmd_verify(args) -> int:
+def _checks_csv(report: dict) -> str:
+    """The report's checks as CSV; a null max_violation is an empty field."""
+    lines = ["name,instances,max_violation,threshold,pass"]
+    for c in report["checks"]:
+        violation = "" if c["max_violation"] is None else format(c["max_violation"], ".17g")
+        lines.append(
+            f"{c['name']},{c['instances']},{violation},"
+            f"{format(c['threshold'], '.17g')},{str(c['pass']).lower()}"
+        )
+    return "\n".join(lines) + "\n"
+
+
+def cmd_verify(args, render=_json_dumps) -> int:
+    """Run the suites of --only, write render(report), and name each failing suite on stderr."""
     seed = _resolve_seed(args.seed)
     # a missing or malformed file fails before the suites run
     pop = None if args.population is None else qw.load_population(args.population)
     results = run_suites(only=args.only, seed=seed, trials=args.trials)
-    report = checks_report(seed, results)
-    if pop is not None:
-        report["checks"].extend(_population_file_checks(pop))
-        report["all_pass"] = bool(all(c["pass"] for c in report["checks"]))
-    _emit(_json_dumps(report), args.out)
-    for result in results:
+    report = checks_report(seed, results + ([] if pop is None else _population_file_checks(pop)))
+    _emit(render(report), args.out)
+    for result in results:  # the population checks have no trial to rerun
         if not result.passed:
             print(_failure_line(result, seed), file=sys.stderr)
     return EXIT_OK if report["all_pass"] else EXIT_VERIFY_FAILED
 
 
 def cmd_mad_check(args) -> int:
-    seed = _resolve_seed(args.seed)
-    report = run_checks(only="mad_scalar,mad_matrix", seed=seed, trials=args.trials)
-    if args.format == "json":
-        _emit(_json_dumps(report), args.out)
-    else:  # csv
-        lines = ["name,instances,max_violation,threshold,pass"]
-        for c in report["checks"]:
-            violation = "" if c["max_violation"] is None else format(c["max_violation"], ".17g")
-            lines.append(
-                f"{c['name']},{c['instances']},{violation},"
-                f"{format(c['threshold'], '.17g')},{str(c['pass']).lower()}"
-            )
-        _emit("\n".join(lines) + "\n", args.out)
-    return EXIT_OK if report["all_pass"] else EXIT_VERIFY_FAILED
+    """cmd_verify on the two MAD suites (the parser sets --only and --population), as JSON or CSV."""
+    return cmd_verify(args, _json_dumps if args.format == "json" else _checks_csv)
 
 
 # ---------------------------------------------------------------------------
@@ -371,7 +385,7 @@ def cmd_tightness(args) -> int:
             "k": k,
             "schemes": rows,
         }
-    _emit(_json_dumps(payload), args.out)  # json, the one --format choice
+    _emit(_json_dumps(payload), args.out)
     return EXIT_OK
 
 
@@ -445,7 +459,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--optimizer", choices=tb.OPTIMIZER_KINDS, default="plain")
     p.add_argument("--eta", type=float, default=None,
                    help="server step size (default: auto-tune to the surrogate spectrum)")
-    p.add_argument("--beta", type=float, default=0.0, help="server momentum when --eta is given")
+    p.add_argument("--beta", type=float, default=0.0,
+                   help="server momentum of heavy_ball or nesterov; needs --eta")
     p.add_argument("--rounds", type=int, default=None,
                    help="communication rounds (default: enough to reach 1e-9 of the surrogate optimum)")
     p.add_argument("--x0", type=str, default="zeros", help="'zeros' or comma-separated components")
@@ -469,7 +484,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--format", choices=("json", "csv"), default="json")
     p.add_argument("--out", type=str, default=None)
-    p.set_defaults(handler=cmd_mad_check)
+    p.set_defaults(handler=cmd_mad_check, only="mad_scalar,mad_matrix", population=None)
 
     p = sub.add_parser("tightness", help="tightness constructions")
     p.add_argument("--family", choices=("b2", "b3"), required=True,
@@ -480,7 +495,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ell", type=float, default=10.0, help="(b3)")
     p.add_argument("--alpha", type=float, default=0.0, help="(b3)")
     p.add_argument("--gamma", type=float, default=0.01, help="(b3)")
-    p.add_argument("--format", choices=("json",), default="json")
     p.add_argument("--out", type=str, default=None)
     p.set_defaults(handler=cmd_tightness)
 

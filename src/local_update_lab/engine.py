@@ -21,6 +21,9 @@ client's (m, d, d) and (m, d) example stacks, one indexing operation for
 all K local steps. The proximal term alpha (x_k - x) is computed only
 when alpha > 0; adding its zero would change nothing but the sign of an
 exactly-zero gradient component.
+
+The CSV export and `lul simulate --format json` write one table of
+distances to the two minimizers, optimum_distances.
 """
 
 from __future__ import annotations
@@ -437,6 +440,17 @@ def round_operator(pop: Population, cfg: RunConfig, opt: ServerOptSpec) -> np.nd
     return np.stack([next_state(e) - offset for e in basis], axis=1)
 
 
+def optimum_distances(
+    traj: Trajectory, pop: Population, alpha: float, gamma: float, theta: WeightScheme
+) -> tuple[list[float], list[float]]:
+    """Every iterate's distance to the surrogate and to the empirical minimizer, each solved once."""
+    x_surrogate = qw.surrogate_minimizer(pop, alpha, gamma, theta)
+    x_empirical = qw.empirical_minimizer(pop)
+    to_surrogate = [euclidean_norm(x - x_surrogate) for x in traj.iterates]
+    to_empirical = [euclidean_norm(x - x_empirical) for x in traj.iterates]
+    return to_surrogate, to_empirical
+
+
 def export_trajectory_csv(
     traj: Trajectory,
     pop: Population,
@@ -445,8 +459,6 @@ def export_trajectory_csv(
     theta: WeightScheme,
 ) -> str:
     """Trajectory CSV: round, iterate components, distances to both optima."""
-    x_surrogate = qw.surrogate_minimizer(pop, alpha, gamma, theta)
-    x_empirical = qw.empirical_minimizer(pop)
     d = pop.dim
     header = (
         "round,"
@@ -454,9 +466,8 @@ def export_trajectory_csv(
         + ",dist_to_surrogate_opt,dist_to_empirical_opt"
     )
     lines = [header]
-    for t, x in enumerate(traj.iterates):
+    rows = zip(traj.iterates, *optimum_distances(traj, pop, alpha, gamma, theta))
+    for t, (x, d_surr, d_emp) in enumerate(rows):
         comps = ",".join(format(v, ".17g") for v in x)
-        d_surr = format(float(np.linalg.norm(x - x_surrogate)), ".17g")
-        d_emp = format(float(np.linalg.norm(x - x_empirical)), ".17g")
-        lines.append(f"{t},{comps},{d_surr},{d_emp}")
+        lines.append(f"{t},{comps},{format(d_surr, '.17g')},{format(d_emp, '.17g')}")
     return "\n".join(lines) + "\n"

@@ -124,6 +124,8 @@ class SweepSpec:
             raise InvalidInputError(f"closed_form sweeps take no {' and no '.join(given)}")
         if self.kappa_source == "exact_spectral" and len(given) != 1:
             raise InvalidInputError("exact_spectral sweeps need a population or a dim, not both")
+        if self.dim is not None:
+            check_count(self.dim, "dim")
         if not self.optimizers or any(o not in tb.OPTIMIZER_KINDS for o in self.optimizers):
             raise InvalidInputError(f"optimizers must be a nonempty subset of {tb.OPTIMIZER_KINDS}")
         repeated = [o for i, o in enumerate(self.optimizers) if o in self.optimizers[:i]]

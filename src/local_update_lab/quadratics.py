@@ -23,7 +23,8 @@ distortion_matrix evaluates the clients' Q_i with one batched matmul per
 step over their stacked (n, d, d) matrices (O(K n d^3) flops, in cache-sized
 batches of clients), and surrogate_hessian/gradient/minimizer sum its Q_i
 A_i over the clients in index order, bit-identical to evaluating each client
-alone. The eigenvalue route (bounds.scheme_q_eigenvalues, kappa_exact,
+alone; empirical_minimizer sums A_i in the same loop, the theta = (1) case.
+The eigenvalue route (bounds.scheme_q_eigenvalues, kappa_exact,
 distance_bound) starts from the client spectra a Population stores at
 construction; the verification suites compare the two.
 
@@ -581,26 +582,40 @@ def _surrogate_hessians(
         yield from 0.5 * (qa + qa.swapaxes(-1, -2))
 
 
+def _surrogate_client_gradients(
+    pop: Population, x: np.ndarray, alpha: float, gamma: float, theta: WeightScheme
+) -> Iterator[np.ndarray]:
+    """Every client's surrogate gradient Q_i A_i (x - c_i), in client order."""
+    for center, qa in zip(pop.centers, _surrogate_hessians(pop, alpha, gamma, theta)):
+        yield qa @ (x - center)
+
+
+def _weighted_system(pop: Population, hessians) -> tuple[np.ndarray, np.ndarray]:
+    """(sum_i w_i H_i symmetrised, sum_i w_i H_i c_i) in client order; H_i = A_i is theta = (1)."""
+    h = np.zeros((pop.dim, pop.dim))
+    rhs = np.zeros(pop.dim)
+    for weight, center, h_i in zip(pop.weights, pop.centers, hessians):
+        h += weight * h_i
+        rhs += weight * (h_i @ center)
+    return mat.symmetrize(h), rhs
+
+
 def _surrogate_sums(
     pop: Population, alpha: float, gamma: float, theta: WeightScheme
 ) -> tuple[np.ndarray, np.ndarray]:
-    """The read-only sums sum_i w_i Q_i A_i and sum_i w_i Q_i A_i c_i, in client order.
+    """The read-only surrogate system E_i[Q_i A_i] (symmetrised) and E_i[Q_i A_i c_i].
 
-    The population remembers them for its latest (alpha, gamma, theta), the
+    The population remembers it for its latest (alpha, gamma, theta), the
     floats compared bit for bit and theta by value, so a run of queries on
     one point (surrogate_hessian, then surrogate_minimizer, then
     minimizer_distance) runs the Horner kernel once. Callers build fresh
-    arrays from them and keep their own checks: this adds none.
+    arrays from it and keep their own checks: this adds none.
     """
     key = (float(alpha).hex(), float(gamma).hex(), theta)
     memo = pop._surrogate_memo
     if memo is not None and memo[0] == key:
         return memo[1], memo[2]
-    h = np.zeros((pop.dim, pop.dim))
-    rhs = np.zeros(pop.dim)
-    for weight, center, qa in zip(pop.weights, pop.centers, _surrogate_hessians(pop, alpha, gamma, theta)):
-        h += weight * qa
-        rhs += weight * (qa @ center)
+    h, rhs = _weighted_system(pop, _surrogate_hessians(pop, alpha, gamma, theta))
     h.flags.writeable = rhs.flags.writeable = False
     object.__setattr__(pop, "_surrogate_memo", (key, h, rhs))
     return h, rhs
@@ -610,7 +625,7 @@ def surrogate_hessian(
     pop: Population, alpha: float, gamma: float, theta: WeightScheme
 ) -> np.ndarray:
     """Hessian of the surrogate loss: E_i[Q_i A_i]."""
-    return mat.symmetrize(_surrogate_sums(pop, alpha, gamma, theta)[0])
+    return _surrogate_sums(pop, alpha, gamma, theta)[0].copy()
 
 
 def surrogate_gradient(
@@ -619,8 +634,8 @@ def surrogate_gradient(
     """Gradient of the surrogate loss: E_i[Q_i A_i (x - c_i)]."""
     x = mat.check_vector(x, pop.dim, "x")
     g = np.zeros(pop.dim)
-    for weight, center, qa in zip(pop.weights, pop.centers, _surrogate_hessians(pop, alpha, gamma, theta)):
-        g += weight * (qa @ (x - center))
+    for weight, row in zip(pop.weights, _surrogate_client_gradients(pop, x, alpha, gamma, theta)):
+        g += weight * row
     return g
 
 
@@ -633,18 +648,12 @@ def surrogate_minimizer(
     convex.
     """
     require_contractive(pop.bounds, alpha, gamma)
-    h, rhs = _surrogate_sums(pop, alpha, gamma, theta)
-    return np.linalg.solve(mat.symmetrize(h), rhs)
+    return np.linalg.solve(*_surrogate_sums(pop, alpha, gamma, theta))
 
 
 def empirical_minimizer(pop: Population) -> np.ndarray:
     """Minimizer of the empirical loss, E[A_i]^-1 E[A_i c_i]."""
-    h = np.zeros((pop.dim, pop.dim))
-    rhs = np.zeros(pop.dim)
-    for weight, a, center in zip(pop.weights, pop.matrices, pop.centers):
-        h += weight * a
-        rhs += weight * (a @ center)
-    h = mat.symmetrize(h)
+    h, rhs = _weighted_system(pop, pop.matrices)
     lambda_min = mat.eigh(h).lambda_min
     if lambda_min <= mat.SPD_LAMBDA_MIN:
         raise ConditioningError(

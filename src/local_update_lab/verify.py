@@ -7,7 +7,8 @@ independent and one update rule (_worst) folds them, or the partial results
 of contiguous trial ranges, into {name, instances, max_violation, threshold,
 pass}. run_suites cuts each suite's trials into one range per CPU and runs
 the ranges on a forked worker pool; the report does not depend on the CPU
-count. The suites back the `verify` CLI command and the test suite; the
+count. The suites back the `verify` and `mad-check` CLI commands (one
+report path: run_suites, then checks_report) and the test suite; the
 generators are shared so tests exercise the same instance distributions.
 """
 
@@ -390,14 +391,14 @@ def theorem1_client_gap(
     """Worst ||deterministic client update - Q_i A_i (x - c_i)|| over the clients at x.
 
     The engine's batched kernel updates every client in one call, and the
-    stacked Horner kernel gives every Q_i A_i in one call; each row of either
-    is bit-identical to that client computed alone. If any gap is NaN, so is
-    the result.
+    rows of quadratics' per-client surrogate gradients come from the stacked
+    Horner kernel; each row of either is bit-identical to that client
+    computed alone. If any gap is NaN, so is the result.
     """
     updates = _deterministic_updates(pop.matrices, pop.centers, x, alpha, gamma, theta)
     gaps = [
-        np.linalg.norm(update - qa @ (x - center))
-        for center, update, qa in zip(pop.centers, updates, qw._surrogate_hessians(pop, alpha, gamma, theta))
+        np.linalg.norm(update - row)
+        for update, row in zip(updates, qw._surrogate_client_gradients(pop, x, alpha, gamma, theta))
     ]
     return float(np.max(gaps))  # np.max, unlike max(), keeps a NaN
 
@@ -725,10 +726,3 @@ def checks_report(seed: int, results: list[CheckResult]) -> dict:
         "checks": [r.as_dict() for r in results],
         "all_pass": bool(all(r.passed for r in results)),
     }
-
-
-def run_checks(
-    only: str | None = None, seed: int = 0, trials: int | None = None
-) -> dict:
-    """Run the selected suites and assemble the JSON-ready report."""
-    return checks_report(seed, run_suites(only, seed, trials))

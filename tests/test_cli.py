@@ -224,6 +224,26 @@ class TestSimulateCommand:
         payload = json.loads(out.read_text())
         assert len(payload["iterates"]) == 6
 
+    @pytest.mark.parametrize("optimizer", ["plain", "heavy_ball"])
+    @pytest.mark.parametrize("source", ["1", "2", "3", "file"])
+    def test_json_writes_the_csv_numbers(self, optimizer, source, tmp_path):
+        # one distance table behind both formats: the JSON floats are the CSV's, bit for bit
+        if source == "file":
+            pop_file = tmp_path / "pop.txt"
+            save_population(random_population(keyed_rng(5, 2), min_dim=6, max_dim=6, min_clients=4), pop_file)
+            argv = ["--population", str(pop_file)]
+        else:
+            argv = ["--dim", "7", "--n-clients", "5", "--seed", source]
+        argv = ["simulate", *argv, "--gamma", "0.02", "--theta", "first-k", "--k", "4", "--optimizer", optimizer,
+                "--rounds", "200"]
+        assert run_cli(argv + ["--out", str(tmp_path / "t.csv")]) == 0
+        assert run_cli(argv + ["--format", "json", "--out", str(tmp_path / "t.json")]) == 0
+        rows = [[float(v) for v in line.split(",")[1:]] for line in (tmp_path / "t.csv").read_text().splitlines()[1:]]
+        payload = json.loads((tmp_path / "t.json").read_text())
+        assert payload["iterates"] == [row[:-2] for row in rows]
+        assert payload["dist_to_surrogate_opt"] == [row[-2] for row in rows]
+        assert payload["dist_to_empirical_opt"] == [row[-1] for row in rows]
+
 
 class TestVerifyCommand:
     def test_subset_passes(self, tmp_path):
@@ -316,6 +336,30 @@ class TestMadCheckCommand:
         assert run_cli(["mad-check", "--trials", "5", "--format", "csv", "--out", str(out_csv)]) == 4
         assert out_csv.read_text().split("\n")[1] == "mad_scalar,5,,9.9999999999999998e-13,false"
 
+    @pytest.mark.parametrize("seed", ["0", "7"])
+    def test_json_is_the_verify_report(self, seed, tmp_path):
+        argv = ["--trials", "300", "--seed", seed]
+        assert run_cli(["mad-check", *argv, "--out", str(tmp_path / "mad.json")]) == 0
+        assert run_cli(["verify", "--only", "mad", *argv, "--out", str(tmp_path / "verify.json")]) == 0
+        assert read(tmp_path / "mad.json") == read(tmp_path / "verify.json")
+
+    def test_failing_suite_is_named_as_verify_names_it(self, tmp_path, monkeypatch, capsys):
+        from local_update_lab import verify
+
+        monkeypatch.setattr(verify, "SUITES", dict(SUITES))
+
+        @verify.suite("mad_scalar", 0x61, 1e-12, 10**4)
+        def scripted(rng, trial):
+            return (1.0 if trial == 1 else 0.0), 1
+
+        lines = []
+        for argv in (["mad-check"], ["mad-check", "--format", "csv"], ["verify", "--only", "mad"]):
+            assert run_cli(argv + ["--trials", "5", "--seed", "4", "--out", str(tmp_path / "r")]) == 4
+            lines.append(capsys.readouterr().err)
+        (line,) = lines[0].splitlines()
+        assert line == "mad_scalar: worst trial 1, violation 1; rerun: lul verify --only mad_scalar --seed 4 --trials 2"
+        assert lines[1] == lines[2] == lines[0]
+
 
 class TestTightnessCommand:
     def test_b2(self, tmp_path):
@@ -375,7 +419,6 @@ TINY_RUNS = {
     "simulate": ["simulate", "--dim", "2", "--n-clients", "2", "--gamma", "0.01", "--theta", "first-k",
                  "--k", "2", "--rounds", "3"],
     "mad-check": ["mad-check", "--trials", "5"],
-    "tightness": ["tightness", "--family", "b2", "--k", "5"],
 }
 
 
@@ -398,6 +441,18 @@ def test_every_choice_is_handled(flag, command, value, tmp_path, capsys):
     # argparse admits only these values, so the commands need no fallback for any other
     assert main(TINY_RUNS[command] + [flag, value, "--out", str(tmp_path / "out")]) == 0
     assert "error" not in capsys.readouterr().err
+
+
+def test_no_option_has_a_single_choice():
+    # an option that admits one value sets nothing
+    commands = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    single = [
+        (command, action.option_strings)
+        for command, parser in commands.choices.items()
+        for action in parser._actions
+        if action.choices is not None and len(action.choices) == 1
+    ]
+    assert single == []
 
 
 class TestBadInput:
@@ -457,6 +512,29 @@ class TestBadInput:
     def test_bad_grid_or_optimizer_is_named(self, argv, message, capsys):
         assert run_cli(["frontier", "--mu", "1", "--ell", "10"] + argv) == 2
         assert capsys.readouterr().err.startswith(message)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("argv, message", [
+        (["simulate", "--gamma", "0.01", "--theta", "one", "--optimizer", "heavy_ball", "--beta", "0.9"],
+         "--beta 0.9 needs --eta and --optimizer heavy_ball or nesterov"),
+        (["simulate", "--gamma", "0.01", "--theta", "one", "--eta", "0.1", "--beta", "1.5"],
+         "--beta 1.5 needs --eta and --optimizer heavy_ball or nesterov"),
+        (["frontier", "--mu", "1", "--ell", "10", "--k-min", "50", "--k-max", "10"],
+         "--k-min 50 and --k-max 10 leave the K grid empty"),
+        (["maml-sim", "--dim", "4", "--mu", "1", "--ell", "10", "--gamma", "0.01", "--k-min", "50", "--k-max", "10"],
+         "--k-min 50 and --k-max 10 leave the K grid empty"),
+        (["frontier", "--mu", "1", "--ell", "10", "--vary", "gamma", "--gamma-min", "0.05", "--gamma-max", "0.001"],
+         "--gamma-min 0.05 must lie below the --gamma-max 0.001"),
+        (["frontier", "--mu", "1", "--ell", "10", "--vary", "gamma", "--gamma-min", "0.5"],
+         "--gamma-min 0.5 must lie below the default --gamma-max 0.0999999999"),
+        (["frontier", "--mu", "1", "--ell", "10", "--vary", "alpha", "--alphas", "1,1"],
+         "--alphas lists 1 more than once"),
+    ])
+    def test_flag_errors_name_the_flags(self, argv, message, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert run_cli(argv + ["--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
 
     def test_infinite_ell_is_named(self, capsys):
         assert run_cli(["frontier", "--mu", "1", "--ell", "inf"]) == 2

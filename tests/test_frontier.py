@@ -102,6 +102,14 @@ class TestSweepSpecValidation:
             SweepSpec(family="fedavg_theta", vary="K", grid=np.array([1, 2]), mu=1.0, ell=10.0,
                       gamma=0.01, kappa_source=source, population=pop, dim=dim)
 
+    @pytest.mark.parametrize("dim, message", [
+        (0, "dim must be >= 1, got 0"), (-1, "dim must be >= 1, got -1"), (2.5, "dim must be an integer, got 2.5"),
+    ])
+    def test_dim_checked_where_the_spec_is_built(self, dim, message):
+        with pytest.raises(InvalidInputError, match=re.escape(message)):
+            SweepSpec(family="maml_theta", vary="K", grid=np.array([1, 2]), mu=1.0, ell=10.0,
+                      gamma=0.01, kappa_source="exact_spectral", dim=dim)
+
     @pytest.mark.parametrize("optimizers", [("plain", "plain"), ("heavy_ball", "plain", "heavy_ball")])
     def test_repeated_optimizer(self, optimizers):
         repeated = optimizers[-1]

@@ -32,7 +32,7 @@ from local_update_lab.quadratics import (
     distortion_matrix,
     surrogate_gradient,
 )
-from local_update_lab.verify import random_population, run_checks
+from local_update_lab.verify import checks_report, random_population, run_suites
 
 NAN, INF = float("nan"), float("inf")
 ASYMMETRIC = np.array([[1.0, 2.0], [0.0, 1.0]])
@@ -350,7 +350,7 @@ def _bad_input_config():
          "dim must be an integer, got 2.5"),
         (lambda: default_k_grid(1000, 2.5), InvalidInputError, "points must be an integer, got 2.5"),
         (lambda: default_gamma_grid(0.1, 2.5), InvalidInputError, "points must be an integer, got 2.5"),
-        (lambda: run_checks(trials=2.5), InvalidInputError, "trials must be an integer, got 2.5"),
+        (lambda: checks_report(0, run_suites(trials=2.5)), InvalidInputError, "trials must be an integer, got 2.5"),
         (lambda: random_population(keyed_rng(0, 1), max_dim=2.5), InvalidInputError,
          "max_dim must be an integer, got 2.5"),
         # one rule, in one wording, for negative or NaN rates

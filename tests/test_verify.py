@@ -29,8 +29,9 @@ from local_update_lab.verify import (
     check_theorem3_rates,
     check_theorem4_distance,
     random_admissible_params,
+    checks_report,
     random_population,
-    run_checks,
+    run_suites,
     select_suites,
     theorem1_client_gap,
 )
@@ -55,7 +56,7 @@ class TestSelection:
 
 class TestReport:
     def test_schema_and_types(self):
-        report = run_checks(only="theorem2,lemma1", seed=3, trials=20)
+        report = checks_report(3, run_suites(only="theorem2,lemma1", seed=3, trials=20))
         assert report["schema_version"] == 1
         assert report["seed"] == 3
         assert isinstance(report["all_pass"], bool)
@@ -65,7 +66,7 @@ class TestReport:
             assert isinstance(check["instances"], int)
 
     def test_trials_override(self):
-        report = run_checks(only="theorem2", seed=0, trials=7)
+        report = checks_report(0, run_suites(only="theorem2", seed=0, trials=7))
         assert report["checks"][0]["instances"] == 7
 
 
@@ -160,7 +161,7 @@ class TestNanViolation:
 
 def test_all_suites_pass_at_reduced_size():
     """Every registered suite holds on a smaller instance budget."""
-    report = run_checks(seed=1, trials=15)
+    report = checks_report(1, run_suites(seed=1, trials=15))
     failing = [c["name"] for c in report["checks"] if not c["pass"]]
     assert not failing, f"failing suites: {failing}"
 
@@ -169,7 +170,7 @@ def test_all_suites_pass_at_reduced_size():
 def test_formerly_failing_seeds_pass(seed):
     # lemma1 failed on seed 3 (eigh rounding below zero), theorem1_stochastic
     # on seed 2374950348 (a Monte-Carlo false alarm at 4.95 standard errors)
-    report = run_checks(only="theorem1_stochastic,lemma1", seed=seed)
+    report = checks_report(seed, run_suites(only="theorem1_stochastic,lemma1", seed=seed))
     assert report["all_pass"], report["checks"]
 
 
