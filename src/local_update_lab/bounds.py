@@ -27,7 +27,8 @@ import numpy as np
 
 from . import quadratics as qw
 from .errors import ConditioningError, InvalidInputError
-from .matrices import SPD_LAMBDA_MIN, SpectrumBounds, check_c_radius, check_count, check_symmetric, real_array
+from .matrices import SPD_LAMBDA_MIN, SpectrumBounds, check_c_radius, check_count, check_sums_to_one
+from .matrices import check_symmetric, check_symmetric_stack, real_array
 # eigh stays bound here although the weighted-family check decomposes its
 # whole Y stack with np.linalg.eigh: perfbench traces matrices.eigh in every
 # module namespace that binds it, and its tests look it up in this one.
@@ -300,9 +301,7 @@ class DiscreteDistribution:
             raise InvalidInputError("values and probs must be finite")
         if (probs < 0.0).any():
             raise InvalidInputError("probabilities must be nonnegative")
-        total = probs.sum()
-        if abs(float(total) - 1.0) > 1e-12:
-            raise InvalidInputError(f"probabilities sum to {total!r}, expected 1")
+        check_sums_to_one(probs, "probabilities")
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "probs", probs)
 
@@ -344,54 +343,36 @@ def _spectral_norms(stack: np.ndarray) -> np.ndarray:
     return np.linalg.svd(stack, compute_uv=False)[..., 0]
 
 
-def _clean_stacks(xs, ys) -> tuple[np.ndarray, np.ndarray] | None:
-    """X and Y as (n, d, d) stacks if both are real, finite, exactly symmetric and one shape, else None."""
+def _validated_family(family, name: str):
+    """family as one checked (n, d, d) stack, or matrix by matrix if it is ragged, complex, non-numeric or empty."""
     try:
-        x_stack, y_stack = np.asarray(xs), np.asarray(ys)
-        if "c" in (x_stack.dtype.kind, y_stack.dtype.kind):
-            return None  # checked matrix by matrix, which names the complex one
-        x_stack, y_stack = x_stack.astype(float, copy=False), y_stack.astype(float, copy=False)
-    except (TypeError, ValueError):  # ragged or non-numeric: checked matrix by matrix
-        return None
-    clean = (
-        x_stack.ndim == 3
-        and x_stack.shape == y_stack.shape
-        and x_stack.shape[1] == x_stack.shape[2]
-        and x_stack.size > 0
-        and np.isfinite(x_stack).all()
-        and np.isfinite(y_stack).all()
-        and (x_stack == x_stack.swapaxes(1, 2)).all()
-        and (y_stack == y_stack.swapaxes(1, 2)).all()
-    )
-    return (x_stack, y_stack) if clean else None
+        stack = np.asarray(family)
+    except (TypeError, ValueError):  # ragged, or an entry that is no number
+        stack = None
+    if stack is not None and stack.ndim == 3 and stack.size and stack.dtype.kind in "biuf":
+        return check_symmetric_stack(stack, (name + "[{i}]").format)
+    return [check_symmetric(matrix, f"{name}[{i}]") for i, matrix in enumerate(family)]
 
 
 def _validate_weighted_family(xs, ys):
     """Validated X and Y stacks, (n, d, d) each.
 
-    A family of finite, exactly symmetric matrices of one shape is checked on
-    its two stacks at once. Any other family goes through check_symmetric one
-    matrix at a time (every X, then every Y), which names the first bad
-    matrix or symmetrises a rounding-level asymmetry. Pair checks then run in
-    index order (dimension, then Y positive definite, then commutation), so
-    the first violating pair is the one named; the eigenvalues and norms
-    behind them come from stacked calls.
+    Every X, then every Y, goes through the symmetric-matrix rule (see
+    _validated_family), which names the first bad matrix or symmetrises a
+    rounding-level asymmetry. Pair checks then run in index order
+    (dimension, then Y positive definite, then commutation), so the first
+    violating pair is the one named; the eigenvalues and norms behind them
+    come from stacked calls.
     """
-    stacks = _clean_stacks(xs, ys)
-    if stacks is not None:
-        x_stack, y_stack = stacks
-        n_valid = n_pairs = len(x_stack)
-    else:
-        xs = [check_symmetric(x, f"X[{i}]") for i, x in enumerate(xs)]
-        ys = [check_symmetric(y, f"Y[{i}]") for i, y in enumerate(ys)]
-        if len(xs) == 0 or len(xs) != len(ys):
-            raise InvalidInputError("need matching nonempty X and Y lists")
-        dim, n_pairs = xs[0].shape[0], len(xs)
-        n_valid = next(
-            (i for i, (x, y) in enumerate(zip(xs, ys)) if x.shape[0] != dim or y.shape[0] != dim), n_pairs
-        )
-        x_stack = np.array(xs[:n_valid]).reshape(n_valid, dim, dim)
-        y_stack = np.array(ys[:n_valid]).reshape(n_valid, dim, dim)
+    xs, ys = _validated_family(xs, "X"), _validated_family(ys, "Y")
+    if len(xs) == 0 or len(xs) != len(ys):
+        raise InvalidInputError("need matching nonempty X and Y lists")
+    dim, n_pairs = xs[0].shape[0], len(xs)
+    n_valid = next(
+        (i for i, (x, y) in enumerate(zip(xs, ys)) if x.shape[0] != dim or y.shape[0] != dim), n_pairs
+    )
+    x_stack = np.asarray(xs[:n_valid]).reshape(n_valid, dim, dim)
+    y_stack = np.asarray(ys[:n_valid]).reshape(n_valid, dim, dim)
     lam_mins = np.linalg.eigh(y_stack)[0][:, 0]
     norms = _spectral_norms(np.concatenate([x_stack @ y_stack - y_stack @ x_stack, x_stack, y_stack]))
     commutators, x_norms, y_norms = norms.reshape(3, n_valid)

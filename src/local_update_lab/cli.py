@@ -47,7 +47,7 @@ from .frontier import (
     simulated_maml_sweep,
     sweep,
 )
-from .matrices import SpectrumBounds, eigh, euclidean_norm, keyed_rng
+from .matrices import SpectrumBounds, check_count, check_momentum, check_step, eigh, euclidean_norm, keyed_rng
 from .quadratics import Population, WeightScheme
 from .svgplot import frontier_svg
 from .verify import (
@@ -92,6 +92,7 @@ def _json_dumps(payload: dict) -> str:
 
 
 def _theta_from_flags(name: str, k: int) -> WeightScheme:
+    check_count(k, "k")  # every scheme, "one" too, checks --k
     if name == "one":
         return WeightScheme.single()
     if name == "first-k":
@@ -150,7 +151,7 @@ def cmd_frontier(args) -> int:
                     f"{args.gamma_min}, {gamma_max} and {args.points}"
                 )
             grid = np.logspace(np.log10(args.gamma_min), np.log10(gamma_max), args.points)
-            if np.any(np.diff(grid) <= 0.0):
+            if not args.gamma_min < gamma_max or np.any(np.diff(grid) <= 0.0):
                 default = "" if args.gamma_max is not None else "default "
                 raise InvalidInputError(
                     f"--gamma-min {args.gamma_min} must lie below the {default}--gamma-max {gamma_max:.12g}"
@@ -239,6 +240,9 @@ def cmd_simulate(args) -> int:
     seed = _resolve_seed(args.seed)
     if args.beta != 0.0 and (args.eta is None or args.optimizer == "plain"):
         raise InvalidInputError(f"--beta {args.beta} needs --eta and --optimizer heavy_ball or nesterov")
+    if args.eta is not None:
+        check_step(args.eta, "--eta")
+    check_momentum(args.beta, "--beta")
     pop = _simulate_population(args, seed)
     theta = _theta_from_flags(args.theta, args.k)
     qw.require_contractive(pop.bounds, args.alpha, args.gamma)

@@ -36,7 +36,8 @@ import numpy as np
 from . import quadratics as qw
 from .bounds import OPTIMIZER_KINDS
 from .errors import DivergenceError, InvalidInputError
-from .matrices import check_count, check_rates, check_vector, eigh, euclidean_norm, keyed_rng
+from .matrices import check_count, check_momentum, check_rates, check_step, check_vector, eigh, euclidean_norm
+from .matrices import keyed_rng
 from .quadratics import ClientModel, Population, WeightScheme
 
 DIVERGENCE_THRESHOLD = 1e12
@@ -101,12 +102,10 @@ class ServerOptSpec:
             raise InvalidInputError(
                 f"unknown server optimizer {self.kind!r}, expected one of {OPTIMIZER_KINDS}"
             )
-        if not (0.0 < self.step < np.inf):
-            raise InvalidInputError(f"step must be positive and finite, got {self.step}")
+        check_step(self.step, "step")
         if self.kind == "plain" and self.momentum != 0.0:
             object.__setattr__(self, "momentum", 0.0)
-        if not (0.0 <= self.momentum < 1.0):
-            raise InvalidInputError(f"momentum must lie in [0, 1), got {self.momentum}")
+        check_momentum(self.momentum, "momentum")
 
 
 @dataclass(frozen=True)

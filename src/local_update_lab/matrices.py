@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 import operator
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -146,18 +147,58 @@ def check_c_radius(c_radius: float) -> None:
         raise InvalidInputError(f"c_radius must be nonnegative, got {c_radius}")
 
 
+def check_step(step: float, name: str) -> None:
+    """Raise InvalidInputError unless 0 < step < inf; a NaN fails the comparison."""
+    if not 0.0 < step < np.inf:
+        raise InvalidInputError(f"{name} must be positive and finite, got {step}")
+
+
+def check_momentum(momentum: float, name: str) -> None:
+    """Raise InvalidInputError unless 0 <= momentum < 1; a NaN fails the comparison."""
+    if not 0.0 <= momentum < 1.0:
+        raise InvalidInputError(f"{name} must lie in [0, 1), got {momentum}")
+
+
+def check_sums_to_one(p: np.ndarray, name: str) -> None:
+    """Raise InvalidInputError unless the entries of p sum to 1 within 1e-12."""
+    total = p.sum()
+    if abs(float(total) - 1.0) > 1e-12:
+        raise InvalidInputError(f"{name} sum to {total!r}, expected 1")
+
+
 def check_symmetric(a: np.ndarray, name: str = "matrix", copy: bool = False) -> np.ndarray:
-    """Validate a finite square real symmetric matrix and return it as float64 (see real_array)."""
+    """Validate a finite square real symmetric matrix (see check_symmetric_stack) and return it as float64."""
     a = real_array(a, name, copy)
     if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] < 1:
         raise DimensionMismatchError(f"{name} must be square, got shape {a.shape}")
-    if not np.isfinite(a).all():
-        raise InvalidInputError(f"{name} contains non-finite entries")
-    if not (a == a.T).all():
-        # Accept tiny asymmetry from upstream arithmetic, reject anything real.
-        if np.max(np.abs(a - a.T)) > 1e-12 * (1.0 + np.max(np.abs(a))):
-            raise InvalidInputError(f"{name} is not symmetric")
-        a = symmetrize(a)
+    checked = check_symmetric_stack(a[None], lambda i: name)
+    return a if np.may_share_memory(checked, a) else checked[0].copy()  # a, or its symmetrised copy
+
+
+def check_symmetric_stack(a: np.ndarray, label: Callable[..., str]) -> np.ndarray:
+    """A stack (n, d, d) of finite real symmetric matrices, as float64 (see real_array).
+
+    A matrix asymmetric within 1e-12 * (1 + max|a|), as upstream arithmetic
+    leaves one, comes back as 0.5 * (A + A^T) in a new array, never written
+    into the caller's. The error names the first bad matrix i as label(i=i),
+    e.g. with "X[{i}]".format, non-finite before asymmetric.
+    """
+    a = real_array(a, label(i=0))
+    if a.ndim != 3 or a.shape[1] != a.shape[2] or a.shape[1] < 1:
+        raise DimensionMismatchError(f"{label(i=0)} must be square, got shape {a.shape[1:]}")
+    if np.isfinite(a).all() and (a == a.swapaxes(1, 2)).all():
+        return a
+    finite = np.isfinite(a).all(axis=(1, 2))
+    asymmetric = finite & (a != a.swapaxes(1, 2)).any(axis=(1, 2))
+    m = a[asymmetric]
+    bad = ~finite
+    bad[asymmetric] = np.abs(m - m.swapaxes(1, 2)).max(axis=(1, 2)) > 1e-12 * (1.0 + np.abs(m).max(axis=(1, 2)))
+    if bad.any():
+        i = int(bad.argmax())
+        problem = "is not symmetric" if finite[i] else "contains non-finite entries"
+        raise InvalidInputError(f"{label(i=i)} {problem}")
+    a = a.copy()
+    a[asymmetric] = 0.5 * (m + m.swapaxes(1, 2))
     return a
 
 

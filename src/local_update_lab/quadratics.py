@@ -353,40 +353,24 @@ def _client_view(a_matrix: np.ndarray, center: np.ndarray, source: ClientModel |
 
 
 def _validated_stacks(matrices, centers) -> tuple[np.ndarray, np.ndarray]:
-    """Client matrices (n, d, d) and centers (n, d), validated in one vectorized pass.
+    """Client matrices (n, d, d) and centers (n, d) under ClientModel's checks, made on every client at once.
 
-    The checks are ClientModel's, made on every client at once, and the error
-    names the first bad client (its matrix, then its center). A matrix that is
-    asymmetric only at rounding level is symmetrised in place, as
-    check_symmetric does for one matrix, so the caller hands over arrays it
-    owns.
+    The error names the first bad client, its matrix before its center; the
+    matrices' rule is check_symmetric_stack's.
     """
+    label = "client {i}: a_matrix".format
     matrices = mat.real_array(matrices, "matrices")
     centers = mat.real_array(centers, "centers")
     if matrices.ndim != 3 or matrices.shape[1] != matrices.shape[2] or 0 in matrices.shape:
         raise DimensionMismatchError(f"matrices must be a nonempty (n, d, d) stack, got shape {matrices.shape}")
     if centers.shape != matrices.shape[:2]:
         raise DimensionMismatchError(f"centers have shape {centers.shape}, expected {matrices.shape[:2]}")
-    transposed = matrices.swapaxes(1, 2)
-    finite = np.isfinite(matrices).all(axis=(1, 2))
-    asymmetric = finite & (matrices != transposed).any(axis=(1, 2))
-    rounding = np.zeros_like(asymmetric)
-    if asymmetric.any():
-        m = matrices[asymmetric]
-        deviation = np.abs(m - m.swapaxes(1, 2)).max(axis=(1, 2))
-        rounding[asymmetric] = deviation <= 1e-12 * (1.0 + np.abs(m).max(axis=(1, 2)))
-    bad = ~finite | (asymmetric & ~rounding) | ~np.isfinite(centers).all(axis=1)
-    if bad.any():
-        i = int(bad.argmax())
-        if not finite[i]:
-            raise InvalidInputError(f"client {i}: a_matrix contains non-finite entries")
-        if asymmetric[i]:
-            raise InvalidInputError(f"client {i}: a_matrix is not symmetric")
+    bad_centers = ~np.isfinite(centers).all(axis=1)
+    if bad_centers.any():
+        i = int(bad_centers.argmax())
+        mat.check_symmetric_stack(matrices[: i + 1], label)  # a bad matrix up to client i is named first
         raise InvalidInputError(f"client {i}: center contains non-finite entries")
-    if asymmetric.any():
-        m = matrices[asymmetric]
-        matrices[asymmetric] = 0.5 * (m + m.swapaxes(1, 2))
-    return matrices, centers
+    return mat.check_symmetric_stack(matrices, label), centers
 
 
 @dataclass(frozen=True)
@@ -454,9 +438,7 @@ class Population:
             )
         if (weights < 0.0).any() or not np.isfinite(weights).all():
             raise InvalidInputError("weights must be finite and nonnegative")
-        total = weights.sum()
-        if abs(float(total) - 1.0) > 1e-12:
-            raise InvalidInputError(f"weights sum to {total!r}, expected 1")
+        mat.check_sums_to_one(weights, "weights")
         step = max(1, _EIGH_BATCH_ENTRIES // dim**2)
         spectra = np.concatenate([
             np.linalg.eigh(matrices[i : i + step])[0] for i in range(0, len(clients), step)

@@ -529,6 +529,21 @@ class TestBadInput:
          "--gamma-min 0.5 must lie below the default --gamma-max 0.0999999999"),
         (["frontier", "--mu", "1", "--ell", "10", "--vary", "alpha", "--alphas", "1,1"],
          "--alphas lists 1 more than once"),
+        # a one-point grid is trivially increasing, so the flags themselves are compared
+        (["frontier", "--mu", "1", "--ell", "10", "--vary", "gamma", "--gamma-min", "0.05", "--gamma-max", "0.001",
+          "--points", "1"],
+         "--gamma-min 0.05 must lie below the --gamma-max 0.001"),
+        # bounds a few ulps apart: rounding collapses the grid although --gamma-min < --gamma-max
+        (["frontier", "--mu", "1", "--ell", "10", "--vary", "gamma", "--gamma-min", "0.05",
+          "--gamma-max", "0.05000000000000001", "--points", "50"],
+         "--gamma-min 0.05 must lie below the --gamma-max 0.05"),
+        # --k is checked under every --theta, "one" too
+        (["simulate", "--gamma", "0.01", "--theta", "one", "--k", "-5", "--rounds", "3"], "k must be >= 1, got -5"),
+        (["simulate", "--gamma", "0.01", "--theta", "one", "--optimizer", "heavy_ball", "--eta", "0.1",
+          "--beta", "-0.5"],
+         "--beta must lie in [0, 1), got -0.5"),
+        (["simulate", "--gamma", "0.01", "--theta", "one", "--eta", "nan"],
+         "--eta must be positive and finite, got nan"),
     ])
     def test_flag_errors_name_the_flags(self, argv, message, tmp_path, capsys):
         out = tmp_path / "out"

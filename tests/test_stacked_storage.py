@@ -148,6 +148,9 @@ ASYMMETRIC = np.array([[1.0, 2.0], [0.0, 1.0]])
         (np.stack([np.diag([np.inf, 1.0]), np.eye(2)]), np.array([[np.nan, 0.0], [0.0, 0.0]]),
          InvalidInputError, "client 0: a_matrix contains non-finite entries"),
         (np.stack([np.eye(2)]) * (1 + 1j), np.zeros((1, 2)), InvalidInputError, "matrices has complex entries"),
+        # a rounding-level asymmetry is no fault, so the client's center is named, as ClientModel names it
+        (np.stack([np.eye(2), [[2.0, 1.0], [1.0 + 1e-15, 2.0]]]), np.array([[0.0, 0.0], [np.nan, 0.0]]),
+         InvalidInputError, "client 1: center contains non-finite entries"),
     ],
 )
 def test_stacks_are_validated_in_one_pass(matrices, centers, error, message):

@@ -23,7 +23,13 @@ from local_update_lab.bounds import (
 from local_update_lab.engine import RunConfig, auto_tune, client_update, client_update_maml, server_round
 from local_update_lab.errors import DimensionMismatchError, InvalidInputError
 from local_update_lab.frontier import SweepSpec, default_gamma_grid, default_k_grid, simulated_maml_sweep
-from local_update_lab.matrices import SpectrumBounds, check_symmetric, keyed_rng, random_spd_with_spectrum
+from local_update_lab.matrices import (
+    SpectrumBounds,
+    check_symmetric,
+    check_symmetric_stack,
+    keyed_rng,
+    random_spd_with_spectrum,
+)
 from local_update_lab.quadratics import (
     ClientModel,
     Population,
@@ -134,6 +140,10 @@ def test_weight_scheme_structure(coefficients, structure):
         (np.eye(2), np.zeros((2, 1)), DimensionMismatchError, "center has shape (2, 1), expected (2,)"),
         (np.eye(2), 0.0, DimensionMismatchError, "center has shape (), expected (2,)"),
         (np.eye(2), np.array([0.0, NAN]), InvalidInputError, "center contains non-finite entries"),
+        # a stack is no single matrix, whether or not the center's length matches its first axis
+        (np.stack([np.eye(2)] * 2), np.zeros(2), DimensionMismatchError, "{field} must be square, got shape (2, 2, 2)"),
+        (np.stack([np.eye(2)] * 3), np.zeros(2), DimensionMismatchError, "{field} must be square, got shape (3, 2, 2)"),
+        (np.ones((0, 2, 2)), np.zeros(0), DimensionMismatchError, "{field} must be square, got shape (0, 2, 2)"),
     ],
 )
 def test_client_and_example(model, field, matrix, center, error, message):
@@ -146,6 +156,49 @@ def test_rounding_asymmetry_is_symmetrised():
     client = ClientModel(a_matrix=a, center=np.zeros(2))
     np.testing.assert_array_equal(client.a_matrix, 0.5 * (a + a.T))
     np.testing.assert_array_equal(check_symmetric(a), 0.5 * (a + a.T))
+
+
+def _population(stack):
+    return Population.from_stacks(stack, np.zeros(stack.shape[:2]), np.full(len(stack), 1.0 / len(stack)))
+
+
+def _weighted_family_xs(stack):
+    ys = np.stack([np.eye(3)] * len(stack))
+    matrix_weighted_discrepancy(stack, ys)
+    return _validate_weighted_family(stack, ys)[0]
+
+
+# route: (a matrix alone -> the matrix kept, a stack -> the stack kept, the error alone, the error for row i);
+# load_population has no route of its own: a file holds a lower triangle, so a loaded matrix is exactly symmetric
+SYMMETRY_ROUTES = {
+    "check_symmetric": (lambda a: check_symmetric(a, "A"), lambda s: check_symmetric_stack(s, "A[{i}]".format),
+                        "A is not symmetric", "A[{i}] is not symmetric"),
+    "ClientModel/from_stacks": (lambda a: ClientModel(a_matrix=a, center=np.zeros(3)).a_matrix,
+                                lambda s: _population(s).matrices,
+                                "a_matrix is not symmetric", "client {i}: a_matrix is not symmetric"),
+    "matrix_weighted_discrepancy": (lambda a: _weighted_family_xs([a])[0], _weighted_family_xs,
+                                    "X[0] is not symmetric", "X[{i}] is not symmetric"),
+}
+
+
+@pytest.mark.parametrize("route", SYMMETRY_ROUTES)
+@pytest.mark.parametrize("i", [0, 2])
+@pytest.mark.parametrize("deviation, inside", [(4.5e-12, True), (5.5e-12, False)])
+def test_a_matrix_alone_and_as_a_stack_row_get_one_verdict(route, i, deviation, inside):
+    """The symmetry tolerance is 1e-12 * (1 + max|a|) = 5e-12 here, for a matrix alone or row i of a stack."""
+    alone, stacked, alone_message, row_message = SYMMETRY_ROUTES[route]
+    a = np.array([[4.0, 1.0, 0.0], [1.0 + deviation, 3.0, 0.5], [0.0, 0.5, 2.0]])
+    stack = np.stack([np.diag([2.0, 3.0, 4.0])] * 3)
+    stack[i] = a
+    a_before, stack_before = a.copy(), stack.copy()
+    if inside:
+        expected = (0.5 * (a + a.T)).tobytes()
+        assert alone(a).tobytes() == expected
+        assert stacked(stack)[i].tobytes() == expected
+    else:
+        assert_rejects(lambda: alone(a), InvalidInputError, alone_message)
+        assert_rejects(lambda: stacked(stack), InvalidInputError, row_message.format(i=i))
+    assert a.tobytes() == a_before.tobytes() and stack.tobytes() == stack_before.tobytes()
 
 
 def test_client_example_paths():
@@ -253,6 +306,8 @@ def _commuting(lams):
          InvalidInputError, "pair 0 does not commute"),
         ([_commuting([1.0, 2.0]), np.eye(2), np.eye(3)], [np.eye(2), -np.eye(2), np.eye(3)],
          InvalidInputError, "weight Y[1] is not positive definite (lambda_min=-1.000e+00)"),
+        (np.stack([np.stack([np.eye(2)] * 2)] * 2), [np.eye(2)] * 2, DimensionMismatchError,
+         "X[0] must be square, got shape (2, 2, 2)"),
     ],
 )
 @pytest.mark.parametrize("check", [_validate_weighted_family, matrix_weighted_discrepancy])
