@@ -1,21 +1,22 @@
 """Closed-form analysis: condition numbers, rates, and distance bounds.
 
-Everything here is an exact formula evaluation, no simulation. The scalar
-eigenvalue maps are central: for a client with matrix eigenvalue lam, the
-distortion matrix has eigenvalue sum_k theta_k xi^(k-1) and the distorted
-Hessian has that times lam, where xi = 1 - gamma (lam + alpha). The FedAvg
-and MAML weight families admit the closed forms phi and psi, the exact
-condition number follows from mapping whole spectra, and the distance between
-surrogate and empirical optima is bounded through a mean-absolute-deviation
-inequality and its matrix-weighted analog.
+Everything here is an exact formula evaluation, no simulation. One scalar
+eigenvalue map is central: for a client with matrix eigenvalue lam, the
+distortion matrix has eigenvalue q(lam) = sum_k theta_k xi^(k-1) and the
+distorted Hessian has q(lam) lam, where xi = 1 - gamma (lam + alpha). The
+closed-form condition bound of the FedAvg and MAML weight families (the
+paper's phi and psi) is that map at ell and mu, the exact condition number
+follows from mapping whole spectra, and the distance between surrogate and
+empirical optima is bounded through a mean-absolute-deviation inequality and
+its matrix-weighted analog.
 
 This module is the eigenvalue route to the surrogate: the client spectra
 stored on a Population (Population.spectra, computed once at construction)
-go through one vectorised map, scheme_q_eigenvalues, into kappa_exact and
-distance_bound, with no eigendecomposition per call. The matrix route of
-quadratics.py (Horner distortion_matrix, surrogate_hessian/gradient/
-minimizer) builds the same objects as matrices; the verification suites
-compare the two.
+go through one map, scheme_q_eigenvalues, into kappa_exact and
+distance_bound, with no eigendecomposition per call; kappa_bound maps the
+two floats ell and mu through it. The matrix route of quadratics.py (Horner
+distortion_matrix, surrogate_hessian/gradient/minimizer) builds the same
+objects as matrices; the verification suites compare the two.
 """
 
 from __future__ import annotations
@@ -46,7 +47,7 @@ _COMMUTE_TOL = 1e-9
 
 
 def _geometric_sums(xi: np.ndarray, k: int) -> np.ndarray:
-    """sum_{j=0}^{k-1} xi^j elementwise, for an array of ratios xi.
+    """sum_{j=0}^{k-1} xi^j for a ratio xi, or elementwise for an array of them.
 
     Small k is a Horner polynomial. Beyond _PHI_SUMMATION_MAX_K the closed
     form is used; for 0 < xi it computes (1 - xi^k) via expm1/log1p, since
@@ -64,22 +65,8 @@ def _geometric_sums(xi: np.ndarray, k: int) -> np.ndarray:
     return sums
 
 
-def phi(lam: float, alpha: float, gamma: float, k: int) -> float:
-    """sum_{j=1}^{K} (1 - gamma (lam + alpha))^(j-1) lam."""
-    check_count(k, "k")
-    xi = 1.0 - gamma * (lam + alpha)
-    return float(_geometric_sums(xi, k)) * lam
-
-
-def psi(lam: float, alpha: float, gamma: float, k: int) -> float:
-    """(1 - gamma (lam + alpha))^(K-1) lam."""
-    check_count(k, "k")
-    xi = 1.0 - gamma * (lam + alpha)
-    return xi ** (k - 1) * lam
-
-
 def maml_bound_applies(ell: float, alpha: float, gamma: float, k: int) -> bool:
-    """Whether gamma < (K ell + alpha)^-1, the precondition of the psi bound.
+    """Whether gamma < (K ell + alpha)^-1, the precondition of the last-only bound.
 
     False for a NaN argument.
     """
@@ -89,39 +76,38 @@ def maml_bound_applies(ell: float, alpha: float, gamma: float, k: int) -> bool:
 def kappa_bound(mu: float, ell: float, alpha: float, gamma: float, theta: WeightScheme) -> float:
     """Closed-form condition-number bound of theta's family; needs gamma < (ell + alpha)^-1.
 
-    A uniform prefix (the first K gradients) gets phi(ell)/phi(mu): it equals
-    ell/mu iff gamma = 0 or K = 1 and saturates to 1 as K grows when alpha =
-    0. A last-only scheme gets psi(ell)/psi(mu) under gamma < (K ell +
-    alpha)^-1, outside which only kappa_exact applies. A general scheme has
-    no closed form.
+    q(ell) ell / (q(mu) mu) for the unit scheme of theta's kind, as two
+    scalar maps (numpy's array power differs from its scalar one in the last
+    bit). A uniform prefix (phi in the paper) gives ell/mu iff gamma = 0 or
+    K = 1 and saturates to 1 as K grows when alpha = 0. A last-only scheme
+    (psi) needs gamma < (K ell + alpha)^-1, outside which only kappa_exact
+    applies. A general scheme has no closed form.
     """
     qw.require_contractive(SpectrumBounds(mu=mu, ell=ell), alpha, gamma)
     kind, k, _ = theta.structure()
-    if kind == "uniform_prefix":
-        ratio = phi(ell, alpha, gamma, k) / phi(mu, alpha, gamma, k)
-    elif kind == "last_only":
-        if not maml_bound_applies(ell, alpha, gamma, k):
-            raise ConditioningError(
-                f"need gamma < 1/(K*ell+alpha) = {1.0 / (k * ell + alpha):.6g}, got gamma={gamma}"
-            )
-        ratio = psi(ell, alpha, gamma, k) / psi(mu, alpha, gamma, k)
-    else:
+    if kind == "general":
         raise InvalidInputError("a closed-form kappa bound needs a first-K or last-only weight scheme")
+    if kind == "last_only" and not maml_bound_applies(ell, alpha, gamma, k):
+        raise ConditioningError(
+            f"need gamma < 1/(K*ell+alpha) = {1.0 / (k * ell + alpha):.6g}, got gamma={gamma}"
+        )
+    unit = WeightScheme.first_k(k) if kind == "uniform_prefix" else WeightScheme.last_only(k)
+    q_ell, q_mu = (float(scheme_q_eigenvalues(lam, alpha, gamma, unit)) for lam in (ell, mu))
     # provably >= 1 here; the max() only strips a possible trailing-ulp dip
-    return max(1.0, ratio)
+    return max(1.0, q_ell * ell / (q_mu * mu))
 
 
 def scheme_q_eigenvalues(
     lams: np.ndarray, alpha: float, gamma: float, theta: WeightScheme
 ) -> np.ndarray:
-    """Eigenvalues of the distortion matrix at matrix eigenvalues lams.
+    """Eigenvalues q(lam) of the distortion matrix at matrix eigenvalues lams.
 
-    lams may have any shape; a Population's (n_clients, dim) spectra map in
-    one call. Uses the closed geometric form for the two named weight
-    families (O(1) per eigenvalue even for K ~ 1e6) and direct polynomial
-    evaluation for a general theta.
+    lams may be a float or have any shape; a Population's (n_clients, dim)
+    spectra map in one call, a float in scalar arithmetic. Uses the closed
+    geometric form for the two named weight families (O(1) per eigenvalue
+    even for K ~ 1e6) and direct polynomial evaluation for a general theta.
     """
-    lams = np.atleast_1d(np.asarray(lams, dtype=float))
+    lams = np.asarray(lams, dtype=float)[()]
     xi = 1.0 - gamma * (lams + alpha)
     kind, k, coeff = theta.structure()
     if kind == "last_only":

@@ -151,10 +151,15 @@ def cmd_frontier(args) -> int:
                     f"{args.gamma_min}, {gamma_max} and {args.points}"
                 )
             grid = np.logspace(np.log10(args.gamma_min), np.log10(gamma_max), args.points)
-            if not args.gamma_min < gamma_max or np.any(np.diff(grid) <= 0.0):
-                default = "" if args.gamma_max is not None else "default "
+            default = "" if args.gamma_max is not None else "default "
+            if not args.gamma_min < gamma_max:
                 raise InvalidInputError(
                     f"--gamma-min {args.gamma_min} must lie below the {default}--gamma-max {gamma_max:.12g}"
+                )
+            if np.any(np.diff(grid) <= 0.0):  # bounds a few ulps apart: rounding collapses the grid
+                raise InvalidInputError(
+                    f"the grid of --points {args.points} from --gamma-min {args.gamma_min!r} "
+                    f"to the {default}--gamma-max {gamma_max!r} repeats points"
                 )
     else:  # alpha
         if not args.alphas:

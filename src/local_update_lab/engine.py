@@ -375,10 +375,6 @@ def server_round(
         for weight, update in zip(pop.weights, updates):
             q += weight * update
     else:
-        if cfg.clients_per_round > pop.n_clients:
-            raise InvalidInputError(
-                f"clients_per_round {cfg.clients_per_round} exceeds population size {pop.n_clients}"
-            )
         eligible = int(np.count_nonzero(pop.weights))
         if cfg.clients_per_round > eligible:
             raise InvalidInputError(

@@ -80,14 +80,14 @@ _HORNER_BATCH_ENTRIES = 65536
 class WeightScheme:
     """Coefficients theta_1..theta_K weighting the K local gradients.
 
-    size is the largest index with a positive coefficient, weight the
-    coefficient sum. The named constructors cover the schemes of interest:
-    first_k(K) sums all K gradients (FedAvg/Reptile style), last_only(K)
-    sends only the K-th (FOMAML style), and maml_equivalent(K) is the
-    last_only(2K+1) scheme realising exact MAML on quadratics.
+    size is the largest index with a positive coefficient. The named
+    constructors cover the schemes of interest: first_k(K) sums all K
+    gradients (FedAvg/Reptile style), last_only(K) sends only the K-th
+    (FOMAML style), and maml_equivalent(K) is the last_only(2K+1) scheme
+    realising exact MAML on quadratics.
 
     A named scheme is its record (kind, K, theta) and takes O(1) memory in
-    K: size, weight and structure() read the record, and the read-only
+    K: size and structure() read the record, and the read-only
     coefficient vector is built the first time coefficients is read (by the
     Horner kernel, the engine or polyval). A general scheme copies and
     classifies its coefficients once. Two schemes are equal when they weight
@@ -169,15 +169,6 @@ class WeightScheme:
     def size(self) -> int:
         """K(theta): largest index (1-based) with a positive coefficient."""
         return self._structure[1]
-
-    @property
-    def weight(self) -> float:
-        """w(theta): sum of the coefficients."""
-        if self._coefficients is None:
-            # a named scheme not yet built: its unit coefficients sum to k exactly
-            kind, k, _ = self._structure
-            return float(k) if kind == "uniform_prefix" else 1.0
-        return float(np.sum(self._coefficients))
 
     def structure(self) -> tuple[str, int, float]:
         """Classify the scheme for closed-form spectral evaluation.

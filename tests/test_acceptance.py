@@ -30,8 +30,6 @@ from local_update_lab import (
     auto_tune,
     kappa_bound,
     kappa_exact,
-    phi,
-    psi,
     rho_from_kappa,
     round_operator,
     surrogate_hessian,
@@ -55,6 +53,7 @@ from local_update_lab.verify import (
     check_theorem2_maml,
     check_theorem3_rates,
 )
+from closed_forms import phi, psi
 from polylines import farthest_vertex, polyline_hausdorff
 
 SEED = 20240801

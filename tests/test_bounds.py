@@ -20,8 +20,6 @@ from local_update_lab import (
     mad_bound,
     matrix_weighted_discrepancy,
     minimizer_distance,
-    phi,
-    psi,
     rho_from_kappa,
     tightness_case_b2,
 )
@@ -40,6 +38,7 @@ from local_update_lab.verify import (
     random_population,
     random_theta,
 )
+from closed_forms import phi, psi
 
 
 def diag_client_population(mu, ell):
@@ -166,7 +165,7 @@ class TestKappaBoundMaml:
 
 
 class TestKappaBoundDispatch:
-    """kappa_bound picks phi or psi from the scheme's structure alone."""
+    """kappa_bound picks its family from the scheme's structure alone."""
 
     @pytest.mark.parametrize("coefficients", [[1.0, 2.0], [0.5, 0.0, 0.5], [3.0, 1.0, 1.0]])
     def test_general_scheme_has_no_closed_form(self, coefficients):
@@ -186,6 +185,41 @@ class TestKappaBoundDispatch:
     def test_last_only_vector_gets_the_psi_bound(self):
         expected = psi(10.0, 0.0, 0.01, 3) / psi(1.0, 0.0, 0.01, 3)
         assert kappa_bound(1.0, 10.0, 0.0, 0.01, WeightScheme([0.0, 0.0, 4.0])) == expected
+
+
+class TestOneEigenvalueMap:
+    """kappa_bound maps ell and mu through scheme_q_eigenvalues, bit for bit the paper's phi and psi."""
+
+    def test_kappa_bound_is_the_closed_form_ratio_bit_for_bit(self):
+        rng = keyed_rng(41, 0)
+        compared = 0
+        for k in (1, 2, 64, 65, 1000, 10**6):
+            for alpha in (0.0, 0.5, 2.0):
+                for _ in range(120):
+                    mu = float(rng.uniform(0.1, 10.0))
+                    ell = mu * float(np.exp(rng.uniform(0.0, np.log(100.0))))
+                    gamma = float(rng.uniform(0.0, 1.0)) / (ell + alpha)
+                    expected = max(1.0, phi(ell, alpha, gamma, k) / phi(mu, alpha, gamma, k))
+                    assert kappa_bound(mu, ell, alpha, gamma, WeightScheme.first_k(k)) == expected
+                    gamma = float(rng.uniform(0.0, 1.0)) / (k * ell + alpha)
+                    expected = max(1.0, psi(ell, alpha, gamma, k) / psi(mu, alpha, gamma, k))
+                    assert kappa_bound(mu, ell, alpha, gamma, WeightScheme.last_only(k)) == expected
+                    compared += 2
+        assert compared >= 2000
+
+    def test_a_float_maps_in_scalar_arithmetic(self):
+        # numpy's array power differs from Python's float ** in the last bit
+        # on a few percent of draws, so a float must not take the array path
+        rng = keyed_rng(42, 0)
+        mismatches = 0
+        for _ in range(2000):
+            lam, alpha = float(rng.uniform(0.1, 10.0)), float(rng.uniform(0.0, 2.0))
+            k = int(rng.integers(2, 10**6))
+            gamma = float(rng.uniform(0.0, 1.0)) / (k * lam + alpha)
+            q = scheme_q_eigenvalues(lam, alpha, gamma, WeightScheme.last_only(k))
+            assert np.ndim(q) == 0
+            mismatches += bool(q != (1.0 - gamma * (lam + alpha)) ** (k - 1))
+        assert mismatches == 0
 
 
 @pytest.mark.parametrize("alpha, gamma", [(np.nan, 0.01), (0.0, np.nan), (np.nan, np.nan)])

@@ -536,7 +536,7 @@ class TestBadInput:
         # bounds a few ulps apart: rounding collapses the grid although --gamma-min < --gamma-max
         (["frontier", "--mu", "1", "--ell", "10", "--vary", "gamma", "--gamma-min", "0.05",
           "--gamma-max", "0.05000000000000001", "--points", "50"],
-         "--gamma-min 0.05 must lie below the --gamma-max 0.05"),
+         "the grid of --points 50 from --gamma-min 0.05 to the --gamma-max 0.05000000000000001 repeats points"),
         # --k is checked under every --theta, "one" too
         (["simulate", "--gamma", "0.01", "--theta", "one", "--k", "-5", "--rounds", "3"], "k must be >= 1, got -5"),
         (["simulate", "--gamma", "0.01", "--theta", "one", "--optimizer", "heavy_ball", "--eta", "0.1",

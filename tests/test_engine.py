@@ -375,7 +375,7 @@ class TestServerRound:
             mode="stochastic", clients_per_round=3, batch_size=1,
         )
         opt = ServerOptSpec(kind="plain", step=0.01)
-        with pytest.raises(InvalidInputError, match="exceeds population"):
+        with pytest.raises(InvalidInputError, match="clients_per_round 3 exceeds the 2 clients with nonzero weight"):
             server_round(pop, np.zeros(2), cfg, opt)
 
     def test_sampling_more_clients_than_nonzero_weights(self):

@@ -14,7 +14,6 @@ from local_update_lab import (
     delta_from_kappa,
     kappa_bound,
     kappa_exact,
-    psi,
     random_spd_with_spectrum,
     rho_from_kappa,
 )
@@ -34,6 +33,7 @@ from local_update_lab.frontier import (
 )
 from local_update_lab.matrices import child_seed, keyed_rng
 from local_update_lab.verify import random_population, rate_check_population
+from closed_forms import psi
 from polylines import farthest_vertex, point_to_polyline, polyline_hausdorff
 
 

@@ -49,10 +49,10 @@ def scalar_pair_population():
 class TestWeightScheme:
     def test_constructors(self):
         assert WeightScheme.first_k(3).size == 3
-        assert WeightScheme.first_k(3).weight == 3.0
+        assert WeightScheme.first_k(3).coefficients.sum() == 3.0
         last = WeightScheme.last_only(5)
         assert last.size == 5
-        assert last.weight == 1.0
+        assert last.coefficients.sum() == 1.0
         np.testing.assert_array_equal(last.coefficients, [0, 0, 0, 0, 1])
         assert WeightScheme.maml_equivalent(4).size == 9
         np.testing.assert_array_equal(WeightScheme.single().coefficients, [1.0])
@@ -60,7 +60,7 @@ class TestWeightScheme:
     def test_size_ignores_trailing_zeros(self):
         theta = WeightScheme(np.array([0.5, 1.0, 0.0, 0.0]))
         assert theta.size == 2
-        assert theta.weight == 1.5
+        assert theta.coefficients.sum() == 1.5
 
     def test_structure_detection(self):
         assert WeightScheme.first_k(7).structure() == ("uniform_prefix", 7, 1.0)
@@ -121,7 +121,6 @@ class TestWeightScheme:
         general = WeightScheme(np.array(coefficients))
         assert named == general and general == named and not named != general
         assert named.size == general.size
-        assert named.weight == general.weight
         assert named.structure() == general.structure()
         np.testing.assert_array_equal(named.coefficients, general.coefficients)
         assert named.coefficients is named.coefficients  # built once
@@ -162,8 +161,8 @@ class TestWeightScheme:
             tracemalloc.start()
             try:
                 fed, maml = WeightScheme.first_k(k), WeightScheme.last_only(k)
-                assert (fed.size, fed.weight, fed.structure()) == (k, float(k), ("uniform_prefix", k, 1.0))
-                assert (maml.size, maml.weight, maml.structure()) == (k, 1.0, ("last_only", k, 1.0))
+                assert (fed.size, fed.structure()) == (k, ("uniform_prefix", k, 1.0))
+                assert (maml.size, maml.structure()) == (k, ("last_only", k, 1.0))
                 reports = [kappa_exact(pop, 0.0, 1e-12, theta) for theta in (fed, maml)]
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
@@ -444,7 +443,7 @@ class TestSurrogateHessian:
     def test_gamma_to_zero_converges_monotonically(self):
         pop = random_population(keyed_rng(17, 0), max_dim=6, max_clients=4, min_dim=2)
         theta = WeightScheme.first_k(5)
-        target = theta.weight * sum(
+        target = theta.coefficients.sum() * sum(
             w * c.a_matrix for w, c in zip(pop.weights, pop.clients)
         )
         gaps = []

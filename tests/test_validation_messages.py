@@ -17,8 +17,6 @@ from local_update_lab.bounds import (
     _validate_weighted_family,
     distance_bound_from_kappa,
     matrix_weighted_discrepancy,
-    phi,
-    psi,
 )
 from local_update_lab.engine import RunConfig, auto_tune, client_update, client_update_maml, server_round
 from local_update_lab.errors import DimensionMismatchError, InvalidInputError
@@ -39,6 +37,7 @@ from local_update_lab.quadratics import (
     surrogate_gradient,
 )
 from local_update_lab.verify import checks_report, random_population, run_suites
+from closed_forms import phi, psi
 
 NAN, INF = float("nan"), float("inf")
 ASYMMETRIC = np.array([[1.0, 2.0], [0.0, 1.0]])
