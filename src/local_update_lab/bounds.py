@@ -81,7 +81,8 @@ def kappa_bound(mu: float, ell: float, alpha: float, gamma: float, theta: Weight
     bit). A uniform prefix (phi in the paper) gives ell/mu iff gamma = 0 or
     K = 1 and saturates to 1 as K grows when alpha = 0. A last-only scheme
     (psi) needs gamma < (K ell + alpha)^-1, outside which only kappa_exact
-    applies. A general scheme has no closed form.
+    applies; where its xi^(K-1) underflows to 0 the ratio is taken in log
+    space. A general scheme has no closed form.
     """
     qw.require_contractive(SpectrumBounds(mu=mu, ell=ell), alpha, gamma)
     kind, k, _ = theta.structure()
@@ -93,8 +94,18 @@ def kappa_bound(mu: float, ell: float, alpha: float, gamma: float, theta: Weight
         )
     unit = WeightScheme.first_k(k) if kind == "uniform_prefix" else WeightScheme.last_only(k)
     q_ell, q_mu = (float(scheme_q_eigenvalues(lam, alpha, gamma, unit)) for lam in (ell, mu))
+    top, bottom = q_ell * ell, q_mu * mu
+    if top == 0.0 or bottom == 0.0:
+        # only a last-only product underflows (a prefix sum q is >= 1); its
+        # ratio (xi_ell / xi_mu)^(K-1) ell / mu is finite, taken in log space
+        xi_ell, xi_mu = (1.0 - gamma * (lam + alpha) for lam in (ell, mu))
+        log_ratio = math.log(ell) - math.log(mu) + (k - 1) * (math.log(xi_ell) - math.log(xi_mu))
+        with np.errstate(over="ignore"):  # a ratio beyond float64 reads inf
+            ratio = float(np.exp(log_ratio))
+    else:
+        ratio = top / bottom
     # provably >= 1 here; the max() only strips a possible trailing-ulp dip
-    return max(1.0, q_ell * ell / (q_mu * mu))
+    return max(1.0, ratio)
 
 
 def scheme_q_eigenvalues(

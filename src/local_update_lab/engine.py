@@ -73,8 +73,6 @@ class RunConfig:
 
     def __post_init__(self):
         check_rates(self.alpha, self.gamma)
-        if not (self.alpha < np.inf and self.gamma < np.inf):
-            raise InvalidInputError("alpha and gamma must be finite")
         check_count(self.rounds, "rounds")
         if self.mode not in ("deterministic", "stochastic"):
             raise InvalidInputError(f"unknown mode {self.mode!r}")

@@ -136,9 +136,11 @@ def check_count(value, name: str) -> int:
 
 
 def check_rates(alpha: float, gamma: float) -> None:
-    """Raise InvalidInputError unless alpha >= 0 and gamma >= 0; a NaN fails the comparison."""
+    """Raise InvalidInputError unless 0 <= alpha < inf and 0 <= gamma < inf; a NaN fails the comparison."""
     if not (alpha >= 0.0 and gamma >= 0.0):
         raise InvalidInputError(f"alpha and gamma must be nonnegative, got alpha={alpha}, gamma={gamma}")
+    if not (alpha < np.inf and gamma < np.inf):
+        raise InvalidInputError("alpha and gamma must be finite")
 
 
 def check_c_radius(c_radius: float) -> None:

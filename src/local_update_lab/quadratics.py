@@ -525,9 +525,12 @@ def distortion_matrix(a, alpha: float, gamma: float, theta: WeightScheme) -> np.
     (d, d) client matrix or an (n, d, d) stack of them, and the result has
     its shape. One Horner step is one matmul over the whole stack, which runs
     the same matrix product per client, so every slice of a stacked call is
-    bit-identical to that client's matrix passed alone. Q is an exact
-    polynomial in A, hence commutes with it. Accepts any gamma >= 0; positive
-    definiteness needs gamma < (ell + alpha)^-1.
+    bit-identical to that client's matrix passed alone. A step with theta_k
+    != 0 then adds theta_k to the diagonal of the new product in place, the
+    same bits as adding theta_k I: that sum's off-diagonal + 0.0 could only
+    turn a -0.0 into +0.0, and a matmul sums from +0.0. Q is an exact
+    polynomial in A, hence commutes with it. Accepts any finite gamma >= 0;
+    positive definiteness needs gamma < (ell + alpha)^-1.
     """
     a = mat.real_array(a, "a")
     if a.ndim not in (2, 3) or a.shape[-1] != a.shape[-2] or a.size == 0:
@@ -535,12 +538,13 @@ def distortion_matrix(a, alpha: float, gamma: float, theta: WeightScheme) -> np.
     mat.check_rates(alpha, gamma)
     coeffs = theta.coefficients[: theta.size]
     eye = np.eye(a.shape[-1])
+    diag = np.arange(a.shape[-1])
     m = (1.0 - gamma * alpha) * eye - gamma * a
     q = np.broadcast_to(coeffs[-1] * eye, a.shape)
     for k in range(len(coeffs) - 2, -1, -1):
-        q = q @ m
+        q = q @ m  # a fresh array, so the diagonal add below is in place
         if coeffs[k] != 0.0:
-            q = q + coeffs[k] * eye
+            q[..., diag, diag] += coeffs[k]
     return 0.5 * (q + q.swapaxes(-1, -2))
 
 

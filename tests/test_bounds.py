@@ -1,5 +1,7 @@
 """Closed-form analysis: phi/psi, condition numbers, rates, distance and MAD bounds."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -220,6 +222,18 @@ class TestOneEigenvalueMap:
             assert np.ndim(q) == 0
             mismatches += bool(q != (1.0 - gamma * (lam + alpha)) ** (k - 1))
         assert mismatches == 0
+
+
+@pytest.mark.parametrize("k", [140000, 150000, 10**6])
+def test_last_only_bound_in_log_space_where_psi_underflows(k):
+    mu, ell, alpha = 0.0010394930174872018, 0.0015394059202718051, 2.0
+    gamma = 0.0036505195050523273 if k < 10**6 else 0.9 / (k * ell + alpha)
+    assert psi(ell, alpha, gamma, k) == psi(mu, alpha, gamma, k) == 0.0
+    xi_ell, xi_mu = 1.0 - gamma * (ell + alpha), 1.0 - gamma * (mu + alpha)
+    expected = ell / mu * math.exp((k - 1) * math.log(xi_ell / xi_mu))
+    bound = kappa_bound(mu, ell, alpha, gamma, WeightScheme.last_only(k))
+    assert 1.0 <= bound < ell / mu
+    assert bound == pytest.approx(expected, rel=1e-9)
 
 
 @pytest.mark.parametrize("alpha, gamma", [(np.nan, 0.01), (0.0, np.nan), (np.nan, np.nan)])

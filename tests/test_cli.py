@@ -81,6 +81,22 @@ class TestFrontierCommand:
         assert "gamma" in capsys.readouterr().err
 
 
+    def test_last_only_bound_admitted_where_psi_underflows(self, tmp_path, capsys):
+        # both xi^(K-1) underflow to 0 at K = 150000; the bound, taken in log
+        # space, is about 1.1240, below kappa0 = ell/mu, so the point stays
+        out = tmp_path / "frontier.csv"
+        code = run_cli([
+            "frontier", "--mu", "0.0010394930174872018", "--ell", "0.0015394059202718051",
+            "--alpha", "2.0", "--gamma", "0.0036505195050523273", "--family", "k-only",
+            "--vary", "K", "--k-min", "140000", "--k-max", "150000", "--points", "3", "--out", str(out),
+        ])
+        assert code == 0 and capsys.readouterr().err == ""
+        header, row = out.read_text().strip().split("\n")
+        point = dict(zip(header.split(","), row.split(",")))
+        assert point["K"] == "150000" and point["kappa_source"] == "closed_form"
+        assert float(point["kappa"]) == pytest.approx(1.1240176, rel=1e-7)
+
+
 class TestFrontierOnPopulation:
     """`lul frontier --population FILE` sweeps that population's kappa_exact."""
 
@@ -380,6 +396,17 @@ class TestTightnessCommand:
         assert payload["schemes"]["first_k"]["gap"] <= 1e-10
         assert payload["schemes"]["last_only"]["gap"] <= 1e-10
 
+    def test_b3_last_only_row_where_psi_underflows(self, tmp_path):
+        # gamma < 1/(K ell + alpha) holds, but both xi^(K-1) underflow to 0
+        out = tmp_path / "b3.json"
+        code = run_cli(["tightness", "--family", "b3", "--k", "140000", "--alpha", "2",
+                        "--gamma", "0.0036505195050523273", "--mu", "0.0010394930174872018",
+                        "--ell", "0.0015394059202718051", "--out", str(out)])
+        assert code == 0
+        row = json.loads(out.read_text())["schemes"]["last_only"]
+        assert row["kappa_bound"] == pytest.approx(1.1448724, rel=1e-7)
+        assert 0.0 <= row["gap"] <= 1e-10
+
     def test_b3_has_no_last_only_row_outside_the_psi_precondition(self, tmp_path):
         # gamma >= 1/(K ell): no psi bound, and the last-only spectrum would
         # underflow, so that row is left out rather than measured
@@ -464,8 +491,11 @@ class TestBadInput:
         [
             ["maml-sim", "--dim", "8", "--mu", "1", "--ell", "10", "--gamma", "nan"],
             ["maml-sim", "--dim", "8", "--mu", "1", "--ell", "10", "--gamma", "0.01", "--points", "-1"],
+            ["maml-sim", "--dim", "4", "--mu", "1", "--ell", "10", "--gamma", "inf"],
             ["frontier", "--mu", "1", "--ell", "10", "--gamma", "nan"],
             ["frontier", "--mu", "1", "--ell", "10", "--alpha", "nan"],
+            ["frontier", "--mu", "1", "--ell", "10", "--gamma", "inf"],
+            ["frontier", "--mu", "1", "--ell", "10", "--alpha", "inf"],
             ["frontier", "--mu", "1", "--ell", "10", "--family", "k-only", "--gamma", "nan"],
             ["frontier", "--mu", "1", "--ell", "10", "--vary", "gamma", "--gamma-min", "-1"],
             ["frontier", "--mu", "1", "--ell", "10", "--vary", "gamma", "--gamma-max", "-1"],
@@ -487,6 +517,7 @@ class TestBadInput:
             ["simulate", "--gamma", "0.01", "--theta", "one", "--dim", "0"],
             ["simulate", "--gamma", "0.01", "--theta", "one", "--mu", "0"],
             ["simulate", "--gamma", "nan", "--theta", "one"],
+            ["simulate", "--gamma", "inf", "--theta", "one"],
             ["verify", "--trials", "-1"],
             ["mad-check", "--trials", "0"],
             ["simulate", "--dim", "3", "--gamma", "0.01", "--theta", "first-k", "--k", "3", "--eta", "nan"],

@@ -33,6 +33,8 @@ from local_update_lab.quadratics import (
 )
 from local_update_lab.verify import random_population, random_theta
 
+from closed_forms import full_add_distortion_matrix
+
 
 def scalar_client(a, c):
     return ClientModel(a_matrix=np.array([[float(a)]]), center=np.array([float(c)]))
@@ -417,6 +419,59 @@ class TestDistortionMatrix:
             for client in pop.clients:
                 q = distortion_matrix(client.a_matrix, 0.0, gamma, theta)
                 assert eigh(q).lambda_min > 0.0
+
+
+def _stack(kind, rng, d=6, n=3):
+    """A symmetric positive definite (n, d, d) stack: dense, diagonal, block-diagonal or one client."""
+    dense = random_population(rng, min_dim=d, max_dim=d, min_clients=n, max_clients=n).matrices
+    if kind == "dense":
+        return dense
+    if kind == "diagonal":
+        return np.stack([np.diag(rng.uniform(1.0, 10.0, d)) for _ in range(n)])
+    if kind == "block_diagonal":
+        blocks = dense.copy()
+        blocks[:, :2, 2:] = 0.0
+        blocks[:, 2:, :2] = 0.0
+        return blocks
+    return dense[:1]
+
+
+class TestDiagonalAddHorner:
+    """The kernel adds theta_k on the diagonal only, with the bits of the full theta_k I add."""
+
+    @pytest.mark.parametrize("kind", ["dense", "diagonal", "block_diagonal", "one_client"])
+    @pytest.mark.parametrize("k", [1, 2, 3, 64, 1024])
+    def test_stack_matches_full_add(self, kind, k):
+        rng = keyed_rng(47, k)
+        a = _stack(kind, rng)
+        ell = float(np.linalg.eigvalsh(a).max())
+        general = rng.uniform(0.1, 1.0, size=k)
+        general[1::3] = 0.0
+        general[-1] = 1.0
+        stacks = (a, a[0]) if kind == "one_client" else (a,)
+        for theta in (WeightScheme.first_k(k), WeightScheme.last_only(k), WeightScheme(general)):
+            # alpha = 3 ell with gamma beyond 1/(ell + alpha) puts -0.0 off the diagonal of m
+            for alpha in (0.0, 3.0 * ell):
+                for gamma in (0.0, 0.5 / (ell + alpha), 1.9 / (ell + alpha)):
+                    for stack in stacks:
+                        q = distortion_matrix(stack, alpha, gamma, theta)
+                        expected = full_add_distortion_matrix(stack, alpha, gamma, theta)
+                        assert np.array_equal(q, expected)
+                        assert np.array_equal(np.signbit(q), np.signbit(expected))
+
+    @pytest.mark.parametrize("named", [WeightScheme.first_k, WeightScheme.last_only])
+    def test_surrogate_bytes_match_full_add_at_d48(self, named, monkeypatch):
+        pop = random_population(keyed_rng(48, 0), min_dim=48, max_dim=48, min_clients=48, max_clients=48)
+        reference = Population.from_stacks(pop.matrices, pop.centers, pop.weights, pop.bounds)
+        gamma = 1e-3
+        for k in (1, 4, 16, 64, 256, 1024):
+            theta = named(k)
+            h = surrogate_hessian(pop, 0.0, gamma, theta)
+            x = surrogate_minimizer(pop, 0.0, gamma, theta)
+            with monkeypatch.context() as patch:
+                patch.setattr(qw, "distortion_matrix", full_add_distortion_matrix)
+                assert h.tobytes() == surrogate_hessian(reference, 0.0, gamma, theta).tobytes()
+                assert x.tobytes() == surrogate_minimizer(reference, 0.0, gamma, theta).tobytes()
 
 
 class TestSurrogateHessian:

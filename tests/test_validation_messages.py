@@ -407,13 +407,17 @@ def _bad_input_config():
         (lambda: checks_report(0, run_suites(trials=2.5)), InvalidInputError, "trials must be an integer, got 2.5"),
         (lambda: random_population(keyed_rng(0, 1), max_dim=2.5), InvalidInputError,
          "max_dim must be an integer, got 2.5"),
-        # one rule, in one wording, for negative or NaN rates
+        # one rule, in one wording, for negative or NaN rates, and one for infinite ones
         (lambda: RunConfig(alpha=-1.0, gamma=0.01, theta=WeightScheme.single(), rounds=1), InvalidInputError,
          "alpha and gamma must be nonnegative, got alpha=-1.0, gamma=0.01"),
         (lambda: client_update_maml(_bad_input_population().clients[0], np.ones(3), 2, NAN), InvalidInputError,
          "alpha and gamma must be nonnegative, got alpha=0.0, gamma=nan"),
         (lambda: distortion_matrix(np.eye(2), -1.0, 0.01, WeightScheme.first_k(2)), InvalidInputError,
          "alpha and gamma must be nonnegative, got alpha=-1.0, gamma=0.01"),
+        (lambda: distortion_matrix(np.eye(2), INF, 0.01, WeightScheme.first_k(2)), InvalidInputError,
+         "alpha and gamma must be finite"),
+        (lambda: client_update_maml(_bad_input_population().clients[0], np.ones(3), 2, INF), InvalidInputError,
+         "alpha and gamma must be finite"),
         # K grids: no silent truncation, one dimension
         (lambda: SweepSpec(family="fedavg_theta", vary="K", grid=[1.5, 2.5], mu=1.0, ell=10.0, gamma=0.01),
          InvalidInputError, "K grid must hold integers, got 1.5"),
