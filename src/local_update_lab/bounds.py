@@ -130,12 +130,15 @@ def scheme_q_eigenvalues(
 
 @dataclass(frozen=True)
 class KappaReport:
-    """Exact condition number of the surrogate plus the family bound.
+    """Lemma 2's condition number of the surrogate plus the family bound.
 
     kappa_exact = l_tilde / mu_tilde with l_tilde = E_i[lambda_max(Q_i A_i)]
-    and mu_tilde = E_i[lambda_min(Q_i A_i)]; kappa_bound is the phi/psi closed
-    form when theta belongs to a covered family and its precondition holds,
-    else None.
+    and mu_tilde = E_i[lambda_min(Q_i A_i)], an upper bound on cond(E_i[Q_i
+    A_i]). The two are equal when all clients' extreme eigenvalues of Q_i A_i
+    lie on the same two eigenvectors; a shared eigenbasis is not enough
+    (diag(1, 10) and diag(10, 1) average to cond 1). kappa_bound is the
+    phi/psi closed form when theta belongs to a covered family and its
+    precondition holds, else None.
     """
 
     kappa_exact: float
@@ -147,8 +150,9 @@ class KappaReport:
 def kappa_exact(
     pop: Population, alpha: float, gamma: float, theta: WeightScheme
 ) -> KappaReport:
-    """Exact condition number from each client's mapped stored spectrum.
+    """Lemma 2's E_i[lambda_max(Q_i A_i)] / E_i[lambda_min(Q_i A_i)], an upper bound on cond(E_i[Q_i A_i]).
 
+    Exact, from each client's mapped stored spectrum; see KappaReport.
     Valid whenever gamma < (ell + alpha)^-1, including the regime where the
     last-gradient map is non-monotone and the psi bound does not apply.
     When a last-gradient map underflows float64 at large K, the extremes are

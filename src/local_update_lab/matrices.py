@@ -74,11 +74,11 @@ def keyed_rng(seed: int, *tags: int) -> np.random.Generator:
 
 
 def symmetrize(a: np.ndarray) -> np.ndarray:
-    """Return 0.5 * (A + A^T); the result is exactly symmetric entrywise."""
+    """0.5 * (A + A^T) of a (d, d) matrix, or of each of a (..., d, d) stack as if passed alone."""
     a = np.asarray(a, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise DimensionMismatchError(f"expected a square matrix, got shape {a.shape}")
-    return 0.5 * (a + a.T)
+    if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
+        raise DimensionMismatchError(f"expected a square matrix or a stack of them, got shape {a.shape}")
+    return 0.5 * (a + a.swapaxes(-1, -2))
 
 
 def real_array(value, name: str, copy: bool = False) -> np.ndarray:
@@ -112,9 +112,10 @@ def check_vector(x, dim: int, name: str) -> np.ndarray:
 
 
 def euclidean_norm(x: np.ndarray) -> float:
-    """||x|| of a real vector, bit-identical to np.linalg.norm(x), but an overflow reads inf silently.
+    """||x|| of a real vector; an overflow reads inf silently.
 
-    np.vdot runs the same BLAS dot as np.linalg.norm without numpy's floating-point error check.
+    np.vdot runs np.linalg.norm's BLAS dot without its floating-point error check, with the
+    same bits for a contiguous x.
     """
     return math.sqrt(np.vdot(x, x))
 
@@ -200,7 +201,7 @@ def check_symmetric_stack(a: np.ndarray, label: Callable[..., str]) -> np.ndarra
         problem = "is not symmetric" if finite[i] else "contains non-finite entries"
         raise InvalidInputError(f"{label(i=i)} {problem}")
     a = a.copy()
-    a[asymmetric] = 0.5 * (m + m.swapaxes(1, 2))
+    a[asymmetric] = symmetrize(m)
     return a
 
 

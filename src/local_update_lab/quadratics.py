@@ -4,7 +4,9 @@ A client i is the quadratic f_i(x) = 0.5 (x - c_i)^T A_i (x - c_i), either
 given directly as (A_i, c_i) or induced by a finite example set, where each
 example z contributes 0.5 (x - c_z)^T B_z (x - c_z) and
 
-    A_i = mean_z B_z,        c_i = A_i^{-1} mean_z (B_z c_z).
+    A_i = mean_z B_z,        c_i = A_i^{-1} mean_z (B_z c_z),
+
+both moments from one stacked sum (_example_moments).
 
 Running K local gradient steps with rate gamma and proximal strength alpha,
 and sending back the theta-weighted sum of local gradients, distorts each
@@ -24,6 +26,8 @@ step over their stacked (n, d, d) matrices (O(K n d^3) flops, in cache-sized
 batches of clients), and surrogate_hessian/gradient/minimizer sum its Q_i
 A_i over the clients in index order, bit-identical to evaluating each client
 alone; empirical_minimizer sums A_i in the same loop, the theta = (1) case.
+One slice loop, _batches, cuts a stack for both the Horner kernel and the
+validating eigh, and every symmetrisation is matrices.symmetrize.
 The eigenvalue route (bounds.scheme_q_eigenvalues, kappa_exact,
 distance_bound) starts from the client spectra a Population stores at
 construction; the verification suites compare the two.
@@ -44,7 +48,6 @@ length K.
 
 from __future__ import annotations
 
-import math
 from collections.abc import Iterator
 from dataclasses import FrozenInstanceError, InitVar, dataclass, field
 
@@ -62,18 +65,20 @@ from .matrices import SpectrumBounds
 # Slack applied when validating spectra / center norms against bounds.
 _BOUNDS_TOL = 1e-9
 
-# Population validation decomposes its clients in stacked batches of at most
-# this many matrix entries: one eigh call for the small populations of the
+# Population validation decomposes its clients in _batches of at most this
+# many matrix entries: one eigh call for the small populations of the
 # verification suites, and no second copy of a large population's matrices
-# (plus their eigenvectors) held at once.
+# (plus their eigenvectors) held at once. The size changes neither bits nor
+# time, only memory: at the Horner size, loading a d = 48, n = 32 file held
+# 547 kB above what it kept, not 212 kB.
 _EIGH_BATCH_ENTRIES = 4096
 
-# The surrogate functions run the Horner kernel on stacked batches of at
-# most this many matrix entries (512 kB per array), so the arrays one step
-# touches stay in a core's L2 cache. One stack of a d = n = 100 population is
-# 8 MB per array and streams through memory on every step: surrogate_minimizer
-# at K = 200 took 1.6x as long as with these batches, and as one client at a
-# time (one BLAS thread, 2 MB L2).
+# The surrogate functions run the Horner kernel on _batches of at most this
+# many entries (512 kB per array), so the arrays one step touches stay in a
+# core's L2 cache. One stack of a d = n = 100 population is 8 MB per array
+# and streams through memory on every step: surrogate_minimizer at K = 200
+# took 1.6x as long (one BLAS thread, 2 MB L2). Half this size took 1.09x as
+# long there, and 1.14x at d = n = 48, K = 1024.
 _HORNER_BATCH_ENTRIES = 65536
 
 
@@ -233,6 +238,17 @@ def _read_only_stack(arrays) -> np.ndarray:
     return stack
 
 
+def _batches(stack: np.ndarray, entries: int) -> Iterator[np.ndarray]:
+    """Consecutive slices of an (n, d, d) stack, each of at most `entries` entries (one matrix at least)."""
+    step = max(1, entries // stack.shape[-1] ** 2)
+    return (stack[i : i + step] for i in range(0, len(stack), step))
+
+
+def _example_moments(b_stack: np.ndarray, c_stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(mean_z B_z, mean_z B_z c_z) of (m, d, d) and (m, d) example stacks, each B_z c_z as if alone."""
+    return b_stack.mean(axis=0), (b_stack @ c_stack[..., None]).mean(axis=0)[..., 0]
+
+
 @dataclass(frozen=True)
 class QuadraticExample:
     """One example z: loss 0.5 (x - c_z)^T B_z (x - c_z).
@@ -290,13 +306,12 @@ class ClientModel:
                 raise DimensionMismatchError("example dimension differs from client dimension")
             b_stack = _read_only_stack([ex.b_matrix for ex in examples])
             c_stack = _read_only_stack([ex.center for ex in examples])
-            a_mean = np.mean(b_stack, axis=0)
+            a_mean, bc_mean = _example_moments(b_stack, c_stack)
             if np.max(np.abs(a_mean - a)) > _BOUNDS_TOL:
                 raise InvalidInputError(
                     "a_matrix does not match the mean of the example matrices "
                     f"(max deviation {np.max(np.abs(a_mean - a)):.3e})"
                 )
-            bc_mean = np.mean([ex.b_matrix @ ex.center for ex in examples], axis=0)
             center_implied = np.linalg.solve(a, bc_mean)
             if np.max(np.abs(center_implied - c)) > _BOUNDS_TOL:
                 raise InvalidInputError(
@@ -315,10 +330,10 @@ class ClientModel:
         examples = tuple(examples)
         if not examples:
             raise InvalidInputError("need at least one example")
-        a = mat.symmetrize(np.mean([ex.b_matrix for ex in examples], axis=0))
-        bc = np.mean([ex.b_matrix @ ex.center for ex in examples], axis=0)
-        center = np.linalg.solve(a, bc)
-        return cls(a_matrix=a, center=center, examples=examples)
+        a_mean, bc = _example_moments(np.stack([ex.b_matrix for ex in examples]),
+                                      np.stack([ex.center for ex in examples]))
+        a = mat.symmetrize(a_mean)
+        return cls(a_matrix=a, center=np.linalg.solve(a, bc), examples=examples)
 
     def __eq__(self, other) -> bool:
         if type(other) is not type(self):
@@ -421,7 +436,6 @@ class Population:
                 raise InvalidInputError("a population takes clients or stacks, not both")
             matrices, centers = _validated_stacks(*_stacks)
             clients = (None,) * len(matrices)
-            dim = matrices.shape[1]
         weights = mat.real_array(self.weights, "weights", copy=True)
         if weights.shape != (len(clients),):
             raise DimensionMismatchError(
@@ -430,12 +444,9 @@ class Population:
         if (weights < 0.0).any() or not np.isfinite(weights).all():
             raise InvalidInputError("weights must be finite and nonnegative")
         mat.check_sums_to_one(weights, "weights")
-        step = max(1, _EIGH_BATCH_ENTRIES // dim**2)
-        spectra = np.concatenate([
-            np.linalg.eigh(matrices[i : i + step])[0] for i in range(0, len(clients), step)
-        ])
-        # sqrt(c . c) is np.linalg.norm(c) bit for bit, without its dispatch
-        norms = np.array([math.sqrt(center.dot(center)) for center in centers])
+        batches = _batches(matrices, _EIGH_BATCH_ENTRIES)
+        spectra = np.concatenate([np.linalg.eigh(batch)[0] for batch in batches])
+        norms = np.array([mat.euclidean_norm(center) for center in centers])
         lowest, highest = spectra[:, 0], spectra[:, -1]
         bounds = self.bounds
         if bounds is None:
@@ -545,18 +556,15 @@ def distortion_matrix(a, alpha: float, gamma: float, theta: WeightScheme) -> np.
         q = q @ m  # a fresh array, so the diagonal add below is in place
         if coeffs[k] != 0.0:
             q[..., diag, diag] += coeffs[k]
-    return 0.5 * (q + q.swapaxes(-1, -2))
+    return mat.symmetrize(q)
 
 
 def _surrogate_hessians(
     pop: Population, alpha: float, gamma: float, theta: WeightScheme
 ) -> Iterator[np.ndarray]:
     """Every client's symmetrised Q_i A_i, in client order, one batch at a time."""
-    step = max(1, _HORNER_BATCH_ENTRIES // pop.dim**2)
-    for i in range(0, pop.n_clients, step):
-        a_stack = pop.matrices[i : i + step]
-        qa = distortion_matrix(a_stack, alpha, gamma, theta) @ a_stack
-        yield from 0.5 * (qa + qa.swapaxes(-1, -2))
+    for a_stack in _batches(pop.matrices, _HORNER_BATCH_ENTRIES):
+        yield from mat.symmetrize(distortion_matrix(a_stack, alpha, gamma, theta) @ a_stack)
 
 
 def _surrogate_client_gradients(
@@ -645,7 +653,7 @@ def minimizer_distance(
     """Euclidean distance between the surrogate and empirical minimizers."""
     x_surrogate = surrogate_minimizer(pop, alpha, gamma, theta)
     x_empirical = empirical_minimizer(pop)
-    return float(np.linalg.norm(x_surrogate - x_empirical))
+    return mat.euclidean_norm(x_surrogate - x_empirical)
 
 
 # ---------------------------------------------------------------------------

@@ -37,7 +37,7 @@ from .engine import (
 )
 from .errors import InvalidInputError
 from .frontier import empirical_rate_crosscheck
-from .matrices import SpectrumBounds, check_count, check_integer, eigh, keyed_rng
+from .matrices import SpectrumBounds, check_count, check_integer, eigh, euclidean_norm, keyed_rng, symmetrize
 from .quadratics import ClientModel, Population, QuadraticExample, WeightScheme
 
 SCHEMA_VERSION = 1
@@ -48,33 +48,24 @@ SCHEMA_VERSION = 1
 # ---------------------------------------------------------------------------
 
 
+def _orthonormal(gaussians: np.ndarray) -> np.ndarray:
+    """Q sign(diag R) for G = QR, a unique Q, of one (d, d) G or each of an (n, d, d) stack as if alone."""
+    q, r = np.linalg.qr(gaussians)
+    return q * np.sign(np.diagonal(r, axis1=-2, axis2=-1))[..., None, :]
+
+
 def random_orthonormal(rng: np.random.Generator, dim: int) -> np.ndarray:
-    q, r = np.linalg.qr(rng.standard_normal((dim, dim)))
-    return q * np.sign(np.diag(r))
+    return _orthonormal(rng.standard_normal((dim, dim)))
 
 
 def _symmetric_from_eigenpairs(basis: np.ndarray, lams: np.ndarray) -> np.ndarray:
-    """basis diag(lams) basis^T, symmetrised; stacked bases or spectra give a stack.
-
-    Every matrix of a stack is bit-identical to building it alone.
-    """
-    m = (basis * lams[..., None, :]) @ basis.swapaxes(-1, -2)
-    return 0.5 * (m + m.swapaxes(-1, -2))
+    """basis diag(lams) basis^T, symmetrised; stacked bases or spectra give a stack, each as if alone."""
+    return symmetrize((basis * lams[..., None, :]) @ basis.swapaxes(-1, -2))
 
 
 def _center_in_ball(rng: np.random.Generator, dim: int, c_radius: float) -> np.ndarray:
     center = rng.standard_normal(dim)
-    norm = math.sqrt(center.dot(center))  # np.linalg.norm(center), bit for bit
-    return center / max(norm, 1e-12) * rng.uniform(0.0, c_radius)
-
-
-def _client_spectrum(
-    rng: np.random.Generator, dim: int, mu: float, ell: float, pin_extremes: bool
-) -> np.ndarray:
-    lams = np.exp(rng.uniform(np.log(mu), np.log(ell), size=dim))
-    if pin_extremes:
-        lams[0], lams[-1] = mu, ell
-    return lams
+    return center / max(euclidean_norm(center), 1e-12) * rng.uniform(0.0, c_radius)
 
 
 def _draw_clients(
@@ -83,8 +74,9 @@ def _draw_clients(
     """n clients' matrices (n, dim, dim) and centers (n, dim), spectra inside [mu, ell].
 
     Each client's numbers are drawn in turn (eigenbasis Gaussian, spectrum,
-    center); the eigenbases then come from one stacked QR, and every matrix
-    is bit-identical to one drawn alone.
+    center); the eigenbases then come from one stacked _orthonormal, the
+    draw of random_orthonormal, and every matrix is bit-identical to one
+    drawn alone.
     """
     centers = np.empty((n, dim))
     if dim == 1:
@@ -96,23 +88,16 @@ def _draw_clients(
     gaussians, spectra = np.empty((n, dim, dim)), np.empty((n, dim))
     for gaussian, spectrum, center in zip(gaussians, spectra, centers):
         gaussian[:] = rng.standard_normal((dim, dim))
-        spectrum[:] = _client_spectrum(rng, dim, mu, ell, pin_extremes)
+        spectrum[:] = np.exp(rng.uniform(np.log(mu), np.log(ell), size=dim))
+        if pin_extremes:
+            spectrum[0], spectrum[-1] = mu, ell
         center[:] = _center_in_ball(rng, dim, c_radius)
-    q, r = np.linalg.qr(gaussians)
-    bases = q * np.sign(np.diagonal(r, axis1=-2, axis2=-1))[:, None, :]
-    return _symmetric_from_eigenpairs(bases, spectra), centers
+    return _symmetric_from_eigenpairs(_orthonormal(gaussians), spectra), centers
 
 
-def random_client(
-    rng: np.random.Generator,
-    dim: int,
-    mu: float,
-    ell: float,
-    c_radius: float,
-    pin_extremes: bool = False,
-) -> ClientModel:
+def random_client(rng: np.random.Generator, dim: int, mu: float, ell: float, c_radius: float) -> ClientModel:
     """Random client with spectrum inside [mu, ell] and center inside the C-ball."""
-    matrices, centers = _draw_clients(rng, 1, dim, mu, ell, c_radius, pin_extremes)
+    matrices, centers = _draw_clients(rng, 1, dim, mu, ell, c_radius, False)
     return ClientModel(a_matrix=matrices[0], center=centers[0])
 
 
@@ -191,13 +176,9 @@ def random_admissible_params(
 
 
 def random_client_with_examples(
-    rng: np.random.Generator,
-    dim_max: int = 4,
-    mu: float = 1.0,
-    ell: float = 10.0,
-    dim: int | None = None,
+    rng: np.random.Generator, dim_max: int = 4, dim: int | None = None
 ) -> ClientModel:
-    """Client backed by a finite example set whose mean matrix is SPD.
+    """Client backed by a finite example set whose mean matrix is SPD, spectrum in [1, 10].
 
     Example matrices are A +/- a symmetric perturbation (paired so the mean
     is exactly A); example centers are arbitrary, the client center follows
@@ -205,11 +186,11 @@ def random_client_with_examples(
     """
     if dim is None:
         dim = int(rng.integers(1, dim_max + 1))
-    base = random_client(rng, dim, mu, ell, c_radius=1.0)
+    base = random_client(rng, dim, 1.0, 10.0, c_radius=1.0)
     n_pairs = int(rng.integers(1, 4))
     examples = []
     for _ in range(n_pairs):
-        s = 0.3 * mu * (lambda g: 0.5 * (g + g.T))(rng.standard_normal((dim, dim)))
+        s = 0.3 * symmetrize(rng.standard_normal((dim, dim)))
         for sign in (1.0, -1.0):
             center = rng.uniform(-1.0, 1.0, size=dim)
             examples.append(QuadraticExample(b_matrix=base.a_matrix + sign * s, center=center))
@@ -217,7 +198,7 @@ def random_client_with_examples(
 
 
 def random_discrete_distribution(
-    rng: np.random.Generator, max_support: int = 8, two_point: bool = False
+    rng: np.random.Generator, two_point: bool = False
 ) -> tb.DiscreteDistribution:
     if two_point:
         values = np.sort(rng.uniform(-5.0, 5.0, size=2))
@@ -226,7 +207,7 @@ def random_discrete_distribution(
         p = rng.uniform(0.05, 0.95)
         probs = np.array([p, 1.0 - p])
     else:
-        n = int(rng.integers(1, max_support + 1))
+        n = int(rng.integers(1, 9))
         values = rng.uniform(-5.0, 5.0, size=n)
         probs = rng.dirichlet(np.ones(n))
     probs = probs / probs.sum()
@@ -397,7 +378,7 @@ def theorem1_client_gap(
     """
     updates = _deterministic_updates(pop.matrices, pop.centers, x, alpha, gamma, theta)
     gaps = [
-        np.linalg.norm(update - row)
+        euclidean_norm(update - row)
         for update, row in zip(updates, qw._surrogate_client_gradients(pop, x, alpha, gamma, theta))
     ]
     return float(np.max(gaps))  # np.max, unlike max(), keeps a NaN
@@ -444,7 +425,7 @@ def check_theorem1_stochastic(rng, trial):
     x = rng.uniform(-2.0, 2.0, size=client.dim)
     predicted = qw.surrogate_gradient(pop, x, alpha, gamma, theta)
     mean = exact_stochastic_mean(client, x, alpha, gamma, theta, batch)
-    return float(np.linalg.norm(mean - predicted)) / (1.0 + float(np.linalg.norm(predicted))), 1
+    return euclidean_norm(mean - predicted) / (1.0 + euclidean_norm(predicted)), 1
 
 
 @suite("theorem2_maml", tag=0x21, threshold=1e-10, trials=100)
@@ -459,7 +440,7 @@ def check_theorem2_maml(rng, trial):
     cfg = RunConfig(alpha=alpha, gamma=gamma, theta=WeightScheme.maml_equivalent(k), rounds=1)
     via_theta = client_update(client, x, cfg)
     via_maml = client_update_maml(client, x, k, gamma, alpha)
-    return float(np.linalg.norm(via_maml - via_theta)), 1
+    return euclidean_norm(via_maml - via_theta), 1
 
 
 @suite("theorem3_rates", tag=0x31, threshold=0.0, trials=50)
@@ -605,8 +586,8 @@ def check_corollary1(rng, trial):
     rounds = 20
     cfg = RunConfig(alpha=alpha, gamma=gamma, theta=theta, rounds=rounds)
     traj = run(pop, x0, cfg, opt)
-    lhs = float(np.linalg.norm(traj.iterates[-1] - x_star))
-    rhs = rho**rounds * float(np.linalg.norm(x0 - x_star_surr)) + tb.distance_bound_from_kappa(
+    lhs = euclidean_norm(traj.iterates[-1] - x_star)
+    rhs = rho**rounds * euclidean_norm(x0 - x_star_surr) + tb.distance_bound_from_kappa(
         kappa, pop.bounds.kappa0, pop.bounds.c_radius
     )
     return lhs - rhs, 1
@@ -641,13 +622,16 @@ def check_seed_determinism(rng, trial):
 
 
 def select_suites(only: str | None) -> list[str]:
-    """Resolve a comma-separated prefix list ('theorem1' matches both variants)."""
-    if not only:
+    """Resolve a comma-separated prefix list ('theorem1' matches both variants); None selects every suite.
+
+    An empty or blank token matches no suite, so it raises like an unknown one.
+    """
+    if only is None:
         return list(SUITES)
     names = []
     for token in only.split(","):
         token = token.strip()
-        matches = [name for name in SUITES if name.startswith(token)]
+        matches = [name for name in SUITES if token and name.startswith(token)]
         if not matches:
             raise InvalidInputError(f"no verification suite matches {token!r}")
         names.extend(m for m in matches if m not in names)

@@ -519,6 +519,10 @@ class TestBadInput:
             ["simulate", "--gamma", "nan", "--theta", "one"],
             ["simulate", "--gamma", "inf", "--theta", "one"],
             ["verify", "--trials", "-1"],
+            ["verify", "--only", "theorem2,", "--trials", "1"],
+            ["verify", "--only", ",", "--trials", "1"],
+            ["verify", "--only", " ", "--trials", "1"],
+            ["verify", "--only", "", "--trials", "1"],
             ["mad-check", "--trials", "0"],
             ["simulate", "--dim", "3", "--gamma", "0.01", "--theta", "first-k", "--k", "3", "--eta", "nan"],
             ["simulate", "--dim", "3", "--gamma", "0.01", "--theta", "first-k", "--k", "3", "--eta", "inf"],

@@ -224,7 +224,7 @@ class TestClientAndPopulation:
             pop.spectra[0, 0] = 0.0
         assert "spectra" not in repr(pop)
 
-    @pytest.mark.parametrize("dim,n_clients", [(1, 7), (12, 6), (30, 10), (48, 5)])
+    @pytest.mark.parametrize("dim,n_clients", [(1, 7), (12, 6), (30, 10), (48, 5), (48, 30)])
     def test_batched_spectra_equal_per_client_eigh(self, dim, n_clients):
         # clients are decomposed in stacked batches (several batches at d = 30
         # and d = 48); every row must equal that client's own eigh bit for bit

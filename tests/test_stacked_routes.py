@@ -230,10 +230,14 @@ def test_surrogate_routes_bit_identical_at_k1024(dim, n):
 
 @pytest.mark.parametrize("batch_entries", [1, 3 * 25 + 1, 1000])
 def test_surrogate_routes_bit_identical_across_batches(batch_entries, monkeypatch):
-    # 1 client per batch, 3 per batch with a short last batch, one batch
+    # 1 client per batch, 3 per batch with a short last batch, one batch, for
+    # both stacked kernels: the Horner kernel and the validating eigh
     monkeypatch.setattr(qw, "_HORNER_BATCH_ENTRIES", batch_entries)
+    monkeypatch.setattr(qw, "_EIGH_BATCH_ENTRIES", batch_entries)
     rng = keyed_rng(13, batch_entries)
     pop = population(rng, 5, 11, zero_weights=True)
+    for row, client in zip(pop.spectra, pop.clients):
+        assert np.array_equal(row, np.linalg.eigh(client.a_matrix)[0])
     x = rng.uniform(-2.0, 2.0, size=5)
     for alpha, theta in zip((0.0, 0.5, 2.0), thetas(rng, 17)):
         assert_routes_equal(pop, x, alpha, 0.9 / (pop.bounds.ell + alpha), theta)

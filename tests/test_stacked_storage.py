@@ -114,9 +114,13 @@ def test_examples_are_read_only_views_of_the_client_stacks():
     assert pop.clients[0] == client
 
 
-def test_from_examples_keeps_its_per_example_arithmetic():
-    client = random_client_with_examples(keyed_rng(7, 2), dim=4)
-    examples = client.examples
+@pytest.mark.parametrize("dim", range(1, 7))
+@pytest.mark.parametrize("n_sets", [1, 4])
+def test_from_examples_keeps_its_per_example_arithmetic(dim, n_sets):
+    # the stacked moments equal the per-example loop, for 2-6 examples and,
+    # pooling four clients' example sets, for 8-24
+    examples = sum((random_client_with_examples(keyed_rng(7, dim, j), dim=dim).examples for j in range(n_sets)), ())
+    client = ClientModel.from_examples(examples)
     mean = np.mean([ex.b_matrix for ex in examples], axis=0)
     a = 0.5 * (mean + mean.T)
     bc = np.mean([ex.b_matrix @ ex.center for ex in examples], axis=0)

@@ -53,6 +53,12 @@ class TestSelection:
         with pytest.raises(InvalidInputError, match="theorem99"):
             select_suites("theorem99")
 
+    @pytest.mark.parametrize("only", ["", " ", ",", "theorem2,", "mad, ,theorem1"])
+    def test_empty_token_matches_nothing(self, only):
+        # an empty prefix would match every name; only None selects every suite
+        with pytest.raises(InvalidInputError, match="no verification suite matches ''"):
+            select_suites(only)
+
 
 class TestReport:
     def test_schema_and_types(self):
