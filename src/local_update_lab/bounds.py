@@ -12,11 +12,13 @@ its matrix-weighted analog.
 
 This module is the eigenvalue route to the surrogate: the client spectra
 stored on a Population (Population.spectra, computed once at construction)
-go through one map, scheme_q_eigenvalues, into kappa_exact and
-distance_bound, with no eigendecomposition per call; kappa_bound maps the
-two floats ell and mu through it. The matrix route of quadratics.py (Horner
-distortion_matrix, surrogate_hessian/gradient/minimizer) builds the same
-objects as matrices; the verification suites compare the two.
+go through the one map, scheme_q_eigenvalues (defined beside WeightScheme in
+quadratics.py and imported here), into kappa_exact and distance_bound, with
+no eigendecomposition per call; kappa_bound maps the two floats ell and mu
+through it. The matrix route of quadratics.py (distortion_matrix,
+surrogate_hessian/gradient/minimizer) builds Q_i from each client's
+eigenpairs through the same map; the verification suites compare both with
+the engine's literal K-step loop.
 """
 
 from __future__ import annotations
@@ -34,35 +36,12 @@ from .matrices import check_symmetric, check_symmetric_stack, real_array
 # whole Y stack with np.linalg.eigh: perfbench traces matrices.eigh in every
 # module namespace that binds it, and its tests look it up in this one.
 from .matrices import eigh  # noqa: F401
-from .quadratics import Population, WeightScheme
-
-# Summation is exact and cheap up to this K; beyond it the geometric closed
-# form avoids accumulating K rounding steps.
-_PHI_SUMMATION_MAX_K = 64
+from .quadratics import Population, WeightScheme, scheme_q_eigenvalues
 
 OPTIMIZER_KINDS = ("plain", "nesterov", "heavy_ball")
 
 # A weighted pair commutes when ||X Y - Y X|| <= _COMMUTE_TOL (1 + ||X|| ||Y||).
 _COMMUTE_TOL = 1e-9
-
-
-def _geometric_sums(xi: np.ndarray, k: int) -> np.ndarray:
-    """sum_{j=0}^{k-1} xi^j for a ratio xi, or elementwise for an array of them.
-
-    Small k is a Horner polynomial. Beyond _PHI_SUMMATION_MAX_K the closed
-    form is used; for 0 < xi it computes (1 - xi^k) via expm1/log1p, since
-    the plain form cancels catastrophically when xi is just below 1 (tiny
-    gamma).
-    """
-    xi = np.asarray(xi, dtype=float)
-    if k <= _PHI_SUMMATION_MAX_K:
-        return np.polynomial.polynomial.polyval(xi, np.ones(k))
-    sums = np.full(xi.shape, float(k))
-    positive = (xi > 0.0) & (xi != 1.0)
-    other = ~(xi > 0.0)
-    sums[positive] = -np.expm1(k * np.log1p(xi[positive] - 1.0)) / (1.0 - xi[positive])
-    sums[other] = (1.0 - xi[other] ** k) / (1.0 - xi[other])
-    return sums
 
 
 def maml_bound_applies(ell: float, alpha: float, gamma: float, k: int) -> bool:
@@ -106,26 +85,6 @@ def kappa_bound(mu: float, ell: float, alpha: float, gamma: float, theta: Weight
         ratio = top / bottom
     # provably >= 1 here; the max() only strips a possible trailing-ulp dip
     return max(1.0, ratio)
-
-
-def scheme_q_eigenvalues(
-    lams: np.ndarray, alpha: float, gamma: float, theta: WeightScheme
-) -> np.ndarray:
-    """Eigenvalues q(lam) of the distortion matrix at matrix eigenvalues lams.
-
-    lams may be a float or have any shape; a Population's (n_clients, dim)
-    spectra map in one call, a float in scalar arithmetic. Uses the closed
-    geometric form for the two named weight families (O(1) per eigenvalue
-    even for K ~ 1e6) and direct polynomial evaluation for a general theta.
-    """
-    lams = np.asarray(lams, dtype=float)[()]
-    xi = 1.0 - gamma * (lams + alpha)
-    kind, k, coeff = theta.structure()
-    if kind == "last_only":
-        return coeff * xi ** (k - 1)
-    if kind == "uniform_prefix":
-        return coeff * _geometric_sums(xi, k)
-    return np.polynomial.polynomial.polyval(xi, theta.coefficients[:k])
 
 
 @dataclass(frozen=True)
@@ -189,24 +148,36 @@ def kappa_exact(
     )
 
 
+def _log_mapped_spectra(
+    spectra: np.ndarray, alpha: float, gamma: float, theta: WeightScheme
+) -> np.ndarray | None:
+    """log(q(lam) lam) of each entry of spectra under a last-only theta, or None.
+
+    q(lam) lam = theta_K xi^(K-1) lam is positive when every lam and xi = 1 -
+    gamma (lam + alpha) is, but underflows float64 at large K; its log,
+    log theta_K + log lam + (K-1) log xi, does not. None for another scheme,
+    or when some lam or xi is not positive (the map itself is then
+    nonpositive).
+    """
+    kind, k, coeff = theta.structure()
+    xi = 1.0 - gamma * (spectra + alpha)
+    if kind != "last_only" or not ((spectra > 0.0).all() and (xi > 0.0).all()):
+        return None
+    return math.log(coeff) + np.log(spectra) + (k - 1) * np.log(xi)
+
+
 def _log_expected_extremes(
     pop: Population, alpha: float, gamma: float, theta: WeightScheme
 ) -> tuple[float, float] | None:
     """(log E_i[max_j m_ij], log E_i[min_j m_ij]) of a last-only theta's mapped spectra m.
 
-    m_ij = theta_K xi_ij^(K-1) lam_ij is positive when every lam and xi = 1 -
-    gamma (lam + alpha) is, but underflows float64 at large K; its log,
-    log theta_K + log lam + (K-1) log xi, does not. The expectations run over
-    the clients with positive weight, as a log-sum-exp. None for another
-    scheme, or when some lam or xi is not positive (the map itself is then
-    nonpositive).
+    The logs of m come from _log_mapped_spectra (None there is None here),
+    and the expectations run over the clients with positive weight, as a
+    log-sum-exp.
     """
-    kind, k, coeff = theta.structure()
-    lams = pop.spectra
-    xi = 1.0 - gamma * (lams + alpha)
-    if kind != "last_only" or not ((lams > 0.0).all() and (xi > 0.0).all()):
+    logs = _log_mapped_spectra(pop.spectra, alpha, gamma, theta)
+    if logs is None:
         return None
-    logs = math.log(coeff) + np.log(lams) + (k - 1) * np.log(xi)
     weighted = pop.weights > 0.0
     log_weights = np.log(pop.weights[weighted])
 
@@ -260,12 +231,20 @@ def distance_bound(
     With b the largest and a the smallest distortion eigenvalue across
     clients, the bound is const * C * (sqrt(b) - sqrt(a)) / (sqrt(b) + sqrt(a))
     with C the population's c_radius and const = 2 in dimension one and 8
-    otherwise.
+    otherwise. When every mapped eigenvalue underflows to 0 (a last-only
+    scheme at large K), sqrt(a/b) is taken from their logs instead.
     """
     qw.require_contractive(pop.bounds, alpha, gamma)
     q_eigs = scheme_q_eigenvalues(pop.spectra, alpha, gamma, theta)
     b, a = float(q_eigs.max()), float(q_eigs.min())
     constant = 2.0 if pop.dim == 1 else 8.0
+    if b == 0.0:
+        logs = _log_mapped_spectra(pop.spectra, alpha, gamma, theta)
+        if logs is None:
+            raise ConditioningError("every distortion eigenvalue is zero")
+        log_q = logs - np.log(pop.spectra)
+        root = math.exp(0.5 * (log_q.min() - log_q.max()))  # sqrt(a / b)
+        return float(constant * pop.bounds.c_radius * (1.0 - root) / (1.0 + root))
     sb, sa = np.sqrt(b), np.sqrt(a)
     return float(constant * pop.bounds.c_radius * (sb - sa) / (sb + sa))
 

@@ -20,30 +20,24 @@ Hessians/gradients/minimizers, and measures the gap between the surrogate
 and empirical optima. Everything is immutable after construction and all
 operations are pure.
 
-The functions here are the matrix route to the surrogate: the Horner kernel
-distortion_matrix evaluates the clients' Q_i with one batched matmul per
-step over their stacked (n, d, d) matrices (O(K n d^3) flops, in cache-sized
-batches of clients), and surrogate_hessian/gradient/minimizer sum its Q_i
-A_i over the clients in index order, bit-identical to evaluating each client
-alone; empirical_minimizer sums A_i in the same loop, the theta = (1) case.
-One slice loop, _batches, cuts a stack for both the Horner kernel and the
-validating eigh, and every symmetrisation is matrices.symmetrize.
-The eigenvalue route (bounds.scheme_q_eigenvalues, kappa_exact,
-distance_bound) starts from the client spectra a Population stores at
-construction; the verification suites compare the two.
+The matrix route to the surrogate lives here: distortion_matrix builds the
+clients' Q_i from their eigenpairs, Q_i = V_i diag(q(lam_i)) V_i^T with the
+one eigenvalue map q of scheme_q_eigenvalues, so Q_i has one definition and
+a surrogate system costs the same at every K. surrogate_hessian, gradient
+and minimizer sum Q_i A_i over the clients in index order, bit-identical to
+evaluating each client alone; empirical_minimizer sums A_i in the same loop,
+the theta = (1) case. One slice loop, _batches, cuts a stack for both eigh
+loops, and every symmetrisation is matrices.symmetrize. The eigenvalue route
+(kappa_exact, distance_bound in bounds.py) maps the client spectra a
+Population stores at construction through the same q, and the engine's
+literal K-step loop is the independent route the verification suites
+compare both against. Each surrogate query builds its system afresh; a
+Population stores no eigenvectors and no surrogate.
 
-A Population remembers one surrogate system: the sums E_i[Q_i A_i] and
-E_i[Q_i A_i c_i] at the (alpha, gamma, theta) it was last asked about, one
-d x d matrix and one d-vector. surrogate_hessian and surrogate_minimizer (and
-so minimizer_distance, auto-tuning and the trajectory export) reuse it while
-the query stays at that point, so a run of queries on one point runs the
-Horner kernel once; a query at another point replaces it. Each call still
-makes its own checks and returns fresh arrays, bit-identical to a fresh
-population's. The named weight schemes (first_k, last_only, single,
-maml_equivalent) are records (kind, K, theta), O(1) in K: their coefficient
-vector is built when first read, which only the Horner kernel and the engine
-do, so the eigenvalue route and its K sweeps to 1e6 allocate nothing of
-length K.
+The named weight schemes (first_k, last_only, single, maml_equivalent) are
+records (kind, K, theta), O(1) in K: their coefficient vector is built when
+first read, which only the engine does, so the map and its K sweeps to 1e6
+allocate nothing of length K.
 """
 
 from __future__ import annotations
@@ -65,21 +59,17 @@ from .matrices import SpectrumBounds
 # Slack applied when validating spectra / center norms against bounds.
 _BOUNDS_TOL = 1e-9
 
-# Population validation decomposes its clients in _batches of at most this
-# many matrix entries: one eigh call for the small populations of the
-# verification suites, and no second copy of a large population's matrices
-# (plus their eigenvectors) held at once. The size changes neither bits nor
-# time, only memory: at the Horner size, loading a d = 48, n = 32 file held
-# 547 kB above what it kept, not 212 kB.
+# Population validation and the surrogate functions decompose a stack in
+# _batches of at most this many matrix entries: one eigh call for the small
+# populations of the verification suites, and no second copy of a large
+# population's matrices (plus their eigenvectors) held at once. The size
+# changes neither bits nor time, only memory: at 65536 entries, loading a
+# d = 48, n = 32 file held 547 kB above what it kept, not 212 kB.
 _EIGH_BATCH_ENTRIES = 4096
 
-# The surrogate functions run the Horner kernel on _batches of at most this
-# many entries (512 kB per array), so the arrays one step touches stay in a
-# core's L2 cache. One stack of a d = n = 100 population is 8 MB per array
-# and streams through memory on every step: surrogate_minimizer at K = 200
-# took 1.6x as long (one BLAS thread, 2 MB L2). Half this size took 1.09x as
-# long there, and 1.14x at d = n = 48, K = 1024.
-_HORNER_BATCH_ENTRIES = 65536
+# Summation is exact and cheap up to this K; beyond it the geometric closed
+# form avoids accumulating K rounding steps.
+_PHI_SUMMATION_MAX_K = 64
 
 
 class WeightScheme:
@@ -92,12 +82,13 @@ class WeightScheme:
     realising exact MAML on quadratics.
 
     A named scheme is its record (kind, K, theta) and takes O(1) memory in
-    K: size and structure() read the record, and the read-only
-    coefficient vector is built the first time coefficients is read (by the
-    Horner kernel, the engine or polyval). A general scheme copies and
-    classifies its coefficients once. Two schemes are equal when they weight
-    the first K(theta) gradients alike: equal structure(), and for a general
-    scheme equal active coefficients (trailing zeros are inert).
+    K: size and structure() read the record, and the read-only coefficient
+    vector is built the first time coefficients is read (by the engine). A
+    general scheme copies and classifies its coefficients once. Two schemes
+    are equal when they weight the first K(theta) gradients alike: equal
+    structure(), and for a general scheme equal active coefficients
+    (trailing zeros are inert). scheme_q_eigenvalues maps eigenvalues of A
+    through a scheme's q.
     """
 
     def __init__(self, coefficients):
@@ -206,6 +197,48 @@ class WeightScheme:
         raise FrozenInstanceError(f"cannot delete field {name!r}")
 
 
+def _geometric_sums(xi: np.ndarray, k: int) -> np.ndarray:
+    """sum_{j=0}^{k-1} xi^j for a ratio xi, or elementwise for an array of them.
+
+    Small k is a Horner polynomial. Beyond _PHI_SUMMATION_MAX_K the closed
+    form is used; for 0 < xi it computes (1 - xi^k) via expm1/log1p, since
+    the plain form cancels catastrophically when xi is just below 1 (tiny
+    gamma).
+    """
+    xi = np.asarray(xi, dtype=float)
+    if k <= _PHI_SUMMATION_MAX_K:
+        return np.polynomial.polynomial.polyval(xi, np.ones(k))
+    sums = np.full(xi.shape, float(k))
+    positive = (xi > 0.0) & (xi != 1.0)
+    other = ~(xi > 0.0)
+    sums[positive] = -np.expm1(k * np.log1p(xi[positive] - 1.0)) / (1.0 - xi[positive])
+    sums[other] = (1.0 - xi[other] ** k) / (1.0 - xi[other])
+    return sums
+
+
+def scheme_q_eigenvalues(
+    lams: np.ndarray, alpha: float, gamma: float, theta: WeightScheme
+) -> np.ndarray:
+    """Eigenvalues q(lam) of the distortion matrix at matrix eigenvalues lams.
+
+    The one definition of q: distortion_matrix maps each client's
+    eigenvalues through it, and bounds.py's eigenvalue route the stored
+    spectra. lams may be a float or have any shape; a Population's
+    (n_clients, dim) spectra map in one call, a float in scalar arithmetic.
+    Uses the closed geometric form for the two named weight families (O(1)
+    per eigenvalue even for K ~ 1e6) and direct polynomial evaluation for a
+    general theta.
+    """
+    lams = np.asarray(lams, dtype=float)[()]
+    xi = 1.0 - gamma * (lams + alpha)
+    kind, k, coeff = theta.structure()
+    if kind == "last_only":
+        return coeff * xi ** (k - 1)
+    if kind == "uniform_prefix":
+        return coeff * _geometric_sums(xi, k)
+    return np.polynomial.polynomial.polyval(xi, theta.coefficients[:k])
+
+
 def _own_matrix_and_center(model, name: str) -> tuple[np.ndarray, np.ndarray]:
     """Store read-only validated copies of model's matrix field `name` and center; return them."""
     matrix = mat.check_symmetric(getattr(model, name), name, copy=True)
@@ -238,9 +271,9 @@ def _read_only_stack(arrays) -> np.ndarray:
     return stack
 
 
-def _batches(stack: np.ndarray, entries: int) -> Iterator[np.ndarray]:
-    """Consecutive slices of an (n, d, d) stack, each of at most `entries` entries (one matrix at least)."""
-    step = max(1, entries // stack.shape[-1] ** 2)
+def _batches(stack: np.ndarray) -> Iterator[np.ndarray]:
+    """Consecutive slices of an (n, d, d) stack, each of at most _EIGH_BATCH_ENTRIES entries (one matrix at least)."""
+    step = max(1, _EIGH_BATCH_ENTRIES // stack.shape[-1] ** 2)
     return (stack[i : i + step] for i in range(0, len(stack), step))
 
 
@@ -330,6 +363,8 @@ class ClientModel:
         examples = tuple(examples)
         if not examples:
             raise InvalidInputError("need at least one example")
+        if any(ex.dim != examples[0].dim for ex in examples):
+            raise DimensionMismatchError("all examples must share one dimension")
         a_mean, bc = _example_moments(np.stack([ex.b_matrix for ex in examples]),
                                       np.stack([ex.center for ex in examples]))
         a = mat.symmetrize(a_mean)
@@ -402,11 +437,6 @@ class Population:
     per client); the eigenvalue route of bounds.py maps it instead of
     decomposing again.
 
-    A population also remembers its latest surrogate system (see
-    _surrogate_sums): one d x d matrix and one d-vector, replaced when a
-    query asks for another (alpha, gamma, theta). It takes no part in
-    equality.
-
     weights is a read-only copy of the caller's array. Two populations are
     equal when their clients, weights and bounds are.
     """
@@ -419,7 +449,6 @@ class Population:
     matrices: np.ndarray = field(init=False, compare=False, repr=False)
     centers: np.ndarray = field(init=False, compare=False, repr=False)
     spectra: np.ndarray = field(init=False, compare=False, repr=False)
-    _surrogate_memo: tuple | None = field(default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self, _stacks):
         if _stacks is None:
@@ -444,7 +473,7 @@ class Population:
         if (weights < 0.0).any() or not np.isfinite(weights).all():
             raise InvalidInputError("weights must be finite and nonnegative")
         mat.check_sums_to_one(weights, "weights")
-        batches = _batches(matrices, _EIGH_BATCH_ENTRIES)
+        batches = _batches(matrices)
         spectra = np.concatenate([np.linalg.eigh(batch)[0] for batch in batches])
         norms = np.array([mat.euclidean_norm(center) for center in centers])
         lowest, highest = spectra[:, 0], spectra[:, -1]
@@ -532,38 +561,31 @@ def require_contractive(bounds: SpectrumBounds, alpha: float, gamma: float) -> N
 def distortion_matrix(a, alpha: float, gamma: float, theta: WeightScheme) -> np.ndarray:
     """Distortion matrix Q = sum_k theta_k (I - gamma (A + alpha I))^(k-1), symmetrised.
 
-    The Horner kernel of the matrix route, O(K d^3) per client. a is one
-    (d, d) client matrix or an (n, d, d) stack of them, and the result has
-    its shape. One Horner step is one matmul over the whole stack, which runs
-    the same matrix product per client, so every slice of a stacked call is
-    bit-identical to that client's matrix passed alone. A step with theta_k
-    != 0 then adds theta_k to the diagonal of the new product in place, the
-    same bits as adding theta_k I: that sum's off-diagonal + 0.0 could only
-    turn a -0.0 into +0.0, and a matmul sums from +0.0. Q is an exact
-    polynomial in A, hence commutes with it. Accepts any finite gamma >= 0;
-    positive definiteness needs gamma < (ell + alpha)^-1.
+    Q is a polynomial in A, so it has A's eigenvectors V and the eigenvalues
+    q(lam) of scheme_q_eigenvalues: Q = V diag(q(lam)) V^T, from one eigh of
+    a at the same cost for every K (Higham, Functions of Matrices, 2008). a
+    is one symmetric (d, d) client matrix or an (n, d, d) stack of them, and
+    the result has its shape. eigh and the matmul run the same computation
+    per matrix, so every slice of a stacked call is bit-identical to that
+    client's matrix passed alone. Accepts any finite gamma >= 0; positive
+    definiteness needs gamma < (ell + alpha)^-1.
     """
     a = mat.real_array(a, "a")
     if a.ndim not in (2, 3) or a.shape[-1] != a.shape[-2] or a.size == 0:
         raise DimensionMismatchError(f"a must be a (d, d) matrix or an (n, d, d) stack, got shape {a.shape}")
     mat.check_rates(alpha, gamma)
-    coeffs = theta.coefficients[: theta.size]
-    eye = np.eye(a.shape[-1])
-    diag = np.arange(a.shape[-1])
-    m = (1.0 - gamma * alpha) * eye - gamma * a
-    q = np.broadcast_to(coeffs[-1] * eye, a.shape)
-    for k in range(len(coeffs) - 2, -1, -1):
-        q = q @ m  # a fresh array, so the diagonal add below is in place
-        if coeffs[k] != 0.0:
-            q[..., diag, diag] += coeffs[k]
-    return mat.symmetrize(q)
+    d = a.shape[-1]
+    a = mat.check_symmetric_stack(a.reshape(-1, d, d), ("a[{i}]" if a.ndim == 3 else "a").format).reshape(a.shape)
+    lams, v = np.linalg.eigh(a)
+    q = scheme_q_eigenvalues(lams, alpha, gamma, theta)
+    return mat.symmetrize((v * q[..., None, :]) @ v.swapaxes(-1, -2))
 
 
 def _surrogate_hessians(
     pop: Population, alpha: float, gamma: float, theta: WeightScheme
 ) -> Iterator[np.ndarray]:
     """Every client's symmetrised Q_i A_i, in client order, one batch at a time."""
-    for a_stack in _batches(pop.matrices, _HORNER_BATCH_ENTRIES):
+    for a_stack in _batches(pop.matrices):
         yield from mat.symmetrize(distortion_matrix(a_stack, alpha, gamma, theta) @ a_stack)
 
 
@@ -585,32 +607,11 @@ def _weighted_system(pop: Population, hessians) -> tuple[np.ndarray, np.ndarray]
     return mat.symmetrize(h), rhs
 
 
-def _surrogate_sums(
-    pop: Population, alpha: float, gamma: float, theta: WeightScheme
-) -> tuple[np.ndarray, np.ndarray]:
-    """The read-only surrogate system E_i[Q_i A_i] (symmetrised) and E_i[Q_i A_i c_i].
-
-    The population remembers it for its latest (alpha, gamma, theta), the
-    floats compared bit for bit and theta by value, so a run of queries on
-    one point (surrogate_hessian, then surrogate_minimizer, then
-    minimizer_distance) runs the Horner kernel once. Callers build fresh
-    arrays from it and keep their own checks: this adds none.
-    """
-    key = (float(alpha).hex(), float(gamma).hex(), theta)
-    memo = pop._surrogate_memo
-    if memo is not None and memo[0] == key:
-        return memo[1], memo[2]
-    h, rhs = _weighted_system(pop, _surrogate_hessians(pop, alpha, gamma, theta))
-    h.flags.writeable = rhs.flags.writeable = False
-    object.__setattr__(pop, "_surrogate_memo", (key, h, rhs))
-    return h, rhs
-
-
 def surrogate_hessian(
     pop: Population, alpha: float, gamma: float, theta: WeightScheme
 ) -> np.ndarray:
     """Hessian of the surrogate loss: E_i[Q_i A_i]."""
-    return _surrogate_sums(pop, alpha, gamma, theta)[0].copy()
+    return _weighted_system(pop, _surrogate_hessians(pop, alpha, gamma, theta))[0]
 
 
 def surrogate_gradient(
@@ -633,7 +634,10 @@ def surrogate_minimizer(
     convex.
     """
     require_contractive(pop.bounds, alpha, gamma)
-    return np.linalg.solve(*_surrogate_sums(pop, alpha, gamma, theta))
+    try:
+        return np.linalg.solve(*_weighted_system(pop, _surrogate_hessians(pop, alpha, gamma, theta)))
+    except np.linalg.LinAlgError as exc:  # every mapped eigenvalue can underflow, e.g. last-only at large K
+        raise ConditioningError("surrogate Hessian is singular") from exc
 
 
 def empirical_minimizer(pop: Population) -> np.ndarray:

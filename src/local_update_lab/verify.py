@@ -371,10 +371,11 @@ def theorem1_client_gap(
 ) -> float:
     """Worst ||deterministic client update - Q_i A_i (x - c_i)|| over the clients at x.
 
-    The engine's batched kernel updates every client in one call, and the
-    rows of quadratics' per-client surrogate gradients come from the stacked
-    Horner kernel; each row of either is bit-identical to that client
-    computed alone. If any gap is NaN, so is the result.
+    The engine's batched K-step kernel updates every client in one call, and
+    the rows of quadratics' per-client surrogate gradients come from the
+    stacked eigenpair kernel distortion_matrix; each row of either is
+    bit-identical to that client computed alone. If any gap is NaN, so is
+    the result.
     """
     updates = _deterministic_updates(pop.matrices, pop.centers, x, alpha, gamma, theta)
     gaps = [
@@ -469,9 +470,10 @@ def check_lemma1_positive_definite(rng, trial):
     """Distortion matrices are positive definite for contractive gamma.
 
     Positivity is read off the eigenvalue map q(lambda_i) of each client's
-    stored spectrum. True minima reach 1e-30, far below eigh's rounding floor
-    eps * ||Q_i|| on the Horner matrix, so only the map can certify them; the
-    Horner route's agreement with the map is a Tier-1 test.
+    stored spectrum, the same map distortion_matrix builds Q_i from. True
+    minima reach 1e-30, far below eigh's rounding floor eps * ||Q_i|| on the
+    matrix, so only the map can certify them; the matrix Q_i's agreement
+    with the map is a Tier-1 test.
     """
     pop = random_population(rng, max_dim=12, max_clients=6)
     alpha, gamma, theta = random_admissible_params(rng, pop.bounds.ell, k_max=30)
@@ -484,7 +486,8 @@ def check_lemma2_condition_bound(rng, trial):
     """cond(surrogate Hessian) <= kappa_exact (expectation of extremes).
 
     Relative violation: the two sides come from different numerical routes
-    (matrix polynomial + eigh vs scalar eigenvalue maps), so equality cases
+    (eigh of the assembled sum of V_i diag(q) V_i^T A_i vs scalar eigenvalue
+    maps of the stored spectra), so equality cases
     agree only to relative rounding.
     """
     pop = random_population(rng, max_dim=12, max_clients=6)

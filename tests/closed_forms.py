@@ -1,16 +1,17 @@
-"""Test references: the paper's closed forms phi and psi, and the full-add Horner kernel.
+"""Test references: the paper's closed forms phi and psi, and the Horner distortion polynomial.
 
-kappa_bound maps ell and mu through bounds.scheme_q_eigenvalues; phi and psi
-are the two families' own formulas, each with its own xi, so the tests can
-compare the two routes bit for bit. full_add_distortion_matrix is the
-Horner kernel that adds theta_k I on every step, against which
-quadratics.distortion_matrix's diagonal-only add is compared bit for bit.
+kappa_bound maps ell and mu through scheme_q_eigenvalues; phi and psi are
+the two families' own formulas, each with its own xi, so the tests can
+compare the two routes bit for bit. horner_distortion_matrix evaluates
+Q = sum_k theta_k (I - gamma (A + alpha I))^(k-1) literally, one matmul per
+step, against which quadratics.distortion_matrix (built from A's eigenpairs)
+is compared within a tolerance.
 """
 
 import numpy as np
 
-from local_update_lab.bounds import _geometric_sums
-from local_update_lab.matrices import check_count
+from local_update_lab.matrices import check_count, check_rates
+from local_update_lab.quadratics import _geometric_sums
 
 
 def phi(lam: float, alpha: float, gamma: float, k: int) -> float:
@@ -27,8 +28,9 @@ def psi(lam: float, alpha: float, gamma: float, k: int) -> float:
     return xi ** (k - 1) * lam
 
 
-def full_add_distortion_matrix(a, alpha, gamma, theta):
-    """sum_k theta_k (I - gamma (A + alpha I))^(k-1), symmetrised, adding theta_k I to the whole stack."""
+def horner_distortion_matrix(a, alpha, gamma, theta):
+    """sum_k theta_k (I - gamma (A + alpha I))^(k-1), symmetrised, for a (d, d) matrix or an (n, d, d) stack."""
+    check_rates(alpha, gamma)
     coeffs = theta.coefficients[: theta.size]
     eye = np.eye(a.shape[-1])
     m = (1.0 - gamma * alpha) * eye - gamma * a

@@ -26,14 +26,13 @@ from local_update_lab import (
     tightness_case_b2,
 )
 from local_update_lab.bounds import (
-    _geometric_sums,
     maml_bound_applies,
     scheme_q_eigenvalues,
     tightness_population,
 )
 from local_update_lab.errors import ConditioningError, InvalidInputError
 from local_update_lab.matrices import eigh, keyed_rng, symmetrize
-from local_update_lab.quadratics import require_contractive
+from local_update_lab.quadratics import _geometric_sums, require_contractive
 from local_update_lab.verify import (
     random_commuting_family,
     random_orthonormal,
@@ -480,6 +479,23 @@ class TestDistanceBound:
         bound = distance_bound(pop, 0.0, 0.125, WeightScheme.last_only(200))
         assert bound >= 1.999
         assert bound <= 2.0
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("k", [1000, 2000, 6000, 10**6])
+    def test_last_only_bound_where_every_mapped_eigenvalue_underflows(self, k):
+        # from K of about 5300 on both q = (1 - lam / 8)^(K-1) underflow to 0;
+        # sqrt(a / b) = (4/7)^((K-1)/2) then comes from their logs
+        assert distance_bound(tightness_population(0.999), 0.0, 0.125, WeightScheme.last_only(k)) == 2.0
+        # two close spectra keep a / b = (0.49995 / 0.5)^(K-1) away from 0
+        clients = [ClientModel(a_matrix=np.array([[lam]]), center=np.array([1.0])) for lam in (1.0, 1.0001)]
+        pop = Population.uniform(clients, SpectrumBounds(mu=1.0, ell=1.0001, c_radius=1.0))
+        root = math.exp(0.5 * (k - 1) * (math.log(0.49995) - math.log(0.5)))
+        assert distance_bound(pop, 0.0, 0.5, WeightScheme.last_only(k)) == pytest.approx(
+            2.0 * (1.0 - root) / (1.0 + root), rel=1e-9
+        )
+        if k >= 6000:  # a general scheme has no log form: its all-zero map is an error, not NaN
+            with pytest.raises(ConditioningError, match="every distortion eigenvalue is zero"):
+                distance_bound(pop, 0.0, 0.5, WeightScheme([0.0] * (k - 2) + [1.0, 2.0]))
 
     def test_dominates_measured_distance(self):
         for trial in range(40):

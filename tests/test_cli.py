@@ -177,20 +177,6 @@ class TestSimulateCommand:
         last = out.read_text().strip().split("\n")[-1].split(",")
         assert float(last[-1]) <= 1e-8  # dist_to_empirical_opt
 
-    @pytest.mark.parametrize("fmt", ["csv", "json"])
-    def test_auto_round_run_assembles_the_surrogate_once(self, fmt, tmp_path, monkeypatch):
-        # auto-tuning, the auto round count and the written distances all
-        # read one surrogate system: one Horner kernel call for the run
-        from local_update_lab import quadratics
-
-        calls = []
-        kernel = quadratics.distortion_matrix
-        monkeypatch.setattr(quadratics, "distortion_matrix", lambda *args: calls.append(1) or kernel(*args))
-        code = run_cli(["simulate", "--gamma", "0.02", "--theta", "first-k", "--k", "6", "--dim", "4",
-                        "--n-clients", "3", "--format", fmt, "--out", str(tmp_path / f"traj.{fmt}")])
-        assert code == 0
-        assert len(calls) == 1
-
     def test_population_file_input(self, tmp_path):
         pop_file = tmp_path / "pop.txt"
         save_population(tightness_population(0.5), pop_file)
@@ -406,6 +392,13 @@ class TestTightnessCommand:
         row = json.loads(out.read_text())["schemes"]["last_only"]
         assert row["kappa_bound"] == pytest.approx(1.1448724, rel=1e-7)
         assert 0.0 <= row["gap"] <= 1e-10
+
+    def test_b2_singular_surrogate_exit_3(self, tmp_path, capsys):
+        # at K = 6000 both clients' mapped eigenvalues underflow, so H = 0
+        out = tmp_path / "b2.json"
+        assert run_cli(["tightness", "--family", "b2", "--k", "6000", "--out", str(out)]) == 3
+        assert capsys.readouterr().err == "error: surrogate Hessian is singular\n"
+        assert not out.exists()
 
     def test_b3_has_no_last_only_row_outside_the_psi_precondition(self, tmp_path):
         # gamma >= 1/(K ell): no psi bound, and the last-only spectrum would

@@ -7,8 +7,12 @@ file:line. The rules and their homes:
 - a vector's norm, np.linalg.norm or sqrt(x . x): matrices.euclidean_norm;
 - the sign-fixed QR draw: verify._orthonormal;
 - the slice loop over a stack's batches: quadratics._batches, the only
-  reader of the batch sizes;
-- an example set's moment sum B_z c_z: quadratics._example_moments.
+  reader of the one batch size;
+- an example set's moment sum B_z c_z: quadratics._example_moments;
+- the distortion Q_i itself: a scheme's coefficients are read only by the
+  engine's literal K-step loop (engine._local_steps) and by the eigenvalue
+  map (quadratics.scheme_q_eigenvalues), which distortion_matrix and the
+  eigenvalue route share.
 """
 
 import ast
@@ -136,21 +140,26 @@ def test_batch_sizes_are_read_only_by_the_slice_loop():
         for target in node.targets
         if isinstance(target, ast.Name) and "BATCH" in target.id
     }
-    assert constants  # the guard would pass vacuously otherwise
-    batch_arguments = {
-        id(arg)
-        for path, function, node in sites()
-        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_batches"
-        for arg in node.args[1:]
-    }
+    assert len(constants) == 1  # one batch size, and the guard would pass vacuously without it
     readers = [
         f"{path.name}:{node.lineno}"
         for path, function, node in sites()
         if isinstance(node, ast.Name) and node.id in constants and isinstance(node.ctx, ast.Load)
-        and id(node) not in batch_arguments
+        and function != "_batches"
     ]
     assert readers == []
 
 
 def test_one_example_moment_sum():
     assert offending(is_example_product, "_example_moments") == []
+
+
+def test_one_definition_of_the_distortion():
+    homes = {("engine.py", "_local_steps"), ("quadratics.py", "scheme_q_eigenvalues")}
+    readers = {
+        (path.name, function, node.lineno)
+        for path, function, node in sites()
+        if isinstance(node, ast.Attribute) and node.attr == "coefficients"
+    }
+    assert {(name, function) for name, function, _ in readers} >= homes  # not vacuous
+    assert sorted(f"{name}:{line}" for name, function, line in readers if (name, function) not in homes) == []

@@ -33,7 +33,7 @@ from local_update_lab.quadratics import (
 )
 from local_update_lab.verify import random_population, random_theta
 
-from closed_forms import full_add_distortion_matrix
+from closed_forms import horner_distortion_matrix
 
 
 def scalar_client(a, c):
@@ -411,14 +411,19 @@ class TestDistortionMatrix:
                 )
 
     def test_positive_definite_under_contractive_gamma(self):
+        # Q is built from q(lam) > 0, the certificate lemma1_positive_definite
+        # reads; eigh(Q)'s smallest eigenvalue itself can sit below eps * ||Q||,
+        # where its sign is rounding noise
         for trial in range(20):
             rng = keyed_rng(15, trial)
             pop = random_population(rng, max_dim=8, max_clients=4)
             theta = random_theta(keyed_rng(16, trial), k_max=20)
             gamma = float(rng.uniform(0.0, 0.99)) / pop.bounds.ell
-            for client in pop.clients:
+            mapped = scheme_q_eigenvalues(pop.spectra, 0.0, gamma, theta)
+            assert (mapped > 0.0).all()
+            for client, q_eigs in zip(pop.clients, mapped):
                 q = distortion_matrix(client.a_matrix, 0.0, gamma, theta)
-                assert eigh(q).lambda_min > 0.0
+                np.testing.assert_allclose(eigh(q).eigenvalues, np.sort(q_eigs), atol=1e-9)
 
 
 def _stack(kind, rng, d=6, n=3):
@@ -436,12 +441,20 @@ def _stack(kind, rng, d=6, n=3):
     return dense[:1]
 
 
-class TestDiagonalAddHorner:
-    """The kernel adds theta_k on the diagonal only, with the bits of the full theta_k I add."""
+def _relative_gap(got, expected):
+    return float(np.abs(got - expected).max() / np.abs(expected).max())
 
+
+class TestHornerReference:
+    """The eigenpair kernel agrees with the literal Horner polynomial to rounding."""
+
+    # Up to K = 64 q(lam) is well conditioned in lam. A last-only q = xi^1023
+    # is not: its relative condition number is about 1023 gamma lam / xi, and
+    # the two routes' Q then differ by up to 6e-13 relative here, so K = 1024
+    # is compared on the surrogate below, at a small gamma.
     @pytest.mark.parametrize("kind", ["dense", "diagonal", "block_diagonal", "one_client"])
-    @pytest.mark.parametrize("k", [1, 2, 3, 64, 1024])
-    def test_stack_matches_full_add(self, kind, k):
+    @pytest.mark.parametrize("k", [1, 2, 3, 17, 64])
+    def test_stack_matches_horner(self, kind, k):
         rng = keyed_rng(47, k)
         a = _stack(kind, rng)
         ell = float(np.linalg.eigvalsh(a).max())
@@ -450,28 +463,24 @@ class TestDiagonalAddHorner:
         general[-1] = 1.0
         stacks = (a, a[0]) if kind == "one_client" else (a,)
         for theta in (WeightScheme.first_k(k), WeightScheme.last_only(k), WeightScheme(general)):
-            # alpha = 3 ell with gamma beyond 1/(ell + alpha) puts -0.0 off the diagonal of m
             for alpha in (0.0, 3.0 * ell):
-                for gamma in (0.0, 0.5 / (ell + alpha), 1.9 / (ell + alpha)):
+                for gamma in (0.0, 0.5 / (ell + alpha), 0.95 / (ell + alpha)):
                     for stack in stacks:
                         q = distortion_matrix(stack, alpha, gamma, theta)
-                        expected = full_add_distortion_matrix(stack, alpha, gamma, theta)
-                        assert np.array_equal(q, expected)
-                        assert np.array_equal(np.signbit(q), np.signbit(expected))
+                        assert _relative_gap(q, horner_distortion_matrix(stack, alpha, gamma, theta)) <= 1e-12
 
     @pytest.mark.parametrize("named", [WeightScheme.first_k, WeightScheme.last_only])
-    def test_surrogate_bytes_match_full_add_at_d48(self, named, monkeypatch):
+    def test_surrogate_matches_horner_at_d48(self, named, monkeypatch):
         pop = random_population(keyed_rng(48, 0), min_dim=48, max_dim=48, min_clients=48, max_clients=48)
-        reference = Population.from_stacks(pop.matrices, pop.centers, pop.weights, pop.bounds)
         gamma = 1e-3
         for k in (1, 4, 16, 64, 256, 1024):
             theta = named(k)
             h = surrogate_hessian(pop, 0.0, gamma, theta)
             x = surrogate_minimizer(pop, 0.0, gamma, theta)
             with monkeypatch.context() as patch:
-                patch.setattr(qw, "distortion_matrix", full_add_distortion_matrix)
-                assert h.tobytes() == surrogate_hessian(reference, 0.0, gamma, theta).tobytes()
-                assert x.tobytes() == surrogate_minimizer(reference, 0.0, gamma, theta).tobytes()
+                patch.setattr(qw, "distortion_matrix", horner_distortion_matrix)
+                assert _relative_gap(h, surrogate_hessian(pop, 0.0, gamma, theta)) <= 1e-12
+                assert _relative_gap(x, surrogate_minimizer(pop, 0.0, gamma, theta)) <= 1e-12
 
 
 class TestSurrogateHessian:
@@ -608,39 +617,8 @@ class TestMinimizerDistance:
         assert d == pytest.approx(abs(4.125 / 7.875 - 0.6), abs=1e-12)
 
 
-class TestSurrogateMemo:
-    """A population remembers its latest surrogate system, and nothing else changes."""
-
-    @staticmethod
-    def counted_kernel(monkeypatch):
-        calls = []
-        kernel = qw.distortion_matrix
-
-        def counting(*args):
-            calls.append(args[1:3])
-            return kernel(*args)
-
-        monkeypatch.setattr(qw, "distortion_matrix", counting)
-        return calls
-
-    def test_one_kernel_run_per_key(self, monkeypatch):
-        pop = random_population(keyed_rng(41, 0), min_dim=4, max_dim=4, min_clients=3, max_clients=3)
-        calls = self.counted_kernel(monkeypatch)
-        gamma = 0.5 / pop.bounds.ell
-        surrogate_hessian(pop, 0.0, gamma, WeightScheme.first_k(5))
-        surrogate_minimizer(pop, 0.0, gamma, WeightScheme.first_k(5))
-        minimizer_distance(pop, 0.0, gamma, WeightScheme([1.0] * 5))  # equal by value
-        assert len(calls) == 1
-        for alpha, gamma2, theta in (
-            (0.5, gamma, WeightScheme.first_k(5)),
-            (0.5, 0.25 / pop.bounds.ell, WeightScheme.first_k(5)),
-            (0.5, 0.25 / pop.bounds.ell, WeightScheme.last_only(5)),
-            (0.0, gamma, WeightScheme.first_k(5)),  # the memo holds one key only
-        ):
-            before = len(calls)
-            surrogate_minimizer(pop, alpha, gamma2, theta)
-            surrogate_hessian(pop, alpha, gamma2, theta)
-            assert len(calls) == before + 1
+class TestSurrogateQueries:
+    """Every surrogate query builds fresh arrays, equal to a fresh population's, and checks its input."""
 
     def test_results_equal_a_fresh_population_and_stay_unaliased(self):
         pop = random_population(keyed_rng(42, 0), min_dim=5, max_dim=5, min_clients=4, max_clients=4)
@@ -671,12 +649,6 @@ class TestSurrogateMemo:
             surrogate_minimizer(pop, 0.0, 0.3, theta)
         with pytest.raises(InvalidInputError):
             surrogate_hessian(pop, 0.0, float("nan"), theta)
-
-    def test_memo_is_not_part_of_equality_or_repr(self):
-        pop = scalar_pair_population()
-        surrogate_hessian(pop, 0.0, 0.1, WeightScheme.first_k(3))
-        assert pop == scalar_pair_population()
-        assert repr(pop) == repr(scalar_pair_population())
 
 
 def saved_text(pop, tmp_path) -> str:

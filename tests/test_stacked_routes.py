@@ -1,16 +1,16 @@
 """The stacked kernels equal the per-item loops they replaced, bit for bit.
 
-The reference functions below are the per-client Horner loop and surrogate
-assembly, the per-pair matrix-weighted discrepancy and the per-client random
-population, written one client (or pair) at a time. Every comparison is
-np.array_equal or ==, never a tolerance.
+The reference functions below are the per-client eigenpair distortion and
+surrogate assembly, the per-pair matrix-weighted discrepancy and the
+per-client random population, written one client (or pair) at a time. Every
+comparison is np.array_equal or ==, never a tolerance.
 """
 
 import numpy as np
 import pytest
 
 from local_update_lab import quadratics as qw
-from local_update_lab.bounds import matrix_weighted_discrepancy
+from local_update_lab.bounds import matrix_weighted_discrepancy, scheme_q_eigenvalues
 from local_update_lab.cli import main
 from local_update_lab.engine import _deterministic_updates
 from local_update_lab.errors import InvalidInputError
@@ -32,15 +32,8 @@ from local_update_lab.verify import (
 def ref_distortion_matrix(a, alpha, gamma, theta):
     if not (gamma >= 0.0 and alpha >= 0.0):
         raise InvalidInputError("alpha and gamma must be nonnegative")
-    coeffs = theta.coefficients[: theta.size]
-    d = a.shape[0]
-    m = (1.0 - gamma * alpha) * np.eye(d) - gamma * a
-    q = coeffs[-1] * np.eye(d)
-    for k in range(len(coeffs) - 2, -1, -1):
-        q = q @ m
-        if coeffs[k] != 0.0:
-            q = q + coeffs[k] * np.eye(d)
-    return symmetrize(q)
+    lams, v = np.linalg.eigh(a)
+    return symmetrize((v * scheme_q_eigenvalues(lams, alpha, gamma, theta)) @ v.T)
 
 
 def ref_client_surrogate_hessian(client, alpha, gamma, theta):
@@ -185,9 +178,11 @@ def population(rng, dim, n, zero_weights):
 
 
 def assert_routes_equal(pop, x, alpha, gamma, theta):
-    for client in pop.clients:
-        assert np.array_equal(qw.distortion_matrix(client.a_matrix, alpha, gamma, theta),
-                              ref_distortion_matrix(client.a_matrix, alpha, gamma, theta))
+    stacked = qw.distortion_matrix(pop.matrices, alpha, gamma, theta)
+    for q, client in zip(stacked, pop.clients):
+        alone = ref_distortion_matrix(client.a_matrix, alpha, gamma, theta)
+        assert np.array_equal(q, alone)
+        assert np.array_equal(qw.distortion_matrix(client.a_matrix, alpha, gamma, theta), alone)
     assert np.array_equal(qw.surrogate_hessian(pop, alpha, gamma, theta),
                           ref_surrogate_hessian(pop, alpha, gamma, theta))
     assert np.array_equal(qw.surrogate_gradient(pop, x, alpha, gamma, theta),
@@ -231,8 +226,7 @@ def test_surrogate_routes_bit_identical_at_k1024(dim, n):
 @pytest.mark.parametrize("batch_entries", [1, 3 * 25 + 1, 1000])
 def test_surrogate_routes_bit_identical_across_batches(batch_entries, monkeypatch):
     # 1 client per batch, 3 per batch with a short last batch, one batch, for
-    # both stacked kernels: the Horner kernel and the validating eigh
-    monkeypatch.setattr(qw, "_HORNER_BATCH_ENTRIES", batch_entries)
+    # both eigh loops: the surrogate's and the validating one
     monkeypatch.setattr(qw, "_EIGH_BATCH_ENTRIES", batch_entries)
     rng = keyed_rng(13, batch_entries)
     pop = population(rng, 5, 11, zero_weights=True)
@@ -244,11 +238,11 @@ def test_surrogate_routes_bit_identical_across_batches(batch_entries, monkeypatc
 
 
 def test_default_batches_split_a_large_population():
-    # 30 clients at d = 48 are 69120 entries: batches of 28 and 2 clients
+    # 25 clients at d = 20 are 10000 entries: batches of 10, 10 and 5 clients
     rng = keyed_rng(14, 0)
-    pop = population(rng, 48, 30, zero_weights=False)
-    assert pop.n_clients * pop.dim**2 > qw._HORNER_BATCH_ENTRIES
-    assert_routes_equal(pop, rng.uniform(-2.0, 2.0, size=48), 0.5, 0.05, WeightScheme.first_k(12))
+    pop = population(rng, 20, 25, zero_weights=False)
+    assert pop.n_clients * pop.dim**2 > 2 * qw._EIGH_BATCH_ENTRIES
+    assert_routes_equal(pop, rng.uniform(-2.0, 2.0, size=20), 0.5, 0.05, WeightScheme.first_k(12))
 
 
 def test_kernel_rejects_negative_rates_like_the_reference():

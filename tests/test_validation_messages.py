@@ -390,11 +390,21 @@ def _bad_input_config():
         (lambda: Population.from_stacks(np.eye(2)[None], np.zeros((1, 2)), ["x"]), InvalidInputError,
          "weights must be an array of real numbers"),
         (lambda: DiscreteDistribution(["a"], [1.0]), InvalidInputError, "values must be an array of real numbers"),
-        # the Horner kernel takes a client's matrix, or a stack of them
+        # the distortion kernel takes a symmetric client matrix, or a stack of them
         (lambda: distortion_matrix(_bad_input_population().clients[0], 0.0, 0.01, WeightScheme.first_k(2)),
          InvalidInputError, "a must be an array of real numbers"),
         (lambda: distortion_matrix(np.ones((2, 3)), 0.0, 0.01, WeightScheme.first_k(2)), DimensionMismatchError,
          "a must be a (d, d) matrix or an (n, d, d) stack, got shape (2, 3)"),
+        (lambda: distortion_matrix(np.triu(np.ones((2, 2))), 0.0, 0.01, WeightScheme.first_k(2)),
+         InvalidInputError, "a is not symmetric"),
+        (lambda: distortion_matrix(np.stack([np.eye(2), np.triu(np.ones((2, 2)))]), 0.0, 0.01,
+                                   WeightScheme.first_k(2)), InvalidInputError, "a[1] is not symmetric"),
+        (lambda: distortion_matrix(np.diag([1.0, NAN]), 0.0, 0.01, WeightScheme.first_k(2)),
+         InvalidInputError, "a contains non-finite entries"),
+        # examples of different dimensions, before they are stacked
+        (lambda: ClientModel.from_examples([QuadraticExample(np.eye(2), np.zeros(2)),
+                                            QuadraticExample(np.eye(3), np.zeros(3))]),
+         DimensionMismatchError, "all examples must share one dimension"),
         # integer counts
         (lambda: phi(2.0, 0.0, 0.1, 2.5), InvalidInputError, "k must be an integer, got 2.5"),
         (lambda: psi(2.0, 0.0, 0.1, 2.5), InvalidInputError, "k must be an integer, got 2.5"),

@@ -182,7 +182,8 @@ def test_formerly_failing_seeds_pass(seed):
 
 def test_theorem3_trial_decomposes_the_surrogate_once(monkeypatch):
     # one kappa_exact (one map of the population's spectra) and one eigh of H
-    # serve all three optimizers; kappa_bound's scalar maps of mu and ell are
+    # serve all three optimizers; the one surrogate system maps the clients'
+    # eigenvalues once more, and kappa_bound's scalar maps of mu and ell are
     # not counted
     calls = {"eigh": 0, "scheme_q_eigenvalues": 0}
 
@@ -196,9 +197,10 @@ def test_theorem3_trial_decomposes_the_surrogate_once(monkeypatch):
     for module in (matrices, bounds, engine, frontier, verify, cli):  # every module that binds eigh
         monkeypatch.setattr(module, "eigh", eigh)
     spectra_map = counted("scheme_q_eigenvalues", scheme_q_eigenvalues, lambda lams, *rest: np.ndim(lams) == 2)
-    monkeypatch.setattr(bounds, "scheme_q_eigenvalues", spectra_map)
+    for module in (bounds, quadratics):  # every module that binds the map
+        monkeypatch.setattr(module, "scheme_q_eigenvalues", spectra_map)
     assert check_theorem3_rates(0, trials=1).passed
-    assert calls == {"eigh": 1, "scheme_q_eigenvalues": 1}
+    assert calls == {"eigh": 1, "scheme_q_eigenvalues": 2}
 
 
 @pytest.mark.parametrize("seed", [5, 97, 107])
@@ -211,11 +213,11 @@ def test_theorem3_passes_where_per_step_ratios_overshot(seed, tmp_path):
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
-def test_horner_distortion_agrees_with_eigenvalue_map(seed):
-    """On lemma1's own instances, eig(Horner Q_i) equals q(lambda_i) to rounding.
+def test_distortion_agrees_with_eigenvalue_map(seed):
+    """On lemma1's own instances, eig(Q_i) equals q(lambda_i) to rounding.
 
-    By Weyl's inequality the gap is at most the norm of Horner's rounding
-    error, so 1e-12 * max|q| leaves room above the measured 1.6e-14.
+    By Weyl's inequality the gap is at most the norm of Q_i's rounding
+    error, so 1e-12 * max|q| leaves room above eps-level rounding.
     """
     for trial in range(200):
         rng = keyed_rng(seed, 0x41, trial)  # the draws of check_lemma1_positive_definite
@@ -223,8 +225,8 @@ def test_horner_distortion_agrees_with_eigenvalue_map(seed):
         alpha, gamma, theta = random_admissible_params(rng, pop.bounds.ell, k_max=30)
         mapped = np.sort(scheme_q_eigenvalues(pop.spectra, alpha, gamma, theta), axis=1)
         for client, q in zip(pop.clients, mapped):
-            horner = np.sort(np.linalg.eigvalsh(distortion_matrix(client.a_matrix, alpha, gamma, theta)))
-            assert np.max(np.abs(horner - q)) <= 1e-12 * np.max(np.abs(q))
+            spectrum = np.sort(np.linalg.eigvalsh(distortion_matrix(client.a_matrix, alpha, gamma, theta)))
+            assert np.max(np.abs(spectrum - q)) <= 1e-12 * np.max(np.abs(q))
 
 
 @pytest.mark.parametrize("ranges", [
