@@ -196,7 +196,7 @@ def rho_from_kappa(kappa: float, optimizer_kind: str) -> float:
     Nesterov:   1 - 2 / sqrt(3 kappa + 1)
     heavy-ball: (sqrt(kappa) - 1) / (sqrt(kappa) + 1)
     """
-    if kappa < 1.0:
+    if not kappa >= 1.0:
         raise InvalidInputError(f"kappa must be >= 1, got {kappa}")
     if optimizer_kind == "plain":
         return (kappa - 1.0) / (kappa + 1.0)
@@ -214,6 +214,8 @@ def delta_from_kappa(kappa: float, kappa0: float) -> float:
     """Suboptimality (sqrt(kappa0) - sqrt(kappa)) / (sqrt(kappa0) + sqrt(kappa))."""
     if not (1.0 <= kappa):
         raise InvalidInputError(f"kappa must be >= 1, got {kappa}")
+    if not math.isfinite(kappa0):
+        raise InvalidInputError(f"kappa0 must be finite, got {kappa0}")
     if kappa > kappa0:
         raise InvalidInputError(f"kappa={kappa} exceeds kappa0={kappa0}")
     r0, r = np.sqrt(kappa0), np.sqrt(kappa)

@@ -212,6 +212,8 @@ def cmd_maml_sim(args) -> int:
 def _simulate_population(args, seed: int) -> Population:
     if args.population is not None:
         return qw.load_population(args.population)
+    check_count(args.dim, "--dim")
+    check_count(args.n_clients, "--n-clients")
     rng = keyed_rng(seed, 0xA0, 0)
     return random_population(
         rng,

@@ -81,6 +81,11 @@ def symmetrize(a: np.ndarray) -> np.ndarray:
     return 0.5 * (a + a.swapaxes(-1, -2))
 
 
+def symmetric_from_eigenpairs(basis: np.ndarray, lams: np.ndarray) -> np.ndarray:
+    """basis diag(lams) basis^T, symmetrised; stacked bases or spectra give a stack, each as if alone."""
+    return symmetrize((basis * lams[..., None, :]) @ basis.swapaxes(-1, -2))
+
+
 def real_array(value, name: str, copy: bool = False) -> np.ndarray:
     """value as a float64 array, rejecting complex and non-numeric input before the cast.
 
@@ -248,6 +253,8 @@ class SpectrumBounds:
             raise InvalidInputError(f"need 0 < mu <= ell, got mu={self.mu}, ell={self.ell}")
         if not math.isfinite(self.ell):
             raise InvalidInputError(f"mu and ell must be finite, got mu={self.mu}, ell={self.ell}")
+        if not math.isfinite(float(self.ell) / float(self.mu)):  # Python floats: the overflow does not warn
+            raise InvalidInputError(f"ell / mu must be finite, got mu={self.mu}, ell={self.ell}")
         check_c_radius(self.c_radius)
 
     @property

@@ -312,8 +312,8 @@ class QuadraticExample:
 class ClientModel:
     """A client's quadratic loss (A_i, c_i), optionally backed by examples.
 
-    When examples are present they are sampled uniformly, and consistency of
-    (A_i, c_i) with the example moments is validated at construction.
+    ClientModel(a_matrix, center) is a plain client; from_examples is the one
+    way to build a client with examples, which the engine samples uniformly.
     a_matrix and center are read-only copies of the caller's arrays, so a
     later write to those arrays cannot leave a validated object stale; the
     clients of a Population are views of its stacks instead.
@@ -325,37 +325,12 @@ class ClientModel:
 
     a_matrix: np.ndarray
     center: np.ndarray
-    examples: tuple[QuadraticExample, ...] | None = None
+    examples: tuple[QuadraticExample, ...] | None = field(default=None, init=False)
     example_matrices: np.ndarray | None = field(default=None, init=False, compare=False, repr=False)
     example_centers: np.ndarray | None = field(default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        a, c = _own_matrix_and_center(self, "a_matrix")
-        if self.examples is not None:
-            examples = tuple(self.examples)
-            if not examples:
-                raise InvalidInputError("examples, when given, must be nonempty")
-            if any(ex.dim != a.shape[0] for ex in examples):
-                raise DimensionMismatchError("example dimension differs from client dimension")
-            b_stack = _read_only_stack([ex.b_matrix for ex in examples])
-            c_stack = _read_only_stack([ex.center for ex in examples])
-            a_mean, bc_mean = _example_moments(b_stack, c_stack)
-            if np.max(np.abs(a_mean - a)) > _BOUNDS_TOL:
-                raise InvalidInputError(
-                    "a_matrix does not match the mean of the example matrices "
-                    f"(max deviation {np.max(np.abs(a_mean - a)):.3e})"
-                )
-            center_implied = np.linalg.solve(a, bc_mean)
-            if np.max(np.abs(center_implied - c)) > _BOUNDS_TOL:
-                raise InvalidInputError(
-                    "center does not match A^-1 E[B_z c_z] "
-                    f"(max deviation {np.max(np.abs(center_implied - c)):.3e})"
-                )
-            object.__setattr__(self, "examples", tuple(
-                _view(QuadraticExample, b_matrix=b, center=center) for b, center in zip(b_stack, c_stack)
-            ))
-            object.__setattr__(self, "example_matrices", b_stack)
-            object.__setattr__(self, "example_centers", c_stack)
+        _own_matrix_and_center(self, "a_matrix")
 
     @classmethod
     def from_examples(cls, examples) -> "ClientModel":
@@ -365,10 +340,21 @@ class ClientModel:
             raise InvalidInputError("need at least one example")
         if any(ex.dim != examples[0].dim for ex in examples):
             raise DimensionMismatchError("all examples must share one dimension")
-        a_mean, bc = _example_moments(np.stack([ex.b_matrix for ex in examples]),
-                                      np.stack([ex.center for ex in examples]))
+        b_stack = _read_only_stack([ex.b_matrix for ex in examples])
+        c_stack = _read_only_stack([ex.center for ex in examples])
+        a_mean, bc = _example_moments(b_stack, c_stack)
         a = mat.symmetrize(a_mean)
-        return cls(a_matrix=a, center=np.linalg.solve(a, bc), examples=examples)
+        try:
+            center = np.linalg.solve(a, bc)
+        except np.linalg.LinAlgError as exc:
+            raise ConditioningError("mean example matrix is singular") from exc
+        client = cls(a_matrix=a, center=center)
+        object.__setattr__(client, "examples", tuple(
+            _view(QuadraticExample, b_matrix=b, center=c) for b, c in zip(b_stack, c_stack)
+        ))
+        object.__setattr__(client, "example_matrices", b_stack)
+        object.__setattr__(client, "example_centers", c_stack)
+        return client
 
     def __eq__(self, other) -> bool:
         if type(other) is not type(self):
@@ -578,7 +564,7 @@ def distortion_matrix(a, alpha: float, gamma: float, theta: WeightScheme) -> np.
     a = mat.check_symmetric_stack(a.reshape(-1, d, d), ("a[{i}]" if a.ndim == 3 else "a").format).reshape(a.shape)
     lams, v = np.linalg.eigh(a)
     q = scheme_q_eigenvalues(lams, alpha, gamma, theta)
-    return mat.symmetrize((v * q[..., None, :]) @ v.swapaxes(-1, -2))
+    return mat.symmetric_from_eigenpairs(v, q)
 
 
 def _surrogate_hessians(

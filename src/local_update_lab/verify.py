@@ -38,6 +38,7 @@ from .engine import (
 from .errors import InvalidInputError
 from .frontier import empirical_rate_crosscheck
 from .matrices import SpectrumBounds, check_count, check_integer, eigh, euclidean_norm, keyed_rng, symmetrize
+from .matrices import symmetric_from_eigenpairs
 from .quadratics import ClientModel, Population, QuadraticExample, WeightScheme
 
 SCHEMA_VERSION = 1
@@ -56,11 +57,6 @@ def _orthonormal(gaussians: np.ndarray) -> np.ndarray:
 
 def random_orthonormal(rng: np.random.Generator, dim: int) -> np.ndarray:
     return _orthonormal(rng.standard_normal((dim, dim)))
-
-
-def _symmetric_from_eigenpairs(basis: np.ndarray, lams: np.ndarray) -> np.ndarray:
-    """basis diag(lams) basis^T, symmetrised; stacked bases or spectra give a stack, each as if alone."""
-    return symmetrize((basis * lams[..., None, :]) @ basis.swapaxes(-1, -2))
 
 
 def _center_in_ball(rng: np.random.Generator, dim: int, c_radius: float) -> np.ndarray:
@@ -92,7 +88,7 @@ def _draw_clients(
         if pin_extremes:
             spectrum[0], spectrum[-1] = mu, ell
         center[:] = _center_in_ball(rng, dim, c_radius)
-    return _symmetric_from_eigenpairs(_orthonormal(gaussians), spectra), centers
+    return symmetric_from_eigenpairs(_orthonormal(gaussians), spectra), centers
 
 
 def random_client(rng: np.random.Generator, dim: int, mu: float, ell: float, c_radius: float) -> ClientModel:
@@ -235,8 +231,8 @@ def random_commuting_family(
         if rng.random() < 0.3:
             lx[-1] = b_hi
         ly[:] = rng.uniform(0.1, 2.0, size=dim)
-    xs = _symmetric_from_eigenpairs(basis, x_eigs)
-    ys = _symmetric_from_eigenpairs(basis, y_eigs)
+    xs = symmetric_from_eigenpairs(basis, x_eigs)
+    ys = symmetric_from_eigenpairs(basis, y_eigs)
     return xs, ys, float(x_eigs.min()), float(x_eigs.max())
 
 

@@ -495,6 +495,7 @@ class TestBadInput:
             ["frontier", "--mu", "1", "--ell", "10", "--vary", "alpha", "--alphas", "0,nan"],
             ["frontier", "--mu", "1", "--ell", "10", "--points", "-1"],
             ["frontier", "--mu", "1", "--ell", "inf"],
+            ["frontier", "--mu", "1e-300", "--ell", "1e300"],  # both bounds finite, but ell / mu overflows
             ["frontier", "--mu", "1", "--ell", "10", "--vary", "gamma", "--points", "-1"],
             ["frontier", "--mu", "1", "--ell", "10", "--vary", "gamma", "--gamma-min", "1e-4",
              "--points", "-1"],
@@ -572,6 +573,8 @@ class TestBadInput:
          "--beta must lie in [0, 1), got -0.5"),
         (["simulate", "--gamma", "0.01", "--theta", "one", "--eta", "nan"],
          "--eta must be positive and finite, got nan"),
+        (["simulate", "--gamma", "0.01", "--theta", "one", "--dim", "0"], "--dim must be >= 1, got 0"),
+        (["simulate", "--gamma", "0.01", "--theta", "one", "--n-clients", "0"], "--n-clients must be >= 1, got 0"),
     ])
     def test_flag_errors_name_the_flags(self, argv, message, tmp_path, capsys):
         out = tmp_path / "out"

@@ -8,7 +8,10 @@ file:line. The rules and their homes:
 - the sign-fixed QR draw: verify._orthonormal;
 - the slice loop over a stack's batches: quadratics._batches, the only
   reader of the one batch size;
-- an example set's moment sum B_z c_z: quadratics._example_moments;
+- an example set's moment sum B_z c_z: quadratics._example_moments, which
+  only ClientModel.from_examples calls;
+- a symmetric matrix from its eigenpairs, V diag(w) V^T:
+  matrices.symmetric_from_eigenpairs;
 - the distortion Q_i itself: a scheme's coefficients are read only by the
   engine's literal K-step loop (engine._local_steps) and by the eigenvalue
   map (quadratics.scheme_q_eigenvalues), which distortion_matrix and the
@@ -116,6 +119,17 @@ def is_example_product(node: ast.AST) -> bool:
     )
 
 
+def is_eigenpair_product(node: ast.AST) -> bool:
+    """node is (V * w) @ V^T or V @ W @ V^T, for a transpose V^T as is_transpose_of reads it."""
+    return (
+        isinstance(node, ast.BinOp)
+        and isinstance(node.op, ast.MatMult)
+        and isinstance(node.left, ast.BinOp)
+        and isinstance(node.left.op, (ast.Mult, ast.MatMult))
+        and (is_transpose_of(node.right, node.left.left) or is_transpose_of(node.right, node.left.right))
+    )
+
+
 def test_one_symmetrisation():
     assert offending(is_symmetrisation, "symmetrize") == []
 
@@ -152,6 +166,19 @@ def test_batch_sizes_are_read_only_by_the_slice_loop():
 
 def test_one_example_moment_sum():
     assert offending(is_example_product, "_example_moments") == []
+
+
+def test_example_moments_have_one_caller():
+    callers = [
+        (path.name, function)
+        for path, function, node in sites()
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_example_moments"
+    ]
+    assert callers == [("quadratics.py", "from_examples")]
+
+
+def test_one_matrix_from_eigenpairs():
+    assert offending(is_eigenpair_product, "symmetric_from_eigenpairs") == []
 
 
 def test_one_definition_of_the_distortion():

@@ -1,5 +1,7 @@
 """Populations, distortion matrices, surrogate machinery, serialization."""
 
+import inspect
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -193,10 +195,15 @@ class TestClientAndPopulation:
         )
         np.testing.assert_allclose(client.center, expected_center, atol=1e-12)
 
-    def test_inconsistent_examples_rejected(self):
-        examples = [QuadraticExample(b_matrix=np.eye(2), center=np.zeros(2))]
-        with pytest.raises(InvalidInputError):
-            ClientModel(a_matrix=2 * np.eye(2), center=np.zeros(2), examples=examples)
+    def test_examples_come_only_from_the_example_set(self):
+        # from_examples is the one way to build a client with examples
+        assert list(inspect.signature(ClientModel).parameters) == ["a_matrix", "center"]
+        assert ClientModel(a_matrix=np.eye(2), center=np.zeros(2)).examples is None
+
+    def test_singular_mean_example_matrix_is_a_conditioning_error(self):
+        example = QuadraticExample(b_matrix=np.diag([1.0, 0.0]), center=np.zeros(2))
+        with pytest.raises(ConditioningError, match="mean example matrix is singular"):
+            ClientModel.from_examples([example, example])
 
     def test_indefinite_example_matrix_allowed(self):
         # individual B_z may be indefinite; only the mean must satisfy the bounds

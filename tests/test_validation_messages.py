@@ -15,8 +15,10 @@ import pytest
 from local_update_lab.bounds import (
     DiscreteDistribution,
     _validate_weighted_family,
+    delta_from_kappa,
     distance_bound_from_kappa,
     matrix_weighted_discrepancy,
+    rho_from_kappa,
 )
 from local_update_lab.engine import RunConfig, auto_tune, client_update, client_update_maml, server_round
 from local_update_lab.errors import DimensionMismatchError, InvalidInputError
@@ -201,19 +203,6 @@ def test_a_matrix_alone_and_as_a_stack_row_get_one_verdict(route, i, deviation, 
 
 
 def test_client_example_paths():
-    examples = (
-        QuadraticExample(b_matrix=2.0 * np.eye(2), center=np.array([1.0, 0.0])),
-        QuadraticExample(b_matrix=np.eye(2) * 4.0, center=np.zeros(2)),
-    )
-    assert_rejects(lambda: ClientModel(a_matrix=np.eye(2), center=np.zeros(2), examples=()),
-                   InvalidInputError, "examples, when given, must be nonempty")
-    assert_rejects(lambda: ClientModel(a_matrix=np.eye(3), center=np.zeros(3), examples=examples),
-                   DimensionMismatchError, "example dimension differs from client dimension")
-    assert_rejects(lambda: ClientModel(a_matrix=np.eye(2), center=np.zeros(2), examples=examples),
-                   InvalidInputError,
-                   "a_matrix does not match the mean of the example matrices (max deviation 2.000e+00)")
-    assert_rejects(lambda: ClientModel(a_matrix=3.0 * np.eye(2), center=np.zeros(2), examples=examples),
-                   InvalidInputError, "center does not match A^-1 E[B_z c_z] (max deviation 3.333e-01)")
     assert_rejects(lambda: ClientModel.from_examples([]), InvalidInputError, "need at least one example")
 
 
@@ -439,6 +428,12 @@ def _bad_input_config():
          "grid must be one-dimensional, got shape (1, 2)"),
         # a radius check for the distance bound from kappa
         (lambda: distance_bound_from_kappa(2.0, 10.0, NAN), InvalidInputError, "c_radius must be nonnegative, got nan"),
+        # an overflowing or NaN condition number, not a NaN result
+        (lambda: SpectrumBounds(1e-300, 1e300), InvalidInputError, "ell / mu must be finite, got mu=1e-300, ell=1e+300"),
+        (lambda: SpectrumBounds(1.0, INF), InvalidInputError, "mu and ell must be finite, got mu=1.0, ell=inf"),
+        (lambda: distance_bound_from_kappa(2.0, INF, 1.0), InvalidInputError, "kappa0 must be finite, got inf"),
+        (lambda: delta_from_kappa(2.0, NAN), InvalidInputError, "kappa0 must be finite, got nan"),
+        (lambda: rho_from_kappa(NAN, "plain"), InvalidInputError, "kappa must be >= 1, got nan"),
     ],
 )
 def test_bad_numeric_input(build, error, message):
